@@ -210,10 +210,10 @@ def test_batch_telemetry_overhead_is_bounded():
 def test_pool_run_not_pathological():
     """A pool run must never cost materially more than serial.
 
-    On a single-CPU container the pool cannot win, but fork+pickle
-    overhead staying bounded is still worth pinning; on real multi-core
-    hardware this same pair shows the >= 2x speedup recorded in
-    BENCH_runtime.json.
+    Whether the pool wins depends on the host's CPUs: on one CPU
+    fork+pickle overhead makes it slower than serial, so this pins only
+    that the overhead stays bounded.  BENCH_runtime.json records the
+    measured ``pool_speedup`` next to the CPU count it was taken on.
     """
     kwargs = dict(window_cycles=2.0e6)
     start = time.perf_counter()

@@ -27,29 +27,20 @@ from ..core.strategies import Placement, ThreadingDesign
 from ..errors import ParameterError
 from ..faults import FaultInjector, FaultPolicy
 from ..paperdata.case_studies import ADS1_INFERENCE_STUDY
-from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..runtime import RunSpec, execute_batch
 from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
     AcceleratorDevice,
     InterfaceModel,
-    KernelInvocation,
-    KernelSpec,
     Microservice,
     OffloadConfig,
-    RequestSpec,
-    SegmentWork,
     SimulationConfig,
     measured_speedup,
     run_simulation,
 )
-
-#: Synthetic-service constants, matching :mod:`repro.validation.matrix`
-#: so fault-free resilience points land on validated territory.
-_KERNEL_CALLS = 3
-_GRANULARITY = 400.0
-_CB = 5.0
-_KERNEL_CYCLES = _KERNEL_CALLS * _CB * _GRANULARITY
+# The validation matrix's synthetic service, so fault-free resilience
+# points land on validated territory.
+from ..validation.matrix import KERNEL_CALLS, KERNEL_CYCLES, synthetic_request
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,20 +73,7 @@ class ResiliencePoint:
 
 def _builds(alpha: float, design: ThreadingDesign, policy: FaultPolicy,
             seed: int, accel_speedup: float, num_cores: int):
-    plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
-    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
-
-    def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
+    factory, plain = synthetic_request(alpha)
 
     def build_baseline(engine, cpu, metrics):
         return Microservice(engine, cpu, metrics), factory
@@ -152,10 +130,10 @@ def run_resilience_point(
     summary = accelerated.summarize()
     totals = summary.metrics.fault_totals()
 
-    request = plain + _KERNEL_CYCLES
+    request = plain + KERNEL_CYCLES
     model = degraded_speedup(
         design, policy,
-        c=request, alpha=_KERNEL_CYCLES / request, n=float(_KERNEL_CALLS),
+        c=request, alpha=KERNEL_CYCLES / request, n=float(KERNEL_CALLS),
         o0=30.0, l=0.0, q=0.0, a=accel_speedup, o1=0.0,
     )
     return ResiliencePoint(

@@ -14,7 +14,7 @@ DPU offload of the data-center tax), so the operative questions become:
   (:func:`shared_wait_profile` -- the instrument behind the metamorphic
   monotonicity suite.)
 
-The synthetic service is the resilience study's (3 kernel calls of 400
+The synthetic service is the validation matrix's (3 kernel calls of 400
 bytes at 5 cycles/byte per request), so single-tenant, unbatched,
 fault-free cells land on validated territory.
 """
@@ -28,7 +28,6 @@ from ..core.resilience import degraded_batched_async_speedup
 from ..core.strategies import Placement, ThreadingDesign
 from ..errors import ParameterError
 from ..faults import FaultInjector, FaultPolicy
-from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..runtime import RunSpec, execute_batch
 from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
@@ -37,23 +36,15 @@ from ..simulator import (
     DeviceConfig,
     Engine,
     InterfaceModel,
-    KernelInvocation,
-    KernelSpec,
     MetricSink,
     Microservice,
     OffloadConfig,
-    RequestSpec,
-    SegmentWork,
     SimulationConfig,
     request_stream,
     run_simulation,
 )
+from ..validation.matrix import KERNEL_CALLS, KERNEL_CYCLES, synthetic_request
 
-#: Synthetic-service constants, matching :mod:`repro.application.resilience`.
-_KERNEL_CALLS = 3
-_GRANULARITY = 400.0
-_CB = 5.0
-_KERNEL_CYCLES = _KERNEL_CALLS * _CB * _GRANULARITY
 _DISPATCH_CYCLES = 30.0
 
 
@@ -64,25 +55,6 @@ def _tenant_weights(tenants: int, weights: Sequence[float]) -> List[float]:
     if len(resolved) != tenants:
         raise ParameterError("weights must have one entry per tenant")
     return resolved
-
-
-def _request_factory(alpha: float):
-    plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
-    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
-
-    def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
-
-    return factory, plain
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +110,7 @@ def _run_shared(
     streams are independent but reproducible.
     """
     tenant_weights = _tenant_weights(tenants, weights)
-    factory, _ = _request_factory(alpha)
+    factory, _ = synthetic_request(alpha)
     engine = Engine()
     device = AcceleratorDevice(
         engine, accel_speedup, servers=servers,
@@ -273,7 +245,7 @@ def run_shared_device_point(
     baseline = run_simulation(
         lambda engine, cpu, metrics: (
             Microservice(engine, cpu, metrics),
-            _request_factory(alpha)[0],
+            synthetic_request(alpha)[0],
         ),
         SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
     )
@@ -290,9 +262,9 @@ def run_shared_device_point(
         window_cycles=window_cycles,
     )
     tenant0 = shared.tenants[0]
-    request = _KERNEL_CYCLES * (1.0 - alpha) / alpha + _KERNEL_CYCLES
+    request = KERNEL_CYCLES * (1.0 - alpha) / alpha + KERNEL_CYCLES
     model = degraded_batched_async_speedup(
-        c=request, alpha=_KERNEL_CYCLES / request, n=float(_KERNEL_CALLS),
+        c=request, alpha=KERNEL_CYCLES / request, n=float(KERNEL_CALLS),
         o0=_DISPATCH_CYCLES, l=0.0, q=0.0,
         policy=policy or FaultPolicy(),
         batch_size=batch_size,
@@ -456,7 +428,7 @@ def contention_case_study(
     baseline = run_simulation(
         lambda engine, cpu, metrics: (
             Microservice(engine, cpu, metrics),
-            _request_factory(alpha)[0],
+            synthetic_request(alpha)[0],
         ),
         SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
     )

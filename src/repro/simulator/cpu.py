@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from collections import deque
 from typing import Callable, Deque, Generator, List, Optional
 
@@ -299,8 +300,9 @@ class CPU:
         thread.core = core
         thread.state = ThreadState.RUNNING
         # One continuation per (thread, core) assignment, reused by every
-        # Compute event this thread runs on this core.
-        thread.advance_callback = lambda: self._advance(core, thread)
+        # Compute event this thread runs on this core.  A partial calls
+        # straight into _advance, without a lambda frame in between.
+        thread.advance_callback = functools.partial(self._advance, core, thread)
         if thread.resume_charge > 0:
             charge = thread.resume_charge
             thread.resume_charge = 0.0
@@ -357,8 +359,8 @@ class CPU:
                     )
             callback = thread.advance_callback
             if callback is None:  # direct _advance without _assign (tests)
-                callback = thread.advance_callback = lambda: self._advance(
-                    core, thread
+                callback = thread.advance_callback = functools.partial(
+                    self._advance, core, thread
                 )
             self.engine.after(cycles, callback)
         else:

@@ -195,7 +195,10 @@ class BlockSampler:
         if count <= available:
             self._index = index + count
             return buffer[index : index + count].copy()
-        parts = [buffer[index:]]
+        # An exhausted buffer contributes nothing -- and the initial one
+        # is an untyped float64 placeholder that would upcast integer
+        # draws in the concatenation.
+        parts = [buffer[index:]] if available else []
         remaining = count - available
         block_size = self._block_size
         while remaining > block_size:

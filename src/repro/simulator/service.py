@@ -69,10 +69,38 @@ class KernelSpec:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class KernelInvocation:
-    """One kernel call within a request."""
+    """One kernel call within a request.
+
+    The host cost ``Cb * g**beta`` and the :class:`Compute` op that runs
+    the call on the host are computed once, at construction.  Request
+    generators share one invocation per distinct size (see
+    :meth:`~repro.workloads.base.ServiceWorkload.request_factory`), so a
+    host-run call costs the segment loop a charge and a yield, nothing
+    more.
+    """
 
     kernel: KernelSpec
     granularity: float
+    #: ``kernel.host_cycles(granularity)``.
+    host_cycles: float = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
+    #: The op that runs this call on the host; None when it costs nothing.
+    host_op: Optional[Compute] = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        kernel = self.kernel
+        host_cycles = kernel.host_cycles(self.granularity)
+        object.__setattr__(self, "host_cycles", host_cycles)
+        object.__setattr__(
+            self,
+            "host_op",
+            Compute(host_cycles, kernel.functionality, kernel.leaf)
+            if host_cycles > 0
+            else None,
+        )
 
 
 def _miscellaneous_leaf_mix() -> Mapping[LeafCategory, float]:
@@ -106,7 +134,7 @@ class RequestSpec:
         for segment in self.segments:
             total += segment.plain_cycles
             for invocation in segment.invocations:
-                total += invocation.kernel.host_cycles(invocation.granularity)
+                total += invocation.host_cycles
         return total
 
 
@@ -401,33 +429,24 @@ class Microservice:
                 cycles = segment.plain_cycles * share / total_share
                 if cycles > 0:
                     yield Compute(cycles, segment.functionality, leaf)
+        offloads = self.offloads
         for invocation in segment.invocations:
-            yield from self._run_invocation(thread, segment, invocation, context)
-        if tracer is not None and span is not None:
-            tracer.end_segment(context.trace, span, self.engine.now)
-
-    def _run_invocation(
-        self,
-        thread: SimThread,
-        segment: SegmentWork,
-        invocation: KernelInvocation,
-        context: _RequestContext,
-    ):
-        kernel = invocation.kernel
-        config = self.offloads.get(kernel.name)
-        host_cycles = kernel.host_cycles(invocation.granularity)
-        offloadable = (
-            config is not None and invocation.granularity >= config.min_granularity
-        )
-        if not offloadable:
+            kernel = invocation.kernel
+            config = offloads.get(kernel.name)
+            if (
+                config is not None
+                and invocation.granularity >= config.min_granularity
+            ):
+                yield from self._run_offload(thread, invocation, config, context)
+                continue
             # Run on the host.
             self.metrics.charge_kernel(
-                kernel.name, host_cycles, origin=kernel.functionality
+                kernel.name, invocation.host_cycles, origin=kernel.functionality
             )
-            if host_cycles > 0:
-                yield Compute(host_cycles, kernel.functionality, kernel.leaf)
-            return
-        yield from self._run_offload(thread, invocation, config, context)
+            if invocation.host_op is not None:
+                yield invocation.host_op
+        if tracer is not None and span is not None:
+            tracer.end_segment(context.trace, span, self.engine.now)
 
     # -- offload state machines ---------------------------------------------------
 
@@ -439,7 +458,7 @@ class Microservice:
         context: _RequestContext,
     ):
         kernel = invocation.kernel
-        host_cycles = kernel.host_cycles(invocation.granularity)
+        host_cycles = invocation.host_cycles
         transfer = config.interface.transfer_cycles(invocation.granularity)
         dispatch = config.interface.dispatch_cycles
         o1 = config.thread_switch_cycles

@@ -146,13 +146,24 @@ def _encryption_study_builds(
         workload.request_cycles - kernel_cycles_per_request - io_plain_cycles
     )
 
+    # Invocations are immutable, so one per distinct size serves every
+    # request of both builds.
+    invocations_by_size: Dict[float, KernelInvocation] = {}
+
+    def invocation(size: float) -> KernelInvocation:
+        shared = invocations_by_size.get(size)
+        if shared is None:
+            shared = invocations_by_size[size] = KernelInvocation(
+                kernel=kernel_template, granularity=size
+            )
+        return shared
+
     def make_factory(rng: np.random.Generator):
         def factory() -> RequestSpec:
             count = int(rng.poisson(invocations_per_request))
             sizes = distribution.sample(rng, count) if count else []
             invocations = tuple(
-                KernelInvocation(kernel=kernel_template, granularity=float(s))
-                for s in np.atleast_1d(sizes)
+                invocation(float(s)) for s in np.atleast_1d(sizes)
             ) if count else ()
             return RequestSpec(
                 segments=(

@@ -12,7 +12,7 @@ published points?".
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..core import (
     Accelerometer,
@@ -41,10 +41,41 @@ from ..simulator import (
     run_simulation,
 )
 
-_KERNEL_CALLS = 3
+#: The synthetic service of every matrix cell, and of the resilience and
+#: shared-device studies that build on validated territory: each request
+#: is plain application cycles plus three 400-byte calls of one kernel
+#: "k" costing 5 cycles/byte.
+KERNEL_CALLS = 3
 _GRANULARITY = 400.0
 _CB = 5.0
-_KERNEL_CYCLES = _KERNEL_CALLS * _CB * _GRANULARITY
+KERNEL_CYCLES = KERNEL_CALLS * _CB * _GRANULARITY
+
+
+def synthetic_request(
+    alpha: float,
+) -> Tuple[Callable[[], RequestSpec], float]:
+    """A factory of the synthetic request whose kernel calls are
+    fraction *alpha* of its cycles, plus the request's plain cycles.
+
+    The spec is immutable, so it is built once and every request shares
+    it.
+    """
+    plain = KERNEL_CYCLES * (1.0 - alpha) / alpha
+    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
+    spec = RequestSpec(
+        segments=(
+            SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
+                        leaf_mix={L.C_LIBRARIES: 1.0}),
+            SegmentWork(F.IO, invocations=(
+                (KernelInvocation(kernel, _GRANULARITY),) * KERNEL_CALLS
+            )),
+        )
+    )
+
+    def factory() -> RequestSpec:
+        return spec
+
+    return factory, plain
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,20 +112,7 @@ class MatrixSummary:
 
 def _builds(alpha: float, design, interface_cycles: float,
             thread_switch: float, accel_speedup: float, num_cores: int):
-    plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
-    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
-
-    def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
+    factory, plain = synthetic_request(alpha)
 
     def build_baseline(engine, cpu, metrics):
         return Microservice(engine, cpu, metrics), factory
@@ -145,9 +163,9 @@ def validate_cell(
     accelerated = run_simulation(build_accelerated, config)
     simulated = measured_speedup(baseline, accelerated)
 
-    request = plain + _KERNEL_CYCLES
+    request = plain + KERNEL_CYCLES
     scenario = OffloadScenario(
-        kernel=KernelProfile(request, _KERNEL_CYCLES / request, _KERNEL_CALLS),
+        kernel=KernelProfile(request, KERNEL_CYCLES / request, KERNEL_CALLS),
         accelerator=AcceleratorSpec(accel_speedup, Placement.OFF_CHIP),
         costs=OffloadCosts(
             dispatch_cycles=30.0, interface_cycles=interface_cycles,

@@ -303,6 +303,11 @@ class ServiceWorkload:
             if shape is not None
             else None
         )
+        # Each (kernel, origin) lowers to a table of shared invocations,
+        # one per distinct size, and requests draw indices into it.
+        # ``rng.choice(len(sizes), p=...)`` consumes the same uniforms and
+        # the same searchsorted as ``rng.choice(sizes, p=...)``, so the
+        # stream is unchanged while no invocation is built per call.
         kernel_samplers = []
         for kernel in self.kernels.values():
             dist = kernel.target.granularity
@@ -310,16 +315,21 @@ class ServiceWorkload:
             probs = np.asarray(dist.counts, dtype=float)
             probs = probs / probs.sum()
             for origin, rate in kernel.origin_rates.items():
+                spec = kernel.specs[origin]
+                table = tuple(
+                    KernelInvocation(kernel=spec, granularity=size)
+                    for size in sizes_arr.tolist()
+                )
                 kernel_samplers.append(
                     (
                         origin,
-                        kernel.specs[origin],
+                        table,
                         BlockSampler(
                             lambda n, r=rate: rng.poisson(r, size=n)
                         ),
                         BlockSampler(
-                            lambda n, s=sizes_arr, p=probs: rng.choice(
-                                s, size=n, p=p
+                            lambda n, k=len(table), p=probs: rng.choice(
+                                k, size=n, p=p
                             )
                         ),
                     )
@@ -328,14 +338,12 @@ class ServiceWorkload:
         def factory() -> RequestSpec:
             scale = scale_sampler.next() if scale_sampler is not None else 1.0
             invocations_by_origin: Dict[FunctionalityCategory, list] = {}
-            for origin, spec, count_sampler, size_sampler in kernel_samplers:
+            for origin, table, count_sampler, index_sampler in kernel_samplers:
                 count = int(count_sampler.next())
                 if count == 0:
                     continue
-                sizes = size_sampler.take(count)
                 invocations_by_origin.setdefault(origin, []).extend(
-                    KernelInvocation(kernel=spec, granularity=float(size))
-                    for size in sizes
+                    [table[i] for i in index_sampler.take(count).tolist()]
                 )
             segments = []
             for functionality in FUNCTIONALITIES:

@@ -19,6 +19,7 @@ import pytest
 from repro.application.shared_device import SharedDevicePoint, TenantRun
 from repro.characterization import characterize
 from repro.runtime import SCHEMA_VERSION, RunSpec
+from repro.workloads import ALL_SERVICES
 
 #: RunSummary fingerprints for
 #: characterize("cache1", seed=2020, num_cores=2, requests_target=...),
@@ -37,6 +38,33 @@ def test_characterize_digests_survive_the_shared_device_refactor(
         "cache1", seed=2020, num_cores=2, requests_target=requests_target
     )
     assert run.simulation.fingerprint() == GOLDEN[requests_target]
+
+
+#: RunSummary fingerprints of every service for
+#: characterize(name, seed=2020, num_cores=2, requests_target=30),
+#: captured before request generation shared one precomputed
+#: KernelInvocation per size and host-run calls ran inline in the
+#: segment loop.
+FLEET_GOLDEN = {
+    "ads1": "6088e605c83559bd14ff1b50909088f463ecb89a75451d8b210f4a1836e8d89e",
+    "ads2": "c2c027008056d29ab34a40c345519c30ec741b357d9e93c26b245cd32b874c19",
+    "cache1": "c216cf2c9587677255fda0b066d4589587991c47ccffb2ba6a1d5ff2e53549a2",
+    "cache2": "8dd5db550dd8a0fefb586fb1c64231a308a955b01e824dad496d8913b54d3920",
+    "cache3": "dbdb414269c1fa5b59676f7e06452dc2b7fb61efea45d0b722b6f99bf9a38664",
+    "feed1": "a209346ddb6e6ea8405c07925069c523383859fa71cfb70255907e13eac4d2c2",
+    "feed2": "5dda7ef28c0d61ba6ad3981e552732ee605b7da7143402d5ea094c5712585665",
+    "web": "017ee9d08d4b2a089f20e30ab75748aec38bf6111951f6c6acc1e8a399df4c58",
+}
+
+
+def test_fleet_golden_covers_every_service():
+    assert sorted(FLEET_GOLDEN) == sorted(ALL_SERVICES)
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_GOLDEN))
+def test_fleet_digests_survive_the_invocation_tables(name):
+    run = characterize(name, seed=2020, num_cores=2, requests_target=30)
+    assert run.simulation.fingerprint() == FLEET_GOLDEN[name]
 
 
 def test_cache_schema_version_is_unchanged():

@@ -1,12 +1,16 @@
 """Unit tests for the microservice runtime and offload state machines."""
 
+import pickle
+
 import pytest
 
 from repro.core import Placement, ThreadingDesign
+from repro.errors import SimulationError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     CPU,
     AcceleratorDevice,
+    Compute,
     CycleKind,
     Engine,
     InterfaceModel,
@@ -69,6 +73,40 @@ class TestRequestSpec:
     def test_total_host_cycles(self):
         spec = one_request(invocations=2, granularity=100, plain=1000)
         assert spec.total_host_cycles() == 1000 + 2 * 200
+
+
+class TestKernelInvocation:
+    @pytest.mark.parametrize("granularity", [1.0, 37.5, 4096.0])
+    def test_host_op_is_the_kernel_host_cost(self, granularity):
+        kernel = KernelSpec("z", F.COMPRESSION, L.ZSTD, cycles_per_byte=5.62,
+                            complexity_exponent=1.1)
+        invocation = KernelInvocation(kernel, granularity)
+        assert invocation.host_cycles == kernel.host_cycles(granularity)
+        assert invocation.host_op == Compute(
+            kernel.host_cycles(granularity), F.COMPRESSION, L.ZSTD
+        )
+
+    def test_zero_cost_call_has_no_host_op(self):
+        invocation = KernelInvocation(KERNEL, 0.0)
+        assert invocation.host_cycles == 0.0
+        assert invocation.host_op is None
+
+    def test_negative_granularity_raises_at_construction(self):
+        with pytest.raises(SimulationError, match="granularity must be >= 0"):
+            KernelInvocation(KERNEL, -1.0)
+
+    def test_precomputed_fields_stay_out_of_equality_and_repr(self):
+        invocation = KernelInvocation(KERNEL, 100.0)
+        assert invocation == KernelInvocation(KERNEL, 100.0)
+        assert hash(invocation) == hash(KernelInvocation(KERNEL, 100.0))
+        assert repr(invocation) == (
+            f"KernelInvocation(kernel={KERNEL!r}, granularity=100.0)"
+        )
+
+    def test_pickle_round_trip_keeps_host_op(self):
+        invocation = pickle.loads(pickle.dumps(KernelInvocation(KERNEL, 50.0)))
+        assert invocation == KernelInvocation(KERNEL, 50.0)
+        assert invocation.host_op == Compute(100.0, F.IO, L.SSL)
 
 
 class TestLocalExecution:

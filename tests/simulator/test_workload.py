@@ -7,6 +7,7 @@ from repro.errors import ParameterError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     CPU,
+    BlockSampler,
     Engine,
     MetricSink,
     Microservice,
@@ -93,3 +94,40 @@ class TestOpenLoopDriver:
                 engine, service, lambda: spec(), arrivals_per_unit=0,
                 rng=np.random.default_rng(0),
             )
+
+
+class TestBlockSamplerTake:
+    @staticmethod
+    def integers(seed, block_size=4):
+        rng = np.random.default_rng(seed)
+        return BlockSampler(
+            lambda n: rng.integers(0, 1000, size=n), block_size=block_size
+        )
+
+    def test_integer_draws_stay_integral_on_every_call(self):
+        sampler = self.integers(1)
+        for count in (3, 5, 1, 9, 4, 2):
+            taken = sampler.take(count)
+            assert taken.dtype.kind == "i", (count, taken.dtype)
+            assert len(taken) == count
+
+    @pytest.mark.parametrize("counts", [(3, 5, 1, 9, 4), (4, 4, 8), (13,)])
+    def test_take_equals_repeated_next_across_blocks(self, counts):
+        taker, stepper = self.integers(3), self.integers(3)
+        for count in counts:
+            expected = [stepper.next() for _ in range(count)]
+            assert sampler_values(taker.take(count)) == expected
+
+    def test_take_then_next_continue_one_stream(self):
+        mixed, stepper = self.integers(4), self.integers(4)
+        values = sampler_values(mixed.take(6)) + [mixed.next()]
+        values += sampler_values(mixed.take(5))
+        assert values == [stepper.next() for _ in range(12)]
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ParameterError):
+            self.integers(5).take(-1)
+
+
+def sampler_values(array):
+    return [float(value) for value in array.tolist()]

@@ -49,3 +49,14 @@ class TestValidationMatrix:
 
     def test_worst_cell_is_max(self, summary):
         assert summary.worst_cell().error_pp == summary.max_error_pp
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6])
+def test_synthetic_request_is_built_once_and_shared(alpha):
+    from repro.validation.matrix import KERNEL_CYCLES, synthetic_request
+
+    factory, plain = synthetic_request(alpha)
+    spec = factory()
+    assert factory() is spec
+    assert spec.total_host_cycles() == plain + KERNEL_CYCLES
+    assert plain == KERNEL_CYCLES * (1.0 - alpha) / alpha

@@ -6,7 +6,9 @@ import pytest
 from repro.core import GranularityDistribution
 from repro.errors import CalibrationError, UnknownServiceError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
-from repro.workloads import KernelTarget, ServiceWorkload
+from repro.simulator import BlockSampler, KernelInvocation, RequestSpec, SegmentWork
+from repro.workloads import KernelTarget, ServiceWorkload, build_workload
+from repro.workloads.calibration import FUNCTIONALITIES
 
 DIST = GranularityDistribution(sizes=(100.0,), counts=(1.0,))
 
@@ -152,6 +154,78 @@ class TestRequestFactory:
         spec = workload.request_factory(rng)()
         for segment in spec.segments:
             assert segment.plain_cycles > 0 or segment.invocations
+
+
+def per_call_factory(workload, rng):
+    """The request factory as it was before invocation tables: one
+    ``rng.choice`` over the sizes themselves and a fresh
+    :class:`KernelInvocation` per call (deterministic plain cycles)."""
+    samplers = []
+    for kernel in workload.kernels.values():
+        dist = kernel.target.granularity
+        sizes = np.asarray(dist.sizes, dtype=float)
+        probs = np.asarray(dist.counts, dtype=float)
+        probs = probs / probs.sum()
+        for origin, rate in kernel.origin_rates.items():
+            samplers.append((
+                origin,
+                kernel.specs[origin],
+                BlockSampler(lambda n, r=rate: rng.poisson(r, size=n)),
+                BlockSampler(
+                    lambda n, s=sizes, p=probs: rng.choice(s, size=n, p=p)
+                ),
+            ))
+
+    def factory():
+        by_origin = {}
+        for origin, spec, count_sampler, size_sampler in samplers:
+            count = int(count_sampler.next())
+            if count == 0:
+                continue
+            by_origin.setdefault(origin, []).extend(
+                KernelInvocation(kernel=spec, granularity=float(size))
+                for size in size_sampler.take(count)
+            )
+        segments = []
+        for functionality in FUNCTIONALITIES:
+            cycles = workload.joint.functionality_share(functionality) * (
+                workload.request_cycles
+            )
+            invocations = tuple(by_origin.get(functionality, ()))
+            if cycles <= 0 and not invocations:
+                continue
+            segments.append(SegmentWork(
+                functionality=functionality,
+                plain_cycles=cycles,
+                leaf_mix=workload.joint.leaf_mix(functionality)
+                or {L.MISCELLANEOUS: 1.0},
+                invocations=invocations,
+            ))
+        return RequestSpec(segments=tuple(segments))
+
+    return factory
+
+
+class TestInvocationTables:
+    @pytest.mark.parametrize("service", ["cache1", "feed1", "web"])
+    @pytest.mark.parametrize("seed", [0, 7, 2020])
+    def test_lowered_factory_equals_per_call_construction(self, service, seed):
+        workload = build_workload(service)
+        lowered = workload.request_factory(np.random.default_rng(seed))
+        reference = per_call_factory(workload, np.random.default_rng(seed))
+        for _ in range(40):
+            assert lowered() == reference()
+
+    def test_requests_share_one_invocation_per_size(self):
+        workload = build_workload("cache1")
+        factory = workload.request_factory(np.random.default_rng(3))
+        seen = {}
+        for _ in range(20):
+            for segment in factory().segments:
+                for invocation in segment.invocations:
+                    key = (invocation.kernel, invocation.granularity)
+                    assert seen.setdefault(key, invocation) is invocation
+        assert seen
 
 
 class TestTraceTemplates:
