@@ -23,9 +23,9 @@ faults:
 # The repo's own AST invariant linter (determinism, spec hygiene,
 # hot-path __slots__, unit discipline, API surface), per-file rules
 # plus the whole-program pass (call-graph taint, unit flow, dead
-# exports).
+# exports).  --deep selects every per-file rule too, so one run covers
+# both.
 lint:
-	$(PYTHON) -m repro lint
 	$(PYTHON) -m repro lint --deep
 
 # Whole-program rules only, against files changed since origin's view

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -114,16 +115,14 @@ class CSourceFile:
 
     Duck-types the suppression surface of
     :class:`~repro.analysis.source.SourceFile` so the driver's pragma
-    pipeline treats C and Python files identically.
+    pipeline treats C and Python files identically.  Like a Python
+    source, the file is scanned lazily: a warm cached run that never
+    reads :attr:`extraction` or a pragma never scans it.
     """
 
     path: Path
     relpath: str
     text: str
-    extraction: CExtraction
-    suppressions: Dict[int, FrozenSet[str]] = dataclasses.field(
-        default_factory=dict
-    )
 
     @classmethod
     def load(cls, path: Path, relpath: str) -> "CSourceFile":
@@ -135,14 +134,23 @@ class CSourceFile:
     def from_text(
         cls, text: str, *, relpath: str, path: Optional[Path] = None
     ) -> "CSourceFile":
-        code, comments = strip_comments(text)
         return cls(
             path=path if path is not None else Path(relpath),
             relpath=relpath,
             text=text,
-            extraction=extract(code),
-            suppressions=parse_c_suppressions(comments),
         )
+
+    @functools.cached_property
+    def _stripped(self) -> Tuple[str, List[Tuple[int, str]]]:
+        return strip_comments(self.text)
+
+    @functools.cached_property
+    def extraction(self) -> CExtraction:
+        return extract(self._stripped[0])
+
+    @functools.cached_property
+    def suppressions(self) -> Dict[int, FrozenSet[str]]:
+        return parse_c_suppressions(self._stripped[1])
 
     @property
     def name(self) -> str:

@@ -54,8 +54,9 @@ from .graph import CallGraph
 from .project import FunctionInfo, ModuleInfo, ProjectModel
 
 #: Bumped when the cache file layout changes; stored keys never collide
-#: across schema revisions.
-CACHE_SCHEMA = "repro-dataflow-v1"
+#: across schema revisions (v2: the file-findings slot carries PARSE
+#: findings).
+CACHE_SCHEMA = "repro-dataflow-v2"
 
 
 @dataclasses.dataclass(frozen=True)

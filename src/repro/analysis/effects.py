@@ -264,7 +264,7 @@ class _FunctionScanner:
         binds, in source order so chained aliases expand transitively."""
         assigns = [
             node
-            for node in ast.walk(self.func.node)
+            for node in self.module.source.walk(self.func.node)
             if isinstance(node, ast.Assign)
             and len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
@@ -291,7 +291,7 @@ class _FunctionScanner:
         """AST node ids lexically inside the arguments of a sanctioned
         sampler constructor (``BlockSampler(lambda n: rng...(n))``)."""
         sanctioned: Set[int] = set()
-        for node in ast.walk(self.func.node):
+        for node in self.module.source.walk(self.func.node):
             if not isinstance(node, ast.Call):
                 continue
             callee = _dotted_parts(node.func)
@@ -306,7 +306,7 @@ class _FunctionScanner:
 
     def effects(self) -> List[Effect]:
         found: List[Effect] = []
-        for node in ast.walk(self.func.node):
+        for node in self.module.source.walk(self.func.node):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -740,7 +740,7 @@ def observer_hooks(model: ProjectModel) -> Dict[str, FunctionInfo]:
         init = cls_info.methods.get("__init__")
         if init is None:
             continue
-        for node in ast.walk(init.node):
+        for node in model.modules[init.module].source.walk(init.node):
             if not (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -998,7 +998,7 @@ def find_frozen_writes(model: ProjectModel) -> List[FrozenWrite]:
         if func.class_name in protected:
             protected_params.setdefault("self", func.class_name)
 
-        for node in ast.walk(func.node):
+        for node in model.modules[func.module].source.walk(func.node):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
                     node.targets

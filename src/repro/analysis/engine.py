@@ -1,11 +1,11 @@
 """The analysis driver: collect files, run rules, apply suppressions.
 
 :func:`analyze_paths` is the single entry point the CLI and the tests
-share.  It walks the requested paths, parses every ``.py`` file once,
-hands the parsed :class:`~repro.analysis.source.SourceFile`s to each
-selected rule (file rules per file, project rules once over the whole
-set), drops findings silenced by ``# repro: noqa`` pragmas, and applies
-the baseline.
+share.  It walks the requested paths, reads every ``.py`` file (each is
+parsed at most once, on first use), hands the
+:class:`~repro.analysis.source.SourceFile`s to each selected rule (file
+rules per file, project rules once over the whole set), drops findings
+silenced by ``# repro: noqa`` pragmas, and applies the baseline.
 
 Two whole-program extensions ride on the same driver:
 
@@ -88,9 +88,10 @@ def collect_files(
     return collected
 
 
-def _relpath(path: Path, root: Path) -> str:
+def _relpath(path: Path, resolved_root: Path) -> str:
+    """*path* relative to the already-resolved project root."""
     try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
+        return path.resolve().relative_to(resolved_root).as_posix()
     except ValueError:
         return path.as_posix()
 
@@ -98,11 +99,13 @@ def _relpath(path: Path, root: Path) -> str:
 def load_sources(
     paths: Sequence[Union[str, Path]], root: Union[str, Path] = "."
 ) -> List[SourceFile]:
-    """Parse every ``.py`` file under *paths* into sources with
-    project-relative names (shared by the driver and graph export)."""
+    """Read every ``.py`` file under *paths* into sources with
+    project-relative names (shared by the driver and graph export).
+    Files are parsed lazily, on the first read of their tree."""
     root_path = Path(root)
+    resolved_root = root_path.resolve()
     return [
-        SourceFile.load(path, _relpath(path, root_path))
+        SourceFile.load(path, _relpath(path, resolved_root))
         for path in collect_files(paths, root_path)
     ]
 
@@ -118,8 +121,9 @@ def load_c_sources(
     from .cparse import CSourceFile
 
     root_path = Path(root)
+    resolved_root = root_path.resolve()
     return [
-        CSourceFile.load(path, _relpath(path, root_path))
+        CSourceFile.load(path, _relpath(path, resolved_root))
         for path in collect_files(paths, root_path, suffixes=(".c",))
     ]
 
@@ -155,12 +159,6 @@ class AnalysisContext:
     _summaries: dict = dataclasses.field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def by_relpath(self, relpath: str) -> Optional[SourceFile]:
-        for source in self.sources:
-            if source.relpath == relpath:
-                return source
-        return None
 
     def project_model(self):
         """The whole-program model, built once per run on demand."""
@@ -284,11 +282,12 @@ def analyze_sources(
 ) -> AnalysisResult:
     """Run the selected rules over pre-built sources (test entry point).
 
-    *cache_dir* enables the on-disk analysis cache: project-rule
-    findings (and the dataflow summaries behind them) are keyed by a
-    content hash of every analyzed source plus the selected rules'
-    ``cache_version``s, so a warm rerun over unchanged sources replays
-    findings without building the project model at all.
+    *cache_dir* enables the on-disk analysis cache: per-file findings
+    (``PARSE`` included) and project-rule findings (and the dataflow
+    summaries behind them) are keyed by a content hash of every
+    analyzed source plus the selected rules' ``cache_version``s, so a
+    warm rerun over unchanged sources replays findings without parsing
+    a file or building the project model at all.
     """
     selected = resolve_rules(rules, deep=deep)
     cache = None
@@ -312,9 +311,10 @@ def analyze_sources(
     if cache is not None and file_rules:
         from .dataflow import SummaryCache
 
-        # File rules are pure functions of their source text, so one
-        # slot over the whole source set replays every per-file finding
-        # on a warm run without invoking a single rule.
+        # File rules and PARSE findings are pure functions of their
+        # source text, so one slot over the whole source set replays
+        # every per-file finding on a warm run without parsing a file or
+        # invoking a single rule.
         file_key = SummaryCache.digest(
             ["file-findings"]
             + sorted(
@@ -326,36 +326,34 @@ def analyze_sources(
 
     raw: List[Finding] = []
     internal: List[Finding] = []
-    file_raw: List[Finding] = []
-    for source in context.sources:
-        if source.parse_error is not None:
-            raw.append(
-                Finding(
-                    rule="PARSE",
-                    path=source.relpath,
-                    line=1,
-                    column=0,
-                    message=f"file does not parse: {source.parse_error}",
-                    hint="fix the syntax error; unparsable files are "
-                    "invisible to every other rule",
-                )
-            )
-            continue
-        if cached_files is not None:
-            continue
-        for rule in file_rules:
-            _run_rule(
-                rule,
-                lambda rule=rule, source=source: list(
-                    rule.check(source, context)
-                ),
-                file_raw,
-                internal,
-                source.relpath,
-            )
     if cached_files is not None:
         raw.extend(Finding.from_dict(payload) for payload in cached_files)
     else:
+        file_raw: List[Finding] = []
+        for source in context.sources:
+            if source.parse_error is not None:
+                file_raw.append(
+                    Finding(
+                        rule="PARSE",
+                        path=source.relpath,
+                        line=1,
+                        column=0,
+                        message=f"file does not parse: {source.parse_error}",
+                        hint="fix the syntax error; unparsable files are "
+                        "invisible to every other rule",
+                    )
+                )
+                continue
+            for rule in file_rules:
+                _run_rule(
+                    rule,
+                    lambda rule=rule, source=source: list(
+                        rule.check(source, context)
+                    ),
+                    file_raw,
+                    internal,
+                    source.relpath,
+                )
         raw.extend(file_raw)
         if cache is not None and file_key is not None and not internal:
             cache.store(

@@ -180,7 +180,7 @@ class CallResolver:
             )
             if resolved is not None and resolved.cls is not None:
                 env[arg.arg] = resolved.cls
-        for sub in ast.walk(node):
+        for sub in module.source.walk(node):
             if not isinstance(sub, ast.Assign):
                 continue
             if not isinstance(sub.value, ast.Call):
@@ -321,7 +321,7 @@ def build_call_graph(model: ProjectModel) -> CallGraph:
     for func in functions:
         module = model.modules[func.module]
         env = resolver.function_env(func, module)
-        for node in ast.walk(func.node):
+        for node in module.source.walk(func.node):
             if not isinstance(node, ast.Call):
                 continue
             kind, target, _info = resolver.resolve_call(node, env, module)

@@ -289,7 +289,7 @@ def python_error_templates(
         if module is None or module.source.tree is None:
             continue
         relpath = module.relpath
-        for node in ast.walk(module.source.tree):
+        for node in module.source.walk():
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             call = node.exc
@@ -428,7 +428,7 @@ def hot_path_hooks(
         if module is None:
             continue
         lines = module.source.text.split("\n")
-        for node in ast.walk(func.node):
+        for node in module.source.walk(func.node):
             if not isinstance(node, ast.Attribute):
                 continue
             chain = _dotted(node)

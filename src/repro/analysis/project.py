@@ -216,7 +216,7 @@ class ProjectModel:
             source=source,
             is_package=is_package,
             package=package,
-            imports=_absolute_imports(source.tree, package),
+            imports=_absolute_imports(source, package),
             reference_only=reference_only,
         )
         _collect_symbols(info)
@@ -457,8 +457,10 @@ class ProjectModel:
             return self._definition_refs
         refs: Dict[str, set] = {}
 
-        def scan(owner: str, module: ModuleInfo, node: ast.AST) -> None:
-            for sub in ast.walk(node):
+        def scan(
+            owner: str, module: ModuleInfo, nodes: Iterable[ast.AST]
+        ) -> None:
+            for sub in nodes:
                 dotted: Optional[str] = None
                 if isinstance(sub, ast.Attribute):
                     dotted = _dotted(sub)
@@ -479,12 +481,13 @@ class ProjectModel:
                     refs.setdefault(owner, set()).add(resolution.fq)
 
         for module in self.analyzed_modules():
+            walk = module.source.walk
             for func in module.functions.values():
-                scan(func.fq, module, func.node)
+                scan(func.fq, module, walk(func.node))
             for cls_info in module.classes.values():
-                scan(cls_info.fq, module, cls_info.node)
+                scan(cls_info.fq, module, walk(cls_info.node))
             for name, value in module.constants.items():
-                scan(f"{module.name}.{name}", module, value)
+                scan(f"{module.name}.{name}", module, ast.walk(value))
 
         self._definition_refs = {
             owner: sorted(targets) for owner, targets in refs.items()
@@ -562,7 +565,7 @@ class ProjectModel:
                     for t in targets
                 ):
                     skip.update(id(node) for node in ast.walk(stmt))
-            for node in ast.walk(tree):
+            for node in module.source.walk():
                 if id(node) in skip:
                     continue
                 if isinstance(node, ast.Constant) and isinstance(
@@ -583,12 +586,12 @@ class ProjectModel:
 # ---------------------------------------------------------------------------
 
 
-def _absolute_imports(tree: ast.Module, package: str) -> Dict[str, str]:
+def _absolute_imports(source: SourceFile, package: str) -> Dict[str, str]:
     """Local import bindings with relative levels resolved to absolute
     dotted targets against *package*."""
     table: Dict[str, str] = {}
     pkg_parts = package.split(".") if package else []
-    for node in ast.walk(tree):
+    for node in source.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -668,7 +671,7 @@ def _collect_class(info: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
                 line=item.lineno,
                 class_name=node.name,
             )
-            _collect_self_attrs(cls_info, item)
+            _collect_self_attrs(cls_info, item, info.source)
         elif isinstance(item, ast.AnnAssign) and isinstance(
             item.target, ast.Name
         ):
@@ -677,7 +680,9 @@ def _collect_class(info: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
     return cls_info
 
 
-def _collect_self_attrs(cls_info: ClassInfo, method: ast.AST) -> None:
+def _collect_self_attrs(
+    cls_info: ClassInfo, method: ast.AST, source: SourceFile
+) -> None:
     """Record ``self.x = C(...)``, ``self.x: T = ...``, and ``self.x =
     annotated_param`` attribute types."""
     args = method.args
@@ -688,7 +693,7 @@ def _collect_self_attrs(cls_info: ClassInfo, method: ast.AST) -> None:
         )
         if arg.annotation is not None
     }
-    for node in ast.walk(method):
+    for node in source.walk(method):
         if isinstance(node, ast.AnnAssign):
             target = node.target
             if (
@@ -774,10 +779,8 @@ def _attribute_uses(module: ModuleInfo) -> List[str]:
     ``repro.simulator.CPU`` -- the usage evidence the dead-export pass
     consumes.
     """
-    tree = module.source.tree
-    assert tree is not None
     uses: List[str] = []
-    for node in ast.walk(tree):
+    for node in module.source.walk():
         if not isinstance(node, ast.Attribute):
             continue
         dotted = _dotted(node)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
+from ..source import SourceFile
+
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
@@ -18,7 +20,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def import_map(tree: ast.Module) -> Dict[str, str]:
+def import_map(source: SourceFile) -> Dict[str, str]:
     """Map local names bound by imports to their full dotted targets.
 
     ``import numpy as np`` -> ``{"np": "numpy"}``;
@@ -28,7 +30,7 @@ def import_map(tree: ast.Module) -> Dict[str, str]:
     recognize in-package targets.
     """
     table: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in source.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 table[alias.asname or alias.name.split(".")[0]] = (

@@ -43,8 +43,8 @@ class UnseededEntropy(Rule):
     def check(self, source, context) -> Iterator[Finding]:
         if not source.in_scope(*_SIMULATED_SCOPES):
             return
-        imports = import_map(source.tree)
-        for node in ast.walk(source.tree):
+        imports = import_map(source)
+        for node in source.walk():
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_target(node.func, imports)
@@ -103,7 +103,7 @@ class UnorderedIteration(Rule):
         )
         if not in_scope:
             return
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             sites = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 sites.append(node.iter)

@@ -156,8 +156,8 @@ class HotPathHygiene(Rule):
         )
         if not (in_simulator or tracer_module):
             return
-        imports = import_map(source.tree)
-        for node in ast.walk(source.tree):
+        imports = import_map(source)
+        for node in source.walk():
             if isinstance(node, ast.ClassDef):
                 if in_simulator:
                     yield from self._check_class(source, node, imports)

@@ -72,8 +72,8 @@ class SpecFieldDefaults(Rule):
     )
 
     def check(self, source, context) -> Iterator[Finding]:
-        imports = import_map(source.tree)
-        for node in ast.walk(source.tree):
+        imports = import_map(source)
+        for node in source.walk():
             if not isinstance(node, ast.ClassDef):
                 continue
             decorator = _dataclass_decorator(node, imports)

@@ -54,7 +54,7 @@ class UnitDiscipline(Rule):
             yield from self._check_magic_constants(source)
 
     def _check_unit_mixing(self, source) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.walk():
             if not isinstance(node, ast.BinOp):
                 continue
             if not isinstance(node.op, (ast.Add, ast.Sub)):
@@ -82,10 +82,10 @@ class UnitDiscipline(Rule):
             )
 
     def _check_magic_constants(self, source) -> Iterator[Finding]:
-        for func in ast.walk(source.tree):
+        for func in source.walk():
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for node in ast.walk(func):
+            for node in source.walk(func):
                 if not isinstance(node, ast.BinOp):
                     continue
                 for operand in (node.left, node.right):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -98,7 +99,13 @@ def expand_suppressions(
 
 @dataclasses.dataclass
 class SourceFile:
-    """One parsed Python file presented to the rules."""
+    """One Python file presented to the rules.
+
+    Parsing is lazy: the tree (or the syntax error) is computed on the
+    first read of :attr:`tree` / :attr:`parse_error`, and the
+    suppression table on the first :meth:`is_suppressed`.  A warm cached
+    run that replays every finding therefore never parses at all.
+    """
 
     #: Absolute filesystem path.
     path: Path
@@ -108,13 +115,9 @@ class SourceFile:
     relpath: str
 
     text: str
-    tree: Optional[ast.Module]
 
-    #: Syntax error message when parsing failed (rules are skipped).
-    parse_error: Optional[str] = None
-
-    suppressions: Dict[int, FrozenSet[str]] = dataclasses.field(
-        default_factory=dict
+    _walks: Dict[ast.AST, Tuple[ast.AST, ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -128,20 +131,54 @@ class SourceFile:
     ) -> "SourceFile":
         """Build a source file from in-memory text (the fixture path used
         by the rule tests, which simulate arbitrary repo locations)."""
-        tree: Optional[ast.Module] = None
-        error: Optional[str] = None
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError as exc:
-            error = f"{exc.msg} (line {exc.lineno})"
         return cls(
             path=path if path is not None else Path(relpath),
             relpath=relpath,
             text=text,
-            tree=tree,
-            parse_error=error,
-            suppressions=expand_suppressions(tree, parse_suppressions(text)),
         )
+
+    # -- lazily derived views ----------------------------------------------
+
+    @functools.cached_property
+    def _parsed(self) -> Tuple[Optional[ast.Module], Optional[str]]:
+        try:
+            return ast.parse(self.text, filename=self.relpath), None
+        except SyntaxError as exc:
+            return None, f"{exc.msg} (line {exc.lineno})"
+
+    @property
+    def tree(self) -> Optional[ast.Module]:
+        """The parsed module, or ``None`` when the file does not parse."""
+        return self._parsed[0]
+
+    @property
+    def parse_error(self) -> Optional[str]:
+        """Syntax error message when parsing failed (rules are skipped)."""
+        return self._parsed[1]
+
+    @functools.cached_property
+    def suppressions(self) -> Dict[int, FrozenSet[str]]:
+        """Line -> suppressed rules.  Only a file that carries a pragma
+        is parsed, to widen the table over statement spans."""
+        table = parse_suppressions(self.text)
+        return expand_suppressions(self.tree, table) if table else table
+
+    def walk(self, node: Optional[ast.AST] = None) -> Tuple[ast.AST, ...]:
+        """``tuple(ast.walk(node))`` -- the same nodes in the same
+        breadth-first order -- memoized per root for the run.
+
+        *node* is the module tree (the default; the file must parse) or
+        one of its def/class nodes: the bodies the module- and
+        function-level passes each revisit.  Walks rooted at an
+        expression stay plain ``ast.walk``.  No analyzer pass mutates a
+        tree, so a memoized walk never goes stale.
+        """
+        if node is None:
+            node = self.tree
+        walked = self._walks.get(node)
+        if walked is None:
+            walked = self._walks[node] = tuple(ast.walk(node))
+        return walked
 
     # -- path scoping ------------------------------------------------------
 

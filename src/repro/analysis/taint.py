@@ -166,7 +166,7 @@ def function_sources(
             )
         )
 
-    for node in ast.walk(func.node):
+    for node in module.source.walk(func.node):
         if isinstance(node, ast.Call):
             dotted = _resolved_target(node.func, module)
             if dotted is not None:
