@@ -101,8 +101,9 @@ def test_pure_python_event_rate_floor(monkeypatch):
         result = run_simulation(build, config)
         elapsed = time.perf_counter() - start
         best = max(best, result.events_processed / elapsed)
-    # Locally ~210k events/s after the enum identity-hash work; 150k
-    # leaves CI headroom while still catching a lost fast path.
+    # ~330k events/s median on a 2-CPU host with in-place computes
+    # (~210k before); 150k leaves CI headroom while still catching a
+    # lost fast path.
     assert best > 150_000, f"pure event rate regressed: {best:,.0f} events/s"
 
 

@@ -114,16 +114,19 @@ def run_load_point(
     }
     service = Microservice(engine, cpu, metrics, offloads=offloads)
 
-    def factory() -> RequestSpec:
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=config.plain_cycles,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=(
-                    KernelInvocation(kernel, config.kernel_granularity),
-                )),
-            )
+    # The spec is immutable, so every request shares one.
+    spec = RequestSpec(
+        segments=(
+            SegmentWork(F.APPLICATION_LOGIC, plain_cycles=config.plain_cycles,
+                        leaf_mix={L.C_LIBRARIES: 1.0}),
+            SegmentWork(F.IO, invocations=(
+                KernelInvocation(kernel, config.kernel_granularity),
+            )),
         )
+    )
+
+    def factory() -> RequestSpec:
+        return spec
 
     driver = OpenLoopDriver(
         engine, service, factory, arrivals_per_unit=offered_rate_per_unit,

@@ -71,17 +71,20 @@ def run_point(
     kernel = KernelSpec("k", F.IO, L.SSL,
                         cycles_per_byte=config.cycles_per_byte)
 
-    def factory() -> RequestSpec:
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC,
-                            plain_cycles=config.plain_cycles,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=(
-                    KernelInvocation(kernel, config.kernel_granularity),
-                )),
-            )
+    # The spec is immutable, so every request shares one.
+    spec = RequestSpec(
+        segments=(
+            SegmentWork(F.APPLICATION_LOGIC,
+                        plain_cycles=config.plain_cycles,
+                        leaf_mix={L.C_LIBRARIES: 1.0}),
+            SegmentWork(F.IO, invocations=(
+                KernelInvocation(kernel, config.kernel_granularity),
+            )),
         )
+    )
+
+    def factory() -> RequestSpec:
+        return spec
 
     def build(engine, cpu, metrics):
         device = AcceleratorDevice(

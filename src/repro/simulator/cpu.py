@@ -301,8 +301,11 @@ class CPU:
         thread.state = ThreadState.RUNNING
         # One continuation per (thread, core) assignment, reused by every
         # Compute event this thread runs on this core.  A partial calls
-        # straight into _advance, without a lambda frame in between.
-        thread.advance_callback = functools.partial(self._advance, core, thread)
+        # straight into _advance, without a lambda frame in between, and
+        # binds chained=True: only the engine invokes it.
+        thread.advance_callback = functools.partial(
+            self._advance, core, thread, True
+        )
         if thread.resume_charge > 0:
             charge = thread.resume_charge
             thread.resume_charge = 0.0
@@ -328,28 +331,46 @@ class CPU:
         else:
             self._advance(core, thread)
 
-    def _advance(self, core: Core, thread: SimThread) -> None:
+    def _advance(
+        self, core: Core, thread: SimThread, chained: bool = False
+    ) -> None:
+        """Run *thread* on *core* until it computes, blocks, or ends.
+
+        *chained* is bound only into the continuation the engine invokes
+        (:attr:`SimThread.advance_callback`).  Such a call returns straight
+        to the drain loop, so a Compute that is provably the engine's next
+        event runs in place (:meth:`PyEngine.run_or_after`) and the loop
+        resumes the thread again.  Direct calls (:meth:`resume`,
+        :meth:`_assign`) have work left after them at the current time
+        and never chain.
+        """
         fast = self._advance_fast
         if fast is not None:
             fast(core, thread)
             return
         if core.current is not thread:
             raise SimulationError(f"{thread} advanced on foreign {core}")
-        try:
-            op = next(thread.body)
-        except StopIteration:
-            self._finish(core, thread)
-            return
-        if type(op) is Compute or isinstance(op, Compute):
+        engine = self.engine
+        body = thread.body
+        cycles_by_key = self.metrics.cycles
+        trace = self.trace
+        while True:
+            try:
+                op = next(body)
+            except StopIteration:
+                self._finish(core, thread)
+                return
+            if type(op) is not Compute and not isinstance(op, Compute):
+                self._handle_slow_op(core, thread, op)
+                return
             cycles = op.cycles
             if cycles < 0:
                 raise SimulationError(f"cannot compute negative cycles: {cycles}")
-            self.metrics.cycles[(op.functionality, op.leaf, op.kind)] += cycles
-            trace = self.trace
+            cycles_by_key[(op.functionality, op.leaf, op.kind)] += cycles
             if trace is not None:
                 context = thread.trace_ctx
                 if context is not None:
-                    now = self.engine.now
+                    now = engine.now
                     # The CycleKind member itself, not .value: the enum
                     # descriptor costs a Python call per event and the
                     # sink interns enum-or-str kinds identically.
@@ -360,11 +381,13 @@ class CPU:
             callback = thread.advance_callback
             if callback is None:  # direct _advance without _assign (tests)
                 callback = thread.advance_callback = functools.partial(
-                    self._advance, core, thread
+                    self._advance, core, thread, True
                 )
-            self.engine.after(cycles, callback)
-        else:
-            self._handle_slow_op(core, thread, op)
+            if not chained:
+                engine.after(cycles, callback)
+                return
+            if not engine.run_or_after(cycles, callback):
+                return
 
     def _handle_slow_op(self, core: Core, thread: SimThread, op) -> None:
         """Advance past a non-Compute op: the blocking primitives.

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import warnings
 from typing import Callable, List, Optional, Tuple
@@ -54,17 +55,28 @@ class PyEngine:
     (time, sequence, callback) tuples in a heap; :meth:`run_until`
     drains them in order.  The drain loop is the hottest interpreted
     code in the repository, so it inlines the pop instead of delegating
-    to :meth:`step` and hoists the heap, heappop, and counters into
-    locals.
+    to :meth:`step` and hoists the heap and heappop into locals.
+
+    Inside :meth:`run_until`, an event that is provably the next one the
+    loop would pop can run in place instead (:meth:`run_or_after`), so a
+    thread's chain of short computes costs no heap round trip per step.
     """
 
-    __slots__ = ("_now", "_sequence", "_queue", "_events_processed")
+    __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
+                 "_horizon", "_budget")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = itertools.count()
         self._queue: List[Tuple[float, int, Callback]] = []
         self._events_processed = 0
+        #: In-place events must end strictly before this time; -inf
+        #: outside :meth:`run_until`, so nothing runs in place there.
+        self._horizon = -math.inf
+        #: Events :meth:`run_until` may still process before its
+        #: ``max_events`` guard trips, popped and in-place alike.  It
+        #: starts negative without a guard, so it never reaches zero.
+        self._budget = 0
 
     @property
     def now(self) -> float:
@@ -95,6 +107,36 @@ class PyEngine:
             self._queue, (self._now + delay, next(self._sequence), callback)
         )
 
+    def run_or_after(self, delay: float, callback: Callback) -> bool:
+        """Advance the clock by *delay* in place when that event would be
+        popped next; otherwise schedule *callback* as :meth:`after` does.
+
+        Returns True when the event ran in place: the caller then does
+        the callback's work itself, at the new :attr:`now`.  That is
+        exact because the heap pops in ``(time, sequence)`` order and a
+        new event's sequence is the largest yet: an event strictly
+        earlier than the heap head (ties go to the queued event) and
+        than the :meth:`run_until` horizon is what the drain loop would
+        pop next.  It counts toward :attr:`events_processed` and the
+        ``max_events`` budget like a popped one.  Only a callback the
+        engine itself invoked may call this, as its last action: work
+        left after the call would run at the wrong time.
+        """
+        if delay < 0:
+            raise SimulationError(f"delay must be non-negative, got {delay}")
+        time = self._now + delay
+        queue = self._queue
+        if (
+            time < self._horizon
+            and (not queue or time < queue[0][0])
+            and self._budget
+        ):
+            self._now = time
+            self._budget -= 1
+            return True
+        heapq.heappush(queue, (time, next(self._sequence), callback))
+        return False
+
     def step(self) -> bool:
         """Process the next event.  Returns False when the queue is empty."""
         if not self._queue:
@@ -119,20 +161,25 @@ class PyEngine:
             )
         queue = self._queue
         pop = heapq.heappop
-        limit = max_events if max_events is not None else -1
-        processed = 0
-        while queue and queue[0][0] <= horizon:
-            if processed == limit:
-                self._events_processed += processed
-                raise SimulationError(
-                    f"exceeded max_events = {max_events}; "
-                    "likely a zero-delay event loop"
-                )
-            time, _, callback = pop(queue)
-            self._now = time
-            processed += 1
-            callback()
-        self._events_processed += processed
+        budget = max_events if max_events is not None else -1
+        self._budget = budget
+        self._horizon = horizon
+        try:
+            while queue and queue[0][0] <= horizon:
+                left = self._budget
+                if not left:
+                    self._events_processed += budget
+                    raise SimulationError(
+                        f"exceeded max_events = {max_events}; "
+                        "likely a zero-delay event loop"
+                    )
+                time, _, callback = pop(queue)
+                self._now = time
+                self._budget = left - 1
+                callback()
+        finally:
+            self._horizon = -math.inf
+        self._events_processed += budget - self._budget
         self._now = horizon
 
     def run_to_completion(self, max_events: int = 10_000_000) -> None:

@@ -430,19 +430,28 @@ class Microservice:
                 if cycles > 0:
                     yield Compute(cycles, segment.functionality, leaf)
         offloads = self.offloads
+        metrics = self.metrics
+        invocation_counts = metrics.kernel_invocations
+        kernel_cycles = metrics.kernel_cycles
+        kernel_cycles_by_origin = metrics.kernel_cycles_by_origin
         for invocation in segment.invocations:
             kernel = invocation.kernel
-            config = offloads.get(kernel.name)
-            if (
-                config is not None
-                and invocation.granularity >= config.min_granularity
-            ):
-                yield from self._run_offload(thread, invocation, config, context)
-                continue
-            # Run on the host.
-            self.metrics.charge_kernel(
-                kernel.name, invocation.host_cycles, origin=kernel.functionality
-            )
+            if offloads:
+                config = offloads.get(kernel.name)
+                if (
+                    config is not None
+                    and invocation.granularity >= config.min_granularity
+                ):
+                    yield from self._run_offload(
+                        thread, invocation, config, context
+                    )
+                    continue
+            # Run on the host: MetricSink.charge_kernel, inlined.
+            name = kernel.name
+            host_cycles = invocation.host_cycles
+            invocation_counts[name] += 1
+            kernel_cycles[name] += host_cycles
+            kernel_cycles_by_origin[(name, kernel.functionality)] += host_cycles
             if invocation.host_op is not None:
                 yield invocation.host_op
         if tracer is not None and span is not None:

@@ -15,6 +15,7 @@ from repro.simulator import (
     ThreadState,
     YieldCore,
 )
+from repro.simulator.engine import PyEngine
 
 
 def make_cpu(cores=1):
@@ -243,3 +244,91 @@ class TestLifecycle:
 
         cpu.spawn(body)
         assert cpu.idle_cores() == 2
+
+
+class TestInPlaceComputes:
+    """Consecutive computes run in place inside ``run_until`` only, and
+    only when the engine invoked the continuation (pure engine)."""
+
+    def make(self, cores=1):
+        engine = PyEngine()
+        metrics = MetricSink()
+        return engine, metrics, CPU(engine, metrics, cores)
+
+    def test_zero_compute_loop_still_trips_the_guard(self):
+        engine, metrics, cpu = self.make()
+
+        def body(thread):
+            while True:
+                yield Compute(0, F.IO, L.KERNEL)
+
+        cpu.spawn(body)
+        with pytest.raises(SimulationError, match="max_events = 100"):
+            engine.run_until(10, max_events=100)
+        # The same count as one heap event per compute: the guard trips
+        # before the 101st event, in place or popped.
+        assert engine.events_processed == 100
+        assert engine.pending_events == 1
+
+    def test_step_runs_one_event_of_a_continuation(self):
+        engine, metrics, cpu = self.make()
+
+        def body(thread):
+            for _ in range(3):
+                yield Compute(10, F.IO, L.KERNEL)
+
+        cpu.spawn(body)
+        assert engine.step()
+        assert engine.events_processed == 1
+        assert engine.now == 10
+        assert engine.pending_events == 1
+        engine.run_until(100)
+        assert engine.events_processed == 3
+        assert metrics.useful_cycles() == 30
+
+    @pytest.mark.parametrize(
+        "block", [HoldCore(F.IO, L.SSL), ReleaseCore()],
+        ids=["hold", "release"],
+    )
+    def test_resume_from_a_callback_keeps_the_clock(self, block):
+        engine, metrics, cpu = self.make()
+        seen = []
+
+        def body(thread):
+            yield block
+            for _ in range(3):
+                yield Compute(5, F.IO, L.KERNEL)
+
+        thread = cpu.spawn(body)
+
+        def wake():
+            before = engine.now
+            cpu.resume(thread)
+            seen.append((before, engine.now))
+
+        engine.at(100, wake)
+        engine.run_until(1000)
+        assert seen == [(100, 100)]
+        assert thread.state is ThreadState.DONE
+        assert metrics.useful_cycles() == 15
+        # One wake-up plus three computes, the last two run in place.
+        assert engine.events_processed == 4
+
+    def test_spawn_from_a_callback_keeps_the_clock(self):
+        engine, metrics, cpu = self.make()
+        seen = []
+
+        def body(thread):
+            for _ in range(3):
+                yield Compute(5, F.IO, L.KERNEL)
+
+        def start():
+            before = engine.now
+            cpu.spawn(body)
+            seen.append((before, engine.now))
+
+        engine.at(100, start)
+        engine.run_until(1000)
+        assert seen == [(100, 100)]
+        assert metrics.useful_cycles() == 15
+

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulator import Engine
+from repro.simulator.engine import PyEngine
 
 
 class TestScheduling:
@@ -100,3 +101,78 @@ class TestRunUntil:
 
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
+
+
+class TestRunOrAfter:
+    """``PyEngine.run_or_after`` runs an event in place only when the
+    drain loop would provably pop it next."""
+
+    def probe(self, engine, delay, results):
+        def callback():
+            results.append(("fired", engine.now))
+
+        return lambda: results.append(
+            ("in place", engine.run_or_after(delay, callback), engine.now)
+        )
+
+    def test_strictly_next_event_runs_in_place(self):
+        engine = PyEngine()
+        results = []
+        engine.at(10, self.probe(engine, 5, results))
+        engine.at(20, lambda: None)
+        engine.run_until(100)
+        assert results == [("in place", True, 15)]
+        assert engine.events_processed == 3
+
+    def test_event_at_the_horizon_is_queued(self):
+        engine = PyEngine()
+        results = []
+        engine.at(10, self.probe(engine, 90, results))
+        engine.run_until(100)
+        assert results == [("in place", False, 10), ("fired", 100)]
+        assert engine.events_processed == 2
+
+    def test_event_past_the_horizon_stays_queued(self):
+        engine = PyEngine()
+        results = []
+        engine.at(10, self.probe(engine, 91, results))
+        engine.run_until(100)
+        assert results == [("in place", False, 10)]
+        assert engine.pending_events == 1
+
+    def test_tie_with_the_heap_head_is_queued(self):
+        engine = PyEngine()
+        results = []
+        engine.at(10, self.probe(engine, 10, results))
+        engine.at(20, lambda: results.append(("head", engine.now)))
+        engine.run_until(100)
+        # The earlier-scheduled head wins the tie, as it would in the heap.
+        assert results == [
+            ("in place", False, 10), ("head", 20), ("fired", 20),
+        ]
+
+    def test_off_outside_run_until(self):
+        engine = PyEngine()
+        results = []
+        engine.at(10, self.probe(engine, 5, results))
+        engine.run_to_completion()
+        assert results == [("in place", False, 10), ("fired", 15)]
+        engine.run_until(20)
+        assert not engine.run_or_after(1, lambda: None)
+        assert engine.pending_events == 1
+
+    def test_in_place_events_spend_the_budget(self):
+        engine = PyEngine()
+        results = []
+        engine.at(0, self.probe(engine, 1, results))
+        with pytest.raises(SimulationError):
+            engine.run_until(10, max_events=1)
+        assert results == [("in place", False, 0)]
+        assert engine.events_processed == 1
+
+    def test_negative_delay_rejected(self):
+        engine = PyEngine()
+        engine.at(0, lambda: engine.run_or_after(-1, lambda: None))
+        with pytest.raises(SimulationError):
+            engine.run_until(10)
+
