@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Placement, ThreadingDesign, project
+from .errors import ParameterError, ReproError
 
 
 def _print(text: str) -> None:
@@ -84,26 +85,6 @@ def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
 
     path = write_runtime_telemetry(telemetry, args.telemetry_out)
     _print(f"wrote {path}")
-
-
-def _add_runtime_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for independent simulation runs (default 1)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk result cache and re-simulate",
-    )
-
-
-def _add_telemetry_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--telemetry-out", default="",
-        help="record runtime self-telemetry (batch/task/stage spans, "
-        "cache and pool stats) and write the repro-runtime-telemetry-v1 "
-        "JSON artifact to this path",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +173,8 @@ def _cmd_fig4(args: argparse.Namespace) -> None:
                         title="Fig. 4: memory-copy origins (% of copy cycles)"))
 
 
-def _sub_breakdown_cmd(args: argparse.Namespace, figure: str) -> None:
+def _cmd_sub_breakdown(args: argparse.Namespace) -> None:
+    """fig5, fig6 and fig7: the figure is the command's name."""
     from .characterization import (
         fig5_kernel_breakdown,
         fig6_sync_breakdown,
@@ -205,7 +187,7 @@ def _sub_breakdown_cmd(args: argparse.Namespace, figure: str) -> None:
         "fig6": (fig6_sync_breakdown, "Fig. 6: synchronization breakdown (%)"),
         "fig7": (fig7_clib_breakdown, "Fig. 7: C-library breakdown (%)"),
     }
-    produce, title = producers[figure]
+    produce, title = producers[args.command]
     runs = _characterize_services(args)
     rows = {name: produce(run) for name, run in runs.items()}
     columns: List[str] = []
@@ -644,6 +626,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
+def _lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """lint's arguments live with the analyzer, imported only for lint."""
+    from .analysis.cli import add_lint_arguments
+
+    add_lint_arguments(parser)
+
+
 def _fault_policy_from_args(args: argparse.Namespace):
     from .faults import FaultPolicy
 
@@ -657,26 +646,6 @@ def _fault_policy_from_args(args: argparse.Namespace):
         backoff_multiplier=args.backoff_multiplier,
         fallback_to_cpu=not args.no_fallback,
     )
-
-
-def _add_fault_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--drop", type=float, default=0.0,
-                   help="per-attempt offload drop probability")
-    p.add_argument("--spike", type=float, default=0.0,
-                   help="per-attempt latency-spike probability")
-    p.add_argument("--spike-cycles", type=float, default=0.0,
-                   help="extra response delay per latency spike")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="cycles before a dropped offload is declared failed")
-    p.add_argument("--retries", type=int, default=2,
-                   help="re-dispatch attempts before falling back (default 2)")
-    p.add_argument("--backoff", type=float, default=0.0,
-                   help="base backoff cycles before the first retry")
-    p.add_argument("--backoff-multiplier", type=float, default=2.0,
-                   help="exponential backoff growth factor (default 2)")
-    p.add_argument("--no-fallback", action="store_true",
-                   help="drop exhausted offloads instead of re-running them "
-                   "on the host CPU")
 
 
 def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
@@ -721,14 +690,6 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
     if total_latency > 0:
         _print(f"fault-recovery cost: {fault_cycles:,.0f} cycles "
                f"({fault_cycles / total_latency * 100:.1f}% of latency)")
-
-
-def _add_trace_out_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace-out", default="",
-                   help="write a Chrome/Perfetto trace of the (traced) "
-                   "accelerated run to this path")
-    p.add_argument("--metrics-out", default="",
-                   help="write windowed time-series metrics JSON to this path")
 
 
 def _cmd_simulate_shared(args: argparse.Namespace) -> None:
@@ -941,333 +902,329 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     speedups = {}
     for item in args.speedups.split(","):
         service, _, value = item.partition("=")
-        speedups[service.strip()] = float(value)
+        try:
+            speedups[service.strip()] = float(value)
+        except ValueError:
+            raise ParameterError(
+                f"--speedups: malformed pair {item!r}, expected "
+                "SERVICE=SPEEDUP") from None
     projection = fleet_projection(default_fleet(args.servers), speedups)
     _print(f"fleet capacity gain: {projection.capacity_gain_percent:.2f}%")
     _print(f"servers freed:       {projection.servers_freed:,.0f} "
            f"of {projection.composition.total_servers:,.0f}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# ---------------------------------------------------------------------------
+# The command table.
+# ---------------------------------------------------------------------------
+
+
+def _arg(*flags: str, **kwargs) -> Callable[[argparse.ArgumentParser], object]:
+    """One argument, added to a command's parser when that parser is built."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, its one-line help, and the arguments of
+    its parser in help order (shared groups spliced in as tuples)."""
+
+    func: Callable[[argparse.Namespace], Optional[int]]
+    help: str
+    arguments: Tuple[Callable[[argparse.ArgumentParser], object], ...] = ()
+
+
+_SEED = (_arg("--seed", type=int, default=2020),)
+_SEED0 = (_arg("--seed", type=int, default=0),)  # the fault and sharing studies
+_SERVICES = (_arg("--services", default="",
+                  help="comma-separated service subset (default: all seven)"),)
+_REQUESTS = (_arg("--requests", type=int, default=200,
+                  help="requests per core per characterization run"),)
+_RUNTIME = (
+    _arg("--workers", type=int, default=1,
+         help="worker processes for independent simulation runs (default 1)"),
+    _arg("--no-cache", action="store_true",
+         help="bypass the on-disk result cache and re-simulate"),
+)
+_TELEMETRY = (_arg(
+    "--telemetry-out", default="",
+    help="record runtime self-telemetry (batch/task/stage spans, cache and "
+    "pool stats) and write the repro-runtime-telemetry-v1 JSON artifact to "
+    "this path",
+),)
+_DESIGN = (_arg("--design", default="sync",
+                choices=[d.value for d in ThreadingDesign]),)
+_SCENARIO = (
+    _arg("--c", type=float, default=2.0e9, help="total host cycles C"),
+    _arg("--alpha", type=float, required=True, help="kernel fraction"),
+    _arg("--n", type=float, required=True, help="offloads per unit"),
+    _arg("--a", type=float, required=True, help="peak speedup A"),
+    _arg("--o0", type=float, default=0.0, help="dispatch cycles"),
+    _arg("--l", type=float, default=0.0, help="interface cycles L"),
+    _arg("--q", type=float, default=0.0, help="queue cycles Q"),
+    _arg("--o1", type=float, default=0.0, help="thread switch cycles"),
+    _arg("--cb", type=float, default=None, help="cycles per byte Cb"),
+    *_DESIGN,
+    _arg("--placement", default="off-chip",
+         choices=[pl.value for pl in Placement]),
+)
+_FAULTS = (
+    _arg("--drop", type=float, default=0.0,
+         help="per-attempt offload drop probability"),
+    _arg("--spike", type=float, default=0.0,
+         help="per-attempt latency-spike probability"),
+    _arg("--spike-cycles", type=float, default=0.0,
+         help="extra response delay per latency spike"),
+    _arg("--timeout", type=float, default=0.0,
+         help="cycles before a dropped offload is declared failed"),
+    _arg("--retries", type=int, default=2,
+         help="re-dispatch attempts before falling back (default 2)"),
+    _arg("--backoff", type=float, default=0.0,
+         help="base backoff cycles before the first retry"),
+    _arg("--backoff-multiplier", type=float, default=2.0,
+         help="exponential backoff growth factor (default 2)"),
+    _arg("--no-fallback", action="store_true",
+         help="drop exhausted offloads instead of re-running them on the "
+         "host CPU"),
+)
+_TRACE_OUT = (
+    _arg("--trace-out", default="",
+         help="write a Chrome/Perfetto trace of the (traced) accelerated run "
+         "to this path"),
+    _arg("--metrics-out", default="",
+         help="write windowed time-series metrics JSON to this path"),
+)
+_CHARACTERIZES = _SEED + _SERVICES + _RUNTIME
+_SIMULATES = _SEED + _RUNTIME
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS: Dict[str, Command] = {
+    "table1": Command(_cmd_table1, "CPU platform attributes", _SEED),
+    "table5": Command(_cmd_params, "model parameter glossary", _SEED),
+    "params": Command(_cmd_params, "alias of table5", _SEED),
+    "table4": Command(_cmd_table4, "findings summary", _CHARACTERIZES + (
+        _arg("--measured", action="store_true",
+             help="also re-derive the findings from simulated "
+             "characterization"),
+    )),
+    "fig1": Command(_cmd_fig1, "app logic vs orchestration", _CHARACTERIZES),
+    "fig2": Command(_cmd_fig2, "leaf breakdown", _CHARACTERIZES),
+    "fig3": Command(_cmd_fig3, "memory leaf breakdown", _CHARACTERIZES),
+    "fig4": Command(_cmd_fig4, "memory copy origins", _CHARACTERIZES),
+    "fig5": Command(_cmd_sub_breakdown, "kernel breakdown", _CHARACTERIZES),
+    "fig6": Command(_cmd_sub_breakdown, "sync breakdown", _CHARACTERIZES),
+    "fig7": Command(_cmd_sub_breakdown, "C-library breakdown",
+                    _CHARACTERIZES),
+    "fig8": Command(_cmd_fig8, "IPC scaling (also prints fig10)", _SIMULATES),
+    "fig9": Command(_cmd_fig9, "functionality breakdown", _CHARACTERIZES),
+    "fig10": Command(_cmd_fig8, "IPC scaling (alias of fig8)", _SIMULATES),
+    "fig15": Command(_cmd_fig15, "encryption granularity CDF", _SEED),
+    "fig16": Command(_cmd_fig16, "case-study breakdown shifts (figs 16-18)",
+                     _SIMULATES),
+    "fig17": Command(_cmd_fig16, "alias of fig16", _SIMULATES),
+    "fig18": Command(_cmd_fig16, "alias of fig16", _SIMULATES),
+    "fig19": Command(_cmd_fig19, "compression granularity CDF", _SEED),
+    "fig21": Command(_cmd_fig21, "memory-copy granularity CDF", _SEED),
+    "fig22": Command(_cmd_fig22, "allocation granularity CDF", _SEED),
+    "table6": Command(_cmd_table6, "case-study validation", _SIMULATES),
+    "fig20": Command(_cmd_fig20, "projection table (Table 7)", _SEED),
+    "table7": Command(_cmd_fig20, "alias of fig20", _SEED),
+    "project": Command(_cmd_project, "evaluate a custom scenario", _SCENARIO),
+    "bounds": Command(_cmd_bounds,
+                      "performance-bound decomposition for a scenario",
+                      _SCENARIO),
+    "sensitivity": Command(_cmd_sensitivity,
+                           "parameter elasticities for a scenario", _SCENARIO),
+    "batch": Command(_cmd_batch, "batch-size analysis for a scenario",
+                     _SCENARIO),
+    "capacity": Command(
+        _cmd_capacity, "accelerator engines needed for an offload load", (
+            _arg("--n", type=float, required=True, help="offloads per unit"),
+            _arg("--service-cycles", type=float, required=True,
+                 help="accelerator service time per offload"),
+            _arg("--c", type=float, default=2.0e9, help="cycles per unit"),
+            _arg("--q-budget", type=float, default=None,
+                 help="max mean queue delay in cycles"),
+            _arg("--max-util", type=float, default=0.6),
+        )),
+    "workloads": Command(_cmd_workloads,
+                         "list the calibrated service workloads"),
+    "demand-risk": Command(
+        _cmd_demand_risk,
+        "accelerator-investment risk across realized-demand scenarios", (
+            _arg("--mean-rate", type=float, default=100_000.0),
+            _arg("--service-cycles", type=float, default=10_000.0),
+            _arg("--growths", default="0.4,0.7,1.0,1.5,2.5"),
+        )),
+    "export-data": Command(
+        _cmd_export_data,
+        "export figure data (published + measured) as CSV", (
+            _arg("--output", default="data"),
+            *_SEED,
+            _arg("--requests", type=int, default=200),
+            _arg("--services", default=""),
+            _arg("--skip-ipc", action="store_true"),
+            *_RUNTIME,
+        )),
+    "validate-matrix": Command(
+        _cmd_validate_matrix,
+        "sim-vs-model error grid across designs and parameters",
+        _RUNTIME + _TELEMETRY),
+    "characterize": Command(
+        _cmd_characterize,
+        "characterize services through the batch executor and report what "
+        "the runtime actually did (batch report, cache counters)",
+        _SEED + _SERVICES + _REQUESTS + _RUNTIME + _TELEMETRY),
+    "telemetry": Command(
+        _cmd_telemetry,
+        "summarize a repro-runtime-telemetry-v1 artifact (batches, cache "
+        "outcomes, stragglers, critical chain); optionally export the "
+        "runtime span tree", (
+            _arg("artifact",
+                 help="path to a JSON artifact written by --telemetry-out"),
+            _arg("--otlp-out", default="",
+                 help="export the runtime spans as OTLP JSON to this path"),
+            _arg("--chrome-out", default="",
+                 help="export the runtime spans as a Chrome traceEvents "
+                 "JSON to this path"),
+        )),
+    "oversubscription": Command(
+        _cmd_oversubscription,
+        "measured throughput/latency vs threads per core (Sync-OS)",
+        _RUNTIME),
+    "render": Command(_cmd_render, "render the figures as SVG files", (
+        _arg("--output", default="figures"),
+        *_SEED,
+        _arg("--requests", type=int, default=200),
+        *_SERVICES,
+        _arg("--skip-ipc", action="store_true",
+             help="skip the three-generation IPC figures"),
+        *_RUNTIME,
+    )),
+    "evaluate": Command(
+        _cmd_evaluate,
+        "evaluate scenarios from a JSON configuration file (the original "
+        "artifact's workflow)",
+        (_arg("--config", required=True, help="path to the JSON file"),)),
+    "example-config": Command(
+        _cmd_example_config, "write an example scenario configuration",
+        (_arg("--output", default="accelerometer-scenarios.json"),)),
+    "recommend": Command(
+        _cmd_recommend, "quantify Table-4 recommendations per service",
+        (_arg("--services", default="",
+              help="comma-separated services (default: cache1)"),)),
+    "report": Command(
+        _cmd_report, "run the full evaluation and emit a markdown report", (
+            *_SEED, *_REQUESTS,
+            _arg("--output", default="",
+                 help="write to a file instead of stdout"),
+            *_RUNTIME,
+        )),
+    "simulate": Command(
+        _cmd_simulate,
+        "A/B-simulate one offload scenario under an injected fault regime "
+        "and compare against the degraded closed form", (
+            *_SEED0,
+            _arg("--alpha", type=float, default=0.3, help="kernel fraction"),
+            _arg("--a", type=float, default=8.0, help="peak speedup A"),
+            *_DESIGN,
+            _arg("--shared-device", action="store_true",
+                 help="route the offload through a shared multi-tenant "
+                 "device with fair queueing and doorbell batching (async "
+                 "design)"),
+            _arg("--tenants", type=int, default=2,
+                 help="tenant count for --shared-device (default 2)"),
+            _arg("--tenant-weight", type=float, default=1.0,
+                 help="tenant 0's fair-queueing weight for --shared-device "
+                 "(default 1)"),
+            _arg("--batch-size", type=int, default=1,
+                 help="doorbell batch size for --shared-device (default 1)"),
+            *_FAULTS, *_TRACE_OUT,
+        )),
+    "contention": Command(
+        _cmd_contention,
+        "shared-device contention case study: how a private-device speedup "
+        "erodes as tenants share one accelerator", (
+            *_SEED0,
+            _arg("--a", type=float, default=4.0,
+                 help="peak speedup A of the shared device"),
+            _arg("--tenants", default="1,2,4,8",
+                 help="comma-separated tenant counts"),
+            _arg("--output", default="",
+                 help="write the JSON report (the CI artifact) to this path"),
+        )),
+    "resilience": Command(
+        _cmd_resilience,
+        "degraded-mode validation grid plus the Ads1 remote-inference "
+        "erosion sweep", (
+            *_SEED0, *_DESIGN,
+            _arg("--drops", default="0.05,0.1,0.2",
+                 help="comma-separated drop probabilities"),
+            _arg("--timeouts", default="1000,4000,8000",
+                 help="comma-separated timeout cycles"),
+            *_RUNTIME, *_TELEMETRY, *_TRACE_OUT,
+        )),
+    "trace": Command(
+        _cmd_trace,
+        "characterize one service with span tracing; export a "
+        "Chrome/Perfetto trace, OTLP spans, windowed metrics, folded stacks, "
+        "and a windowed-timeline SVG", (
+            _arg("--service", default="cache1"),
+            *_SEED,
+            _arg("--requests", type=int, default=100,
+                 help="requests per core (window sizing)"),
+            _arg("--cores", type=int, default=2),
+            _arg("--windows", type=int, default=20,
+                 help="tumbling windows across the run"),
+            _arg("--output", default="trace-out",
+                 help="directory for the exported artifacts"),
+        )),
+    "fleet": Command(_cmd_fleet, "fleet-wide projection", (
+        _arg("--servers", type=float, default=100_000),
+        _arg("--speedups", required=True,
+             help="per-service speedups, e.g. 'web=1.05,cache1=1.14'"),
+    )),
+    "lint": Command(
+        _cmd_lint,
+        "run the repo's AST invariant linter (determinism, spec hygiene, "
+        "hot-path slots, units, API surface)",
+        (_lint_arguments,)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given a :data:`COMMANDS` key, only that
+    command's subparser is built: building all of them costs far more
+    than most commands take to run.  The usage line still lists every
+    command, so errors read the same either way."""
     parser = argparse.ArgumentParser(
         prog="accelerometer",
         description="Regenerate tables and figures from the Accelerometer "
         "paper (ASPLOS 2020) on the simulated substrate.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str, characterizes: bool = False,
-            simulates: bool = False):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=2020)
-        if characterizes:
-            p.add_argument(
-                "--services", default="",
-                help="comma-separated service subset (default: all seven)",
-            )
-        if characterizes or simulates:
-            _add_runtime_arguments(p)
-        return p
-
-    add("table1", _cmd_table1, "CPU platform attributes")
-    add("table5", _cmd_params, "model parameter glossary")
-    add("params", _cmd_params, "alias of table5")
-    table4 = add("table4", _cmd_table4, "findings summary",
-                 characterizes=True)
-    table4.add_argument(
-        "--measured", action="store_true",
-        help="also re-derive the findings from simulated characterization",
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS),
     )
-    add("fig1", _cmd_fig1, "app logic vs orchestration", characterizes=True)
-    add("fig2", _cmd_fig2, "leaf breakdown", characterizes=True)
-    add("fig3", _cmd_fig3, "memory leaf breakdown", characterizes=True)
-    add("fig4", _cmd_fig4, "memory copy origins", characterizes=True)
-    add("fig5", lambda a: _sub_breakdown_cmd(a, "fig5"), "kernel breakdown",
-        characterizes=True)
-    add("fig6", lambda a: _sub_breakdown_cmd(a, "fig6"), "sync breakdown",
-        characterizes=True)
-    add("fig7", lambda a: _sub_breakdown_cmd(a, "fig7"), "C-library breakdown",
-        characterizes=True)
-    add("fig8", _cmd_fig8, "IPC scaling (also prints fig10)", simulates=True)
-    add("fig9", _cmd_fig9, "functionality breakdown", characterizes=True)
-    add("fig10", _cmd_fig8, "IPC scaling (alias of fig8)", simulates=True)
-    add("fig15", _cmd_fig15, "encryption granularity CDF")
-    add("fig16", _cmd_fig16, "case-study breakdown shifts (figs 16-18)",
-        simulates=True)
-    add("fig17", _cmd_fig16, "alias of fig16", simulates=True)
-    add("fig18", _cmd_fig16, "alias of fig16", simulates=True)
-    add("fig19", _cmd_fig19, "compression granularity CDF")
-    add("fig21", _cmd_fig21, "memory-copy granularity CDF")
-    add("fig22", _cmd_fig22, "allocation granularity CDF")
-    add("table6", _cmd_table6, "case-study validation", simulates=True)
-    add("fig20", _cmd_fig20, "projection table (Table 7)")
-    add("table7", _cmd_fig20, "alias of fig20")
-
-    def add_scenario_arguments(p, require_core=True):
-        p.add_argument("--c", type=float, default=2.0e9,
-                       help="total host cycles C")
-        p.add_argument("--alpha", type=float, required=require_core,
-                       help="kernel fraction")
-        p.add_argument("--n", type=float, required=require_core,
-                       help="offloads per unit")
-        p.add_argument("--a", type=float, required=require_core,
-                       help="peak speedup A")
-        p.add_argument("--o0", type=float, default=0.0, help="dispatch cycles")
-        p.add_argument("--l", type=float, default=0.0,
-                       help="interface cycles L")
-        p.add_argument("--q", type=float, default=0.0, help="queue cycles Q")
-        p.add_argument("--o1", type=float, default=0.0,
-                       help="thread switch cycles")
-        p.add_argument("--cb", type=float, default=None,
-                       help="cycles per byte Cb")
-        p.add_argument("--design", default="sync",
-                       choices=[d.value for d in ThreadingDesign])
-        p.add_argument("--placement", default="off-chip",
-                       choices=[pl.value for pl in Placement])
-
-    p = sub.add_parser("project", help="evaluate a custom scenario")
-    p.set_defaults(func=_cmd_project)
-    add_scenario_arguments(p)
-
-    p = sub.add_parser(
-        "bounds", help="performance-bound decomposition for a scenario"
-    )
-    p.set_defaults(func=_cmd_bounds)
-    add_scenario_arguments(p)
-
-    p = sub.add_parser(
-        "sensitivity", help="parameter elasticities for a scenario"
-    )
-    p.set_defaults(func=_cmd_sensitivity)
-    add_scenario_arguments(p)
-
-    p = sub.add_parser("batch", help="batch-size analysis for a scenario")
-    p.set_defaults(func=_cmd_batch)
-    add_scenario_arguments(p)
-
-    p = sub.add_parser(
-        "capacity", help="accelerator engines needed for an offload load"
-    )
-    p.set_defaults(func=_cmd_capacity)
-    p.add_argument("--n", type=float, required=True, help="offloads per unit")
-    p.add_argument("--service-cycles", type=float, required=True,
-                   help="accelerator service time per offload")
-    p.add_argument("--c", type=float, default=2.0e9, help="cycles per unit")
-    p.add_argument("--q-budget", type=float, default=None,
-                   help="max mean queue delay in cycles")
-    p.add_argument("--max-util", type=float, default=0.6)
-
-    p = sub.add_parser(
-        "workloads", help="list the calibrated service workloads"
-    )
-    p.set_defaults(func=_cmd_workloads)
-
-    p = sub.add_parser(
-        "demand-risk",
-        help="accelerator-investment risk across realized-demand scenarios",
-    )
-    p.set_defaults(func=_cmd_demand_risk)
-    p.add_argument("--mean-rate", type=float, default=100_000.0)
-    p.add_argument("--service-cycles", type=float, default=10_000.0)
-    p.add_argument("--growths", default="0.4,0.7,1.0,1.5,2.5")
-
-    p = sub.add_parser(
-        "export-data", help="export figure data (published + measured) as CSV"
-    )
-    p.set_defaults(func=_cmd_export_data)
-    p.add_argument("--output", default="data")
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--services", default="")
-    p.add_argument("--skip-ipc", action="store_true")
-    _add_runtime_arguments(p)
-
-    p = sub.add_parser(
-        "validate-matrix",
-        help="sim-vs-model error grid across designs and parameters",
-    )
-    p.set_defaults(func=_cmd_validate_matrix)
-    _add_runtime_arguments(p)
-    _add_telemetry_argument(p)
-
-    p = sub.add_parser(
-        "characterize",
-        help="characterize services through the batch executor and report "
-        "what the runtime actually did (batch report, cache counters)",
-    )
-    p.set_defaults(func=_cmd_characterize)
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--services", default="",
-                   help="comma-separated service subset (default: all seven)")
-    p.add_argument("--requests", type=int, default=200,
-                   help="requests per core per characterization run")
-    _add_runtime_arguments(p)
-    _add_telemetry_argument(p)
-
-    p = sub.add_parser(
-        "telemetry",
-        help="summarize a repro-runtime-telemetry-v1 artifact (batches, "
-        "cache outcomes, stragglers, critical chain); optionally export "
-        "the runtime span tree",
-    )
-    p.set_defaults(func=_cmd_telemetry)
-    p.add_argument("artifact",
-                   help="path to a JSON artifact written by --telemetry-out")
-    p.add_argument("--otlp-out", default="",
-                   help="export the runtime spans as OTLP JSON to this path")
-    p.add_argument("--chrome-out", default="",
-                   help="export the runtime spans as a Chrome traceEvents "
-                   "JSON to this path")
-
-    p = sub.add_parser(
-        "oversubscription",
-        help="measured throughput/latency vs threads per core (Sync-OS)",
-    )
-    p.set_defaults(func=_cmd_oversubscription)
-    _add_runtime_arguments(p)
-
-    p = sub.add_parser("render", help="render the figures as SVG files")
-    p.set_defaults(func=_cmd_render)
-    p.add_argument("--output", default="figures")
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--services", default="",
-                   help="comma-separated service subset (default: all seven)")
-    p.add_argument("--skip-ipc", action="store_true",
-                   help="skip the three-generation IPC figures")
-    _add_runtime_arguments(p)
-
-    p = sub.add_parser(
-        "evaluate",
-        help="evaluate scenarios from a JSON configuration file "
-        "(the original artifact's workflow)",
-    )
-    p.set_defaults(func=_cmd_evaluate)
-    p.add_argument("--config", required=True, help="path to the JSON file")
-
-    p = sub.add_parser(
-        "example-config", help="write an example scenario configuration"
-    )
-    p.set_defaults(func=_cmd_example_config)
-    p.add_argument("--output", default="accelerometer-scenarios.json")
-
-    p = sub.add_parser(
-        "recommend", help="quantify Table-4 recommendations per service"
-    )
-    p.set_defaults(func=_cmd_recommend)
-    p.add_argument("--services", default="",
-                   help="comma-separated services (default: cache1)")
-
-    p = sub.add_parser(
-        "report", help="run the full evaluation and emit a markdown report"
-    )
-    p.set_defaults(func=_cmd_report)
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--requests", type=int, default=200,
-                   help="requests per core per characterization run")
-    p.add_argument("--output", default="",
-                   help="write to a file instead of stdout")
-    _add_runtime_arguments(p)
-
-    p = sub.add_parser(
-        "simulate",
-        help="A/B-simulate one offload scenario under an injected fault "
-        "regime and compare against the degraded closed form",
-    )
-    p.set_defaults(func=_cmd_simulate)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.3, help="kernel fraction")
-    p.add_argument("--a", type=float, default=8.0, help="peak speedup A")
-    p.add_argument("--design", default="sync",
-                   choices=[d.value for d in ThreadingDesign])
-    p.add_argument("--shared-device", action="store_true",
-                   help="route the offload through a shared multi-tenant "
-                   "device with fair queueing and doorbell batching "
-                   "(async design)")
-    p.add_argument("--tenants", type=int, default=2,
-                   help="tenant count for --shared-device (default 2)")
-    p.add_argument("--tenant-weight", type=float, default=1.0,
-                   help="tenant 0's fair-queueing weight for "
-                   "--shared-device (default 1)")
-    p.add_argument("--batch-size", type=int, default=1,
-                   help="doorbell batch size for --shared-device "
-                   "(default 1)")
-    _add_fault_arguments(p)
-    _add_trace_out_arguments(p)
-
-    p = sub.add_parser(
-        "contention",
-        help="shared-device contention case study: how a private-device "
-        "speedup erodes as tenants share one accelerator",
-    )
-    p.set_defaults(func=_cmd_contention)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--a", type=float, default=4.0,
-                   help="peak speedup A of the shared device")
-    p.add_argument("--tenants", default="1,2,4,8",
-                   help="comma-separated tenant counts")
-    p.add_argument("--output", default="",
-                   help="write the JSON report (the CI artifact) to this "
-                   "path")
-
-    p = sub.add_parser(
-        "resilience",
-        help="degraded-mode validation grid plus the Ads1 remote-inference "
-        "erosion sweep",
-    )
-    p.set_defaults(func=_cmd_resilience)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--design", default="sync",
-                   choices=[d.value for d in ThreadingDesign])
-    p.add_argument("--drops", default="0.05,0.1,0.2",
-                   help="comma-separated drop probabilities")
-    p.add_argument("--timeouts", default="1000,4000,8000",
-                   help="comma-separated timeout cycles")
-    _add_runtime_arguments(p)
-    _add_telemetry_argument(p)
-    _add_trace_out_arguments(p)
-
-    p = sub.add_parser(
-        "trace",
-        help="characterize one service with span tracing; export a "
-        "Chrome/Perfetto trace, OTLP spans, windowed metrics, folded "
-        "stacks, and a windowed-timeline SVG",
-    )
-    p.set_defaults(func=_cmd_trace)
-    p.add_argument("--service", default="cache1")
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--requests", type=int, default=100,
-                   help="requests per core (window sizing)")
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--windows", type=int, default=20,
-                   help="tumbling windows across the run")
-    p.add_argument("--output", default="trace-out",
-                   help="directory for the exported artifacts")
-
-    p = sub.add_parser("fleet", help="fleet-wide projection")
-    p.set_defaults(func=_cmd_fleet)
-    p.add_argument("--servers", type=float, default=100_000)
-    p.add_argument("--speedups", required=True,
-                   help="per-service speedups, e.g. 'web=1.05,cache1=1.14'")
-
-    p = sub.add_parser(
-        "lint",
-        help="run the repo's AST invariant linter (determinism, spec "
-        "hygiene, hot-path slots, units, API surface)",
-    )
-    p.set_defaults(func=_cmd_lint)
-    from .analysis.cli import add_lint_arguments
-
-    add_lint_arguments(p)
-
+    for name in COMMANDS if command is None else (command,):
+        entry = COMMANDS[name]
+        p = sub.add_parser(name, help=entry.help)
+        p.set_defaults(func=entry.func)
+        for add in entry.arguments:
+            add(p)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
-    status = args.func(args)
+    try:
+        status = args.func(args)
+    except ReproError as exc:
+        # UnknownServiceError is also a KeyError, whose str() adds quotes.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
     return int(status) if status is not None else 0
 
 
