@@ -35,6 +35,7 @@ entropy is consumed anywhere on the device.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from typing import TYPE_CHECKING, Callable, List, Optional
 
@@ -309,9 +310,12 @@ class AcceleratorDevice:
         if arrival_time < 0:
             raise ParameterError("arrival_time must be >= 0")
         service = self.service_cycles(host_kernel_cycles)
-        # Pick the engine that frees up first (M/M/k-style dispatch).
-        engine_index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        start = max(arrival_time, self._free_at[engine_index])
+        # Pick the engine that frees up first (M/M/k-style dispatch); on
+        # a tie, the lowest index.
+        free_at = self._free_at
+        earliest = min(free_at)
+        engine_index = free_at.index(earliest)
+        start = max(arrival_time, earliest)
         queue_cycles = start - arrival_time
         if self.degradation is not None:
             multiplier = self.degradation.multiplier_at(start)
@@ -321,18 +325,20 @@ class AcceleratorDevice:
                 self.stats.degraded_extra_cycles += degraded_service - service
                 service = degraded_service
         completion = start + service
-        self._free_at[engine_index] = completion
+        free_at[engine_index] = completion
 
         self.stats.offloads_served += 1
         self.stats.busy_cycles += service
         self.stats.total_queue_cycles += queue_cycles
 
+        # Partials, not lambdas: a partial of a partial flattens, so an
+        # accept that only stores a field runs no Python frame.
         if on_accept is not None:
-            accept_callback = on_accept
-            self._engine.at(start, lambda: accept_callback(queue_cycles))
+            self._engine.at(start, functools.partial(on_accept, queue_cycles))
         if on_complete is not None:
-            complete_callback = on_complete
-            self._engine.at(completion, lambda: complete_callback(completion))
+            self._engine.at(
+                completion, functools.partial(on_complete, completion)
+            )
         return completion
 
     # -- shared fair-queueing path -----------------------------------------
@@ -453,12 +459,11 @@ class AcceleratorDevice:
             if on_accept is not None:
                 on_accept(queue_cycles)
             if on_complete is not None:
-                # Bind per-job values as defaults: the loop rebinds these
+                # Bind the per-job value now: the loop rebinds these
                 # locals every iteration, so a bare closure would deliver
                 # every completion to the last job dispatched.
                 self._engine.at(
-                    completion,
-                    lambda callback=on_complete, at=completion: callback(at),
+                    completion, functools.partial(on_complete, completion)
                 )
             self._engine.at(completion, self._dispatch)
 

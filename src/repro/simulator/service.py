@@ -12,6 +12,7 @@ cost structures of the paper's Sync, Sync-OS, and Async designs (Figs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -110,7 +111,12 @@ def _miscellaneous_leaf_mix() -> Mapping[LeafCategory, float]:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SegmentWork:
-    """Work in one functionality category within a request."""
+    """Work in one functionality category within a request.
+
+    The split of *plain_cycles* over *leaf_mix* is computed once, at
+    construction, into :attr:`plain_ops`, so a segment shared by many
+    requests costs the segment loop only its yields.
+    """
 
     functionality: FunctionalityCategory
     #: Non-kernel host cycles in this segment.
@@ -120,6 +126,29 @@ class SegmentWork:
         default_factory=_miscellaneous_leaf_mix
     )
     invocations: Tuple[KernelInvocation, ...] = ()
+    #: The ops that run *plain_cycles*: one per leaf with positive
+    #: cycles, in *leaf_mix* order.  None when *plain_cycles* is positive
+    #: but *leaf_mix* has no mass, an error reported when the segment runs.
+    plain_ops: Optional[Tuple[Compute, ...]] = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        plain_ops: Optional[Tuple[Compute, ...]] = ()
+        plain_cycles = self.plain_cycles
+        if plain_cycles > 0:
+            total_share = sum(self.leaf_mix.values())
+            if total_share <= 0:
+                plain_ops = None
+            else:
+                functionality = self.functionality
+                ops = []
+                for leaf, share in self.leaf_mix.items():
+                    cycles = plain_cycles * share / total_share
+                    if cycles > 0:
+                        ops.append(Compute(cycles, functionality, leaf))
+                plain_ops = tuple(ops)
+        object.__setattr__(self, "plain_ops", plain_ops)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -224,6 +253,15 @@ class OffloadConfig:
 
     _batch_state: _BatchState = dataclasses.field(default_factory=_BatchState)
 
+    #: The :class:`Microservice` generator method that runs each offload:
+    #: the batched state machine when ``batch_size > 1``, else
+    #: :meth:`Microservice._run_offload` when the fault injector is
+    #: active, else the design's state machine.  An injector's ``active``
+    #: is fixed at construction, so this is chosen once.
+    _handler: Callable = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise SimulationError("batch_size must be >= 1")
@@ -235,6 +273,19 @@ class OffloadConfig:
                 "batched offload requires an async design: a blocking "
                 "thread cannot wait on a batch it has not filled"
             )
+        handler = _DESIGN_HANDLERS.get(self.design)
+        if handler is None:
+            raise SimulationError(
+                f"unsupported threading design {self.design!r}"
+            )
+        injector = self.faults
+        if self.batch_size > 1:
+            # Batches adjudicate faults per doorbell, at flush time.
+            handler = Microservice._offload_async_batched
+        elif injector is not None and injector.active:
+            handler = Microservice._run_offload
+        self._handler = handler
+
     def gates_request(self) -> bool:
         """Whether a request must wait for this kernel's response.
 
@@ -248,6 +299,89 @@ class OffloadConfig:
         return True
 
 
+# ---------------------------------------------------------------------------
+# Shared ops.  Ops are frozen values, so the offload path yields objects
+# built once instead of fresh ones per offload.
+# ---------------------------------------------------------------------------
+
+#: Park a thread without a switch-back charge.
+_RELEASE = ReleaseCore()
+
+#: Hand the core to the next runnable thread.
+_YIELD = YieldCore()
+
+
+def _thread_switch(cycles: float) -> Compute:
+    """``o1`` of core time: one thread switch."""
+    return Compute(
+        cycles,
+        FunctionalityCategory.THREAD_POOL,
+        LeafCategory.KERNEL,
+        CycleKind.THREAD_SWITCH,
+    )
+
+
+class _OffloadOps:
+    """One kernel's offload ops under one :class:`OffloadConfig`.
+
+    Built on the kernel's first offload and kept by the
+    :class:`Microservice` (runtime state: the config is a spec and stays
+    unwritten).  Per-size constants are cached by granularity; request
+    generators share a few sizes per kernel.
+    """
+
+    __slots__ = ("kernel", "config", "dispatch", "hold", "switch",
+                 "release", "awaits_ack", "gates", "sizes")
+
+    def __init__(self, kernel: KernelSpec, config: OffloadConfig) -> None:
+        self.kernel = kernel
+        self.config = config
+        dispatch = config.interface.dispatch_cycles
+        o1 = config.thread_switch_cycles
+        #: The ``o0`` dispatch charge; None when it costs nothing.
+        self.dispatch = (
+            Compute(dispatch, kernel.functionality, kernel.leaf,
+                    CycleKind.OFFLOAD_OVERHEAD)
+            if dispatch > 0
+            else None
+        )
+        #: Sync: block on-core until the device responds.
+        self.hold = HoldCore(kernel.functionality, kernel.leaf)
+        #: One ``o1`` switch; None when it costs nothing.
+        self.switch = _thread_switch(o1) if o1 > 0 else None
+        #: Sync-OS: park off-core, paying ``o1`` again on the way back.
+        self.release = ReleaseCore(resume_charge=o1)
+        #: Sync-OS: the host stays on-core until the device acknowledges.
+        self.awaits_ack = (
+            config.driver_awaits_ack
+            and config.interface.placement is not Placement.REMOTE
+        )
+        self.gates = config.gates_request()
+        #: granularity -> (transfer ``L``, device service cycles, the
+        #: async ``o0 + L`` charge or None when it costs nothing).
+        self.sizes: Dict[float, Tuple[float, float, Optional[Compute]]] = {}
+
+    def sized(
+        self, invocation: KernelInvocation
+    ) -> Tuple[float, float, Optional[Compute]]:
+        """The per-size constants of one call of this kernel."""
+        entry = self.sizes.get(invocation.granularity)
+        if entry is None:
+            config = self.config
+            kernel = self.kernel
+            transfer = config.interface.transfer_cycles(invocation.granularity)
+            overhead = config.interface.dispatch_cycles + transfer
+            entry = self.sizes[invocation.granularity] = (
+                transfer,
+                config.device.service_cycles(invocation.host_cycles),
+                Compute(overhead, kernel.functionality, kernel.leaf,
+                        CycleKind.OFFLOAD_OVERHEAD)
+                if overhead > 0
+                else None,
+            )
+        return entry
+
+
 class ResponseHandler:
     """A dedicated thread that picks up async accelerator responses.
 
@@ -256,13 +390,18 @@ class ResponseHandler:
     the same as (3) with only one thread switching overhead").
     """
 
-    __slots__ = ("_cpu", "_o1", "_pending", "_parked", "_thread")
+    __slots__ = ("_cpu", "_switch", "_pending", "_parked", "_thread")
 
     def __init__(self, cpu: CPU, thread_switch_cycles: float) -> None:
         if thread_switch_cycles < 0:
             raise SimulationError("thread_switch_cycles must be >= 0")
         self._cpu = cpu
-        self._o1 = thread_switch_cycles
+        #: The ``o1`` op each delivered response costs; None when free.
+        self._switch = (
+            _thread_switch(thread_switch_cycles)
+            if thread_switch_cycles > 0
+            else None
+        )
         self._pending: Deque[Callable[[], None]] = deque()
         self._parked = False
         self._thread = cpu.spawn(self._body, name="response-handler")
@@ -282,17 +421,12 @@ class ResponseHandler:
         while True:
             if self._pending:
                 callback = self._pending.popleft()
-                if self._o1 > 0:
-                    yield Compute(
-                        self._o1,
-                        FunctionalityCategory.THREAD_POOL,
-                        LeafCategory.KERNEL,
-                        CycleKind.THREAD_SWITCH,
-                    )
+                if self._switch is not None:
+                    yield self._switch
                 callback()
             else:
                 self._parked = True
-                yield ReleaseCore()
+                yield _RELEASE
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +478,7 @@ class Microservice:
     """Executes request streams on a :class:`CPU` with optional offloads."""
 
     __slots__ = ("engine", "cpu", "metrics", "name", "offloads",
-                 "_request_counter", "tracer")
+                 "_request_counter", "tracer", "_offload_ops")
 
     def __init__(
         self,
@@ -361,6 +495,11 @@ class Microservice:
         self.name = name
         self.offloads = dict(offloads or {})
         self._request_counter = 0
+        #: ``id(kernel)`` -> that kernel's :class:`_OffloadOps`.  Keyed by
+        #: identity because calibrated workloads give one kernel name a
+        #: spec per origin; each entry holds its kernel, so the id cannot
+        #: be reused while the entry lives.
+        self._offload_ops: Dict[int, _OffloadOps] = {}
         #: Optional :class:`~repro.observability.SpanTracer`.  Every span
         #: emission below is gated on ``is not None`` (lint rule OBS001),
         #: so untraced runs allocate nothing on the request path.
@@ -410,7 +549,7 @@ class Microservice:
                 thread.trace_ctx = None
             # Hand the core to any waiting thread (e.g. a response
             # handler) before starting the next request.
-            yield YieldCore()
+            yield _YIELD
 
     # -- segment execution ------------------------------------------------------
 
@@ -421,15 +560,12 @@ class Microservice:
             span = tracer.begin_segment(
                 context.trace, segment.functionality, self.engine.now
             )
-        if segment.plain_cycles > 0:
-            total_share = sum(segment.leaf_mix.values())
-            if total_share <= 0:
-                raise SimulationError("segment leaf_mix must have positive mass")
-            for leaf, share in segment.leaf_mix.items():
-                cycles = segment.plain_cycles * share / total_share
-                if cycles > 0:
-                    yield Compute(cycles, segment.functionality, leaf)
+        plain_ops = segment.plain_ops
+        if plain_ops is None:
+            raise SimulationError("segment leaf_mix must have positive mass")
+        yield from plain_ops
         offloads = self.offloads
+        offload_ops = self._offload_ops
         metrics = self.metrics
         invocation_counts = metrics.kernel_invocations
         kernel_cycles = metrics.kernel_cycles
@@ -442,8 +578,13 @@ class Microservice:
                     config is not None
                     and invocation.granularity >= config.min_granularity
                 ):
-                    yield from self._run_offload(
-                        thread, invocation, config, context
+                    ops = offload_ops.get(id(kernel))
+                    if ops is None or ops.config is not config:
+                        ops = offload_ops[id(kernel)] = _OffloadOps(
+                            kernel, config
+                        )
+                    yield from config._handler(
+                        self, thread, invocation, config, ops, context
                     )
                     continue
             # Run on the host: MetricSink.charge_kernel, inlined.
@@ -464,79 +605,54 @@ class Microservice:
         thread: SimThread,
         invocation: KernelInvocation,
         config: OffloadConfig,
+        ops: _OffloadOps,
         context: _RequestContext,
     ):
-        kernel = invocation.kernel
-        host_cycles = invocation.host_cycles
-        transfer = config.interface.transfer_cycles(invocation.granularity)
-        dispatch = config.interface.dispatch_cycles
-        o1 = config.thread_switch_cycles
-        extra_delay = 0.0
-        injector = config.faults
-        if injector is not None and injector.active and config.batch_size == 1:
-            # Batched kernels adjudicate per doorbell at flush time
-            # (:meth:`_adjudicate_batch_faults`), not per invocation.
-            extra_delay = yield from self._adjudicate_faults(
-                thread, kernel, host_cycles, transfer, dispatch, o1, config,
-                context,
-            )
-            if extra_delay is None:
-                # Retries exhausted: the kernel ran on the host (fallback)
-                # or its work was lost.  Nothing reaches the device.
-                return
+        """The handler of an unbatched kernel with an active fault
+        injector: adjudicate the call's faults, then run the design's
+        state machine."""
+        extra_delay = yield from self._adjudicate_faults(
+            thread, invocation, config, ops, context
+        )
+        if extra_delay is None:
+            # Retries exhausted: the kernel ran on the host (fallback)
+            # or its work was lost.  Nothing reaches the device.
+            return
+        yield from _DESIGN_HANDLERS[config.design](
+            self, thread, invocation, config, ops, context, extra_delay
+        )
+
+    def _open_offload(
+        self,
+        invocation: KernelInvocation,
+        config: OffloadConfig,
+        service_cycles: float,
+        context: _RequestContext,
+    ) -> OffloadRecord:
+        """The record of one unbatched offload dispatched now, spanned
+        when the request is traced."""
         record = OffloadRecord(
-            kernel=kernel.name,
+            kernel=invocation.kernel.name,
             granularity=invocation.granularity,
             dispatched_at=self.engine.now,
-            service_cycles=config.device.service_cycles(host_cycles),
+            service_cycles=service_cycles,
         )
-        design = config.design
         tracer = self.tracer
-        if (
-            tracer is not None
-            and context.trace is not None
-            and config.batch_size == 1
-        ):
-            # Batched dispatches are spanned at flush time instead, where
-            # the batch record covering every buffered invocation exists.
+        if tracer is not None and context.trace is not None:
             tracer.begin_offload(
-                context.trace, record, design,
+                context.trace, record, config.design,
                 tenant=_tenant_label(config.device),
             )
-
-        if design is ThreadingDesign.SYNC:
-            yield from self._offload_sync(
-                thread, kernel, host_cycles, transfer, dispatch, config, record,
-                extra_delay,
-            )
-        elif design is ThreadingDesign.SYNC_OS:
-            yield from self._offload_sync_os(
-                thread, kernel, host_cycles, transfer, dispatch, o1, config,
-                record, extra_delay,
-            )
-        elif design in (
-            ThreadingDesign.ASYNC,
-            ThreadingDesign.ASYNC_DISTINCT_THREAD,
-            ThreadingDesign.ASYNC_NO_RESPONSE,
-        ):
-            yield from self._offload_async(
-                kernel, host_cycles, transfer, dispatch, config, record,
-                context, extra_delay,
-            )
-        else:
-            raise SimulationError(f"unsupported threading design {design!r}")
+        return record
 
     # -- fault handling ---------------------------------------------------------
 
     def _adjudicate_faults(
         self,
         thread: SimThread,
-        kernel: KernelSpec,
-        host_cycles: float,
-        transfer: float,
-        dispatch: float,
-        o1: float,
+        invocation: KernelInvocation,
         config: OffloadConfig,
+        ops: _OffloadOps,
         context: _RequestContext,
     ):
         """Retry loop for one offload under ``config.faults``.
@@ -546,6 +662,7 @@ class Microservice:
         when the offload exhausted its retries -- in which case the
         fallback (or the loss) has already been accounted for.
         """
+        kernel = invocation.kernel
         injector = config.faults
         policy = injector.policy
         counters = self.metrics.fault_counters(kernel.name)
@@ -588,9 +705,7 @@ class Microservice:
             counters.timeout_cycles += policy.timeout_cycles
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = "fault-timeout"
-            yield from self._failed_attempt(
-                thread, kernel, transfer, dispatch, o1, config
-            )
+            yield from self._failed_attempt(thread, invocation, config, ops)
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = None
                 tracer.record_attempt(
@@ -605,9 +720,7 @@ class Microservice:
                 fallback_started = self.engine.now
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = "fallback"
-                yield from self._fall_back(
-                    kernel, host_cycles, counters, policy, context
-                )
+                yield from self._fall_back(invocation, counters, policy, context)
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = None
                     tracer.record_fallback(
@@ -635,11 +748,9 @@ class Microservice:
     def _failed_attempt(
         self,
         thread: SimThread,
-        kernel: KernelSpec,
-        transfer: float,
-        dispatch: float,
-        o1: float,
+        invocation: KernelInvocation,
         config: OffloadConfig,
+        ops: _OffloadOps,
     ):
         """Charge one dropped attempt's host-side cost for the design.
 
@@ -650,51 +761,35 @@ class Microservice:
         design = config.design
         timeout = config.faults.policy.timeout_cycles
         if design is ThreadingDesign.SYNC:
-            if dispatch > 0:
-                yield Compute(
-                    dispatch, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
+            if ops.dispatch is not None:
+                yield ops.dispatch
             if timeout > 0:
-                self.engine.after(timeout, lambda: self.cpu.resume(thread))
-                yield HoldCore(kernel.functionality, kernel.leaf)
+                self.engine.after(
+                    timeout, functools.partial(self.cpu.resume, thread)
+                )
+                yield ops.hold
         elif design is ThreadingDesign.SYNC_OS:
-            if dispatch > 0:
-                yield Compute(
-                    dispatch, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
+            if ops.dispatch is not None:
+                yield ops.dispatch
             if timeout > 0:
-                if o1 > 0:
-                    yield Compute(
-                        o1,
-                        FunctionalityCategory.THREAD_POOL,
-                        LeafCategory.KERNEL,
-                        CycleKind.THREAD_SWITCH,
-                    )
-                self.engine.after(timeout, lambda: self.cpu.resume(thread))
-                yield ReleaseCore(resume_charge=o1)
-            elif o1 > 0:
+                if ops.switch is not None:
+                    yield ops.switch
+                self.engine.after(
+                    timeout, functools.partial(self.cpu.resume, thread)
+                )
+                yield ops.release
+            elif ops.switch is not None:
                 # Immediate detection still pays the pair of switches,
                 # keeping cost parity with eqn. (3)'s 2 * o1.
-                yield Compute(
-                    2.0 * o1,
-                    FunctionalityCategory.THREAD_POOL,
-                    LeafCategory.KERNEL,
-                    CycleKind.THREAD_SWITCH,
-                )
+                yield _thread_switch(2.0 * config.thread_switch_cycles)
         else:
-            overhead = dispatch + transfer
-            if overhead > 0:
-                yield Compute(
-                    overhead, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
+            overhead = ops.sized(invocation)[2]
+            if overhead is not None:
+                yield overhead
 
     def _fall_back(
         self,
-        kernel: KernelSpec,
-        host_cycles: float,
+        invocation: KernelInvocation,
         counters,
         policy,
         context: _RequestContext,
@@ -702,13 +797,14 @@ class Microservice:
         """Retries exhausted: run on the host CPU, or lose the work."""
         context.mark_degraded()
         if policy.fallback_to_cpu:
+            kernel = invocation.kernel
             counters.fallbacks += 1
-            counters.fallback_cycles += host_cycles
+            counters.fallback_cycles += invocation.host_cycles
             self.metrics.charge_kernel(
-                kernel.name, host_cycles, origin=kernel.functionality
+                kernel.name, invocation.host_cycles, origin=kernel.functionality
             )
-            if host_cycles > 0:
-                yield Compute(host_cycles, kernel.functionality, kernel.leaf)
+            if invocation.host_op is not None:
+                yield invocation.host_op
         else:
             counters.lost_offloads += 1
 
@@ -856,18 +952,20 @@ class Microservice:
             gated_context.release_gate()
 
     def _offload_sync(
-        self, thread, kernel, host_cycles, transfer, dispatch, config, record,
-        extra_delay=0.0,
+        self,
+        thread: SimThread,
+        invocation: KernelInvocation,
+        config: OffloadConfig,
+        ops: _OffloadOps,
+        context: _RequestContext,
+        extra_delay: float = 0.0,
     ):
         """Sync (Fig. 12): the core blocks through transfer, queue, and
         accelerator service (plus any fault-induced *extra_delay*)."""
-        if dispatch > 0:
-            yield Compute(
-                dispatch, kernel.functionality, kernel.leaf, CycleKind.OFFLOAD_OVERHEAD
-            )
-
-        def on_accept(queue_cycles: float) -> None:
-            record.queued_cycles = queue_cycles
+        transfer, service, _ = ops.sized(invocation)
+        record = self._open_offload(invocation, config, service, context)
+        if ops.dispatch is not None:
+            yield ops.dispatch
 
         def on_complete(completion: float) -> None:
             record.completed_at = completion
@@ -877,113 +975,97 @@ class Microservice:
         if extra_delay:
             arrival_time += extra_delay
         config.device.submit(
-            host_cycles,
+            invocation.host_cycles,
             arrival_time=arrival_time,
-            on_accept=on_accept,
+            on_accept=functools.partial(setattr, record, "queued_cycles"),
             on_complete=on_complete,
         )
-        yield HoldCore(kernel.functionality, kernel.leaf)
+        yield ops.hold
         self.metrics.record_offload(record)
 
     def _offload_sync_os(
-        self, thread, kernel, host_cycles, transfer, dispatch, o1, config,
-        record, extra_delay=0.0,
+        self,
+        thread: SimThread,
+        invocation: KernelInvocation,
+        config: OffloadConfig,
+        ops: _OffloadOps,
+        context: _RequestContext,
+        extra_delay: float = 0.0,
     ):
         """Sync-OS (Fig. 13): block through the driver ack (if any), then
         switch to another thread; switch back on completion (2 x o1)."""
-        if dispatch > 0:
-            yield Compute(
-                dispatch, kernel.functionality, kernel.leaf, CycleKind.OFFLOAD_OVERHEAD
-            )
-        completed_early = {"flag": False}
+        transfer, service, _ = ops.sized(invocation)
+        record = self._open_offload(invocation, config, service, context)
+        if ops.dispatch is not None:
+            yield ops.dispatch
+        completed_early = False
 
         def on_complete(completion: float) -> None:
+            nonlocal completed_early
             record.completed_at = completion
             if thread.state is ThreadState.BLOCKED_RELEASED:
                 self.cpu.resume(thread)
             else:
-                completed_early["flag"] = True
+                completed_early = True
 
         arrival_time = self.engine.now + transfer
         if extra_delay:
             arrival_time += extra_delay
-        awaits_ack = (
-            config.driver_awaits_ack
-            and config.interface.placement is not Placement.REMOTE
-        )
-        if awaits_ack:
+        if ops.awaits_ack:
             # Host stays on-core until the device acknowledges (L + Q).
             def on_accept(queue_cycles: float) -> None:
                 record.queued_cycles = queue_cycles
                 self.cpu.resume(thread)
 
             config.device.submit(
-                host_cycles,
+                invocation.host_cycles,
                 arrival_time=arrival_time,
                 on_accept=on_accept,
                 on_complete=on_complete,
             )
-            yield HoldCore(kernel.functionality, kernel.leaf)
+            yield ops.hold
         else:
-
-            def on_accept(queue_cycles: float) -> None:
-                record.queued_cycles = queue_cycles
-
             config.device.submit(
-                host_cycles,
+                invocation.host_cycles,
                 arrival_time=arrival_time,
-                on_accept=on_accept,
+                on_accept=functools.partial(setattr, record, "queued_cycles"),
                 on_complete=on_complete,
             )
         # Switch away...
-        if o1 > 0:
-            yield Compute(
-                o1,
-                FunctionalityCategory.THREAD_POOL,
-                LeafCategory.KERNEL,
-                CycleKind.THREAD_SWITCH,
-            )
-        if completed_early["flag"]:
+        if ops.switch is not None:
+            yield ops.switch
+        if completed_early:
             # Response beat the switch; pay the switch-back inline to keep
             # cost parity with eqn. (3)'s 2 * o1.
-            if o1 > 0:
-                yield Compute(
-                    o1,
-                    FunctionalityCategory.THREAD_POOL,
-                    LeafCategory.KERNEL,
-                    CycleKind.THREAD_SWITCH,
-                )
+            if ops.switch is not None:
+                yield ops.switch
         else:
-            yield ReleaseCore(resume_charge=o1)
+            yield ops.release
         self.metrics.record_offload(record)
 
     def _offload_async(
-        self, kernel, host_cycles, transfer, dispatch, config, record, context,
-        extra_delay=0.0,
+        self,
+        thread: SimThread,
+        invocation: KernelInvocation,
+        config: OffloadConfig,
+        ops: _OffloadOps,
+        context: _RequestContext,
+        extra_delay: float = 0.0,
     ):
         """Async (Fig. 14): the host pays dispatch + transfer cycles and
         keeps running; responses gate request completion (except remote
         fire-and-forget) and may be consumed by a dedicated thread.
         Fault-induced *extra_delay* (timeouts waited out off the host,
         latency spikes) pushes the device arrival into the future."""
-        if config.batch_size > 1:
-            yield from self._offload_async_batched(
-                kernel, host_cycles, config, record, context
-            )
-            return
-        overhead = dispatch + transfer
-        if overhead > 0:
-            yield Compute(
-                overhead, kernel.functionality, kernel.leaf, CycleKind.OFFLOAD_OVERHEAD
-            )
-        gates = config.gates_request()
+        _, service, overhead = ops.sized(invocation)
+        record = self._open_offload(invocation, config, service, context)
+        if overhead is not None:
+            yield overhead
+        gates = ops.gates
         if gates:
             context.add_gate()
         design = config.design
         handler = config.response_handler
-
-        def on_accept(queue_cycles: float) -> None:
-            record.queued_cycles = queue_cycles
 
         def on_complete(completion: float) -> None:
             record.completed_at = completion
@@ -1003,26 +1085,31 @@ class Microservice:
         if extra_delay:
             arrival_time += extra_delay
         config.device.submit(
-            host_cycles,
+            invocation.host_cycles,
             arrival_time=arrival_time,
-            on_accept=on_accept,
+            on_accept=functools.partial(setattr, record, "queued_cycles"),
             on_complete=on_complete,
         )
         self.metrics.record_offload(record)
 
     def _offload_async_batched(
-        self, kernel, host_cycles, config, record, context
+        self,
+        thread: SimThread,
+        invocation: KernelInvocation,
+        config: OffloadConfig,
+        ops: _OffloadOps,
+        context: _RequestContext,
     ):
         """Append one invocation to the kernel's batch; the invocation
         that fills the batch pays the (single) dispatch overhead and
         triggers the offload covering every buffered invocation."""
+        kernel = invocation.kernel
         state = config._batch_state
-        state.pending_host_cycles += host_cycles
-        state.pending_bytes += record.granularity
+        state.pending_host_cycles += invocation.host_cycles
+        state.pending_bytes += invocation.granularity
         state.pending_count += 1
         state.contexts.append(context)
-        gates = config.gates_request()
-        if gates:
+        if ops.gates:
             context.add_gate()
             state.gates.append(context)
         if state.pending_count < config.batch_size:
@@ -1069,9 +1156,6 @@ class Microservice:
             for gated_context in batch_gates:
                 gated_context.release_gate()
 
-        def on_accept(queue_cycles: float) -> None:
-            batch_record.queued_cycles = queue_cycles
-
         def on_complete(completion: float) -> None:
             batch_record.completed_at = completion
             if design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
@@ -1089,7 +1173,17 @@ class Microservice:
         config.device.submit(
             batch_cycles,
             arrival_time=arrival_time,
-            on_accept=on_accept,
+            on_accept=functools.partial(setattr, batch_record, "queued_cycles"),
             on_complete=on_complete,
         )
         self.metrics.record_offload(batch_record)
+
+
+#: Each threading design's offload state machine.
+_DESIGN_HANDLERS = {
+    ThreadingDesign.SYNC: Microservice._offload_sync,
+    ThreadingDesign.SYNC_OS: Microservice._offload_sync_os,
+    ThreadingDesign.ASYNC: Microservice._offload_async,
+    ThreadingDesign.ASYNC_DISTINCT_THREAD: Microservice._offload_async,
+    ThreadingDesign.ASYNC_NO_RESPONSE: Microservice._offload_async,
+}

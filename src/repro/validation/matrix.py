@@ -23,6 +23,7 @@ from ..core import (
     Placement,
     ThreadingDesign,
 )
+from ..errors import ParameterError
 from ..runtime import RunSpec, execute_batch
 from ..runtime.batch import BatchReport, CacheArg
 from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
@@ -60,6 +61,8 @@ def synthetic_request(
     The spec is immutable, so it is built once and every request shares
     it.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError(f"alpha must be in (0, 1], got {alpha!r}")
     plain = KERNEL_CYCLES * (1.0 - alpha) / alpha
     kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
     spec = RequestSpec(

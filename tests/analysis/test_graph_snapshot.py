@@ -35,13 +35,13 @@ class TestKnownEdges:
         ) in pairs
 
     def test_offload_path_reaches_accelerator_device(self, repo_graph):
-        # Microservice._run_offload dispatches into the device model via
-        # the typed self.accelerator attribute -- the flagship example
-        # of attribute-chain resolution over the simulator.
+        # The Sync state machine submits to the device model through the
+        # typed config.device attribute -- the flagship example of
+        # attribute-chain resolution over the simulator.
         pairs = {(e.caller, e.callee) for e in repo_graph.edges}
         assert (
-            "repro.simulator.service.Microservice._run_offload",
-            "repro.simulator.accelerator.AcceleratorDevice.service_cycles",
+            "repro.simulator.service.Microservice._offload_sync",
+            "repro.simulator.accelerator.AcceleratorDevice.submit",
         ) in pairs
 
     def test_fingerprint_calls_canonical_digest(self, repo_graph):

@@ -13,12 +13,14 @@ from repro.simulator import (
     Compute,
     CycleKind,
     Engine,
+    HoldCore,
     InterfaceModel,
     KernelInvocation,
     KernelSpec,
     MetricSink,
     Microservice,
     OffloadConfig,
+    ReleaseCore,
     RequestSpec,
     ResponseHandler,
     SegmentWork,
@@ -350,3 +352,150 @@ class TestAsyncOffload:
 
         with pytest.raises(SimulationError):
             engine.run_to_completion()
+
+
+def segment_ops(service, segment):
+    """Every op one run of *segment* yields, with no engine events run.
+
+    Blocking ops are stepped past as if the thread were resumed at once;
+    the device callbacks stay scheduled and never fire.
+    """
+    from repro.simulator.service import _RequestContext
+
+    context = _RequestContext(
+        service.engine, service.metrics.open_request(1, 0.0)
+    )
+    return list(service._run_segment(object(), segment, context))
+
+
+class TestSegmentWork:
+    SEGMENT = SegmentWork(
+        F.APPLICATION_LOGIC, plain_cycles=100,
+        leaf_mix={L.MEMORY: 3.0, L.SSL: 0.0, L.C_LIBRARIES: 1.0},
+    )
+
+    def test_plain_ops_split_the_cycles_in_leaf_mix_order(self):
+        assert self.SEGMENT.plain_ops == (
+            Compute(75.0, F.APPLICATION_LOGIC, L.MEMORY),
+            Compute(25.0, F.APPLICATION_LOGIC, L.C_LIBRARIES),
+        )
+
+    def test_shared_segment_yields_the_same_ops_every_request(self):
+        engine = Engine()
+        metrics = MetricSink()
+        service = Microservice(engine, CPU(engine, metrics, 1), metrics)
+        first = segment_ops(service, self.SEGMENT)
+        second = segment_ops(service, self.SEGMENT)
+        assert len(first) == 2
+        assert all(a is b for a, b in zip(first, second))
+        assert all(a is b for a, b in zip(first, self.SEGMENT.plain_ops))
+
+    def test_pickle_round_trip_keeps_plain_ops(self):
+        segment = pickle.loads(pickle.dumps(self.SEGMENT))
+        assert segment == self.SEGMENT
+        assert segment.plain_ops == self.SEGMENT.plain_ops
+
+    def test_zero_mass_leaf_mix_raises_only_when_run(self):
+        segment = SegmentWork(
+            F.APPLICATION_LOGIC, plain_cycles=100, leaf_mix={L.MEMORY: 0.0}
+        )
+        engine = Engine()
+        metrics = MetricSink()
+        service = Microservice(engine, CPU(engine, metrics, 1), metrics)
+        with pytest.raises(
+            SimulationError, match="segment leaf_mix must have positive mass"
+        ):
+            segment_ops(service, segment)
+
+    def test_zero_mass_leaf_mix_without_plain_cycles_runs(self):
+        segment = SegmentWork(F.IO, leaf_mix={L.MEMORY: 0.0})
+        assert segment.plain_ops == ()
+
+
+class TestSharedOffloadOps:
+    """Offload ops are built once per kernel and config, then reused."""
+
+    INTERFACE = InterfaceModel(
+        Placement.OFF_CHIP, dispatch_cycles=30, transfer_base_cycles=70
+    )
+
+    def _service(self, design):
+        engine = Engine()
+        metrics = MetricSink()
+        cpu = CPU(engine, metrics, 1)
+        handler = (
+            ResponseHandler(cpu, 40.0)
+            if design is ThreadingDesign.ASYNC_DISTINCT_THREAD
+            else None
+        )
+        config = OffloadConfig(
+            device=AcceleratorDevice(engine, 4.0),
+            interface=self.INTERFACE, design=design,
+            thread_switch_cycles=40.0, response_handler=handler,
+        )
+        return Microservice(engine, cpu, metrics, offloads={"crypt": config})
+
+    DISPATCH = Compute(30.0, F.IO, L.SSL, CycleKind.OFFLOAD_OVERHEAD)
+    SWITCH = Compute(
+        40.0, F.THREAD_POOL, L.KERNEL, CycleKind.THREAD_SWITCH
+    )
+
+    @pytest.mark.parametrize("design,expected", [
+        (ThreadingDesign.SYNC, (DISPATCH, HoldCore(F.IO, L.SSL))),
+        (ThreadingDesign.SYNC_OS, (
+            DISPATCH, HoldCore(F.IO, L.SSL), SWITCH,
+            ReleaseCore(resume_charge=40.0),
+        )),
+        (ThreadingDesign.ASYNC, (
+            Compute(100.0, F.IO, L.SSL, CycleKind.OFFLOAD_OVERHEAD),
+        )),
+        (ThreadingDesign.ASYNC_DISTINCT_THREAD, (
+            Compute(100.0, F.IO, L.SSL, CycleKind.OFFLOAD_OVERHEAD),
+        )),
+    ])
+    def test_offloads_of_one_invocation_yield_identical_ops(
+        self, design, expected
+    ):
+        service = self._service(design)
+        invocation = KernelInvocation(KERNEL, 100.0)
+        segment = SegmentWork(F.IO, invocations=(invocation, invocation))
+        ops = segment_ops(service, segment)
+        assert tuple(ops) == expected * 2
+        first, second = ops[:len(expected)], ops[len(expected):]
+        assert all(a is b for a, b in zip(first, second))
+        # A later request reuses them too.
+        again = segment_ops(service, segment)
+        assert all(a is b for a, b in zip(again, ops))
+        assert len(service.metrics.offloads) == 4
+
+    def test_replacing_the_config_rebuilds_the_ops(self):
+        service = self._service(ThreadingDesign.ASYNC)
+        invocation = KernelInvocation(KERNEL, 100.0)
+        segment = SegmentWork(F.IO, invocations=(invocation,))
+        before = segment_ops(service, segment)
+        service.offloads["crypt"] = OffloadConfig(
+            device=AcceleratorDevice(service.engine, 4.0),
+            interface=InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=5),
+            design=ThreadingDesign.ASYNC,
+        )
+        after = segment_ops(service, segment)
+        assert before == [
+            Compute(100.0, F.IO, L.SSL, CycleKind.OFFLOAD_OVERHEAD)
+        ]
+        assert after == [Compute(5.0, F.IO, L.SSL, CycleKind.OFFLOAD_OVERHEAD)]
+
+    def test_ops_stay_off_the_config(self):
+        # OffloadConfig is a spec (EFF003): per-run ops live on the
+        # Microservice, so one config can serve two services.
+        first = self._service(ThreadingDesign.SYNC)
+        config = first.offloads["crypt"]
+        second = Microservice(
+            first.engine, first.cpu, first.metrics,
+            offloads={"crypt": config},
+        )
+        invocation = KernelInvocation(KERNEL, 100.0)
+        segment = SegmentWork(F.IO, invocations=(invocation,))
+        ops_first = segment_ops(first, segment)
+        ops_second = segment_ops(second, segment)
+        assert ops_first == ops_second
+        assert ops_first[0] is not ops_second[0]

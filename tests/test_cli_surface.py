@@ -154,14 +154,26 @@ class TestErrors:
         (["validate-matrix", "--workers", "0"], "workers must be >= 1"),
         (["characterize", "--services", "nosuch", "--no-cache",
           "--requests", "5"], "unknown service 'nosuch'"),
+        (["simulate", "--alpha", "0"], "alpha must be in (0, 1], got 0.0"),
+        (["simulate", "--shared-device", "--alpha", "0"],
+         "alpha must be in (0, 1], got 0.0"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
-            "unknown-service"])
+            "unknown-service", "simulate-zero-alpha",
+            "simulate-shared-zero-alpha"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith(f"accelerometer: error: {prefix}")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "1"],
+        ["simulate", "--shared-device", "--alpha", "1"],
+    ], ids=" ".join)
+    def test_all_kernel_alpha_still_simulates(self, capsys, argv):
+        assert main(argv) == 0
+        assert "simulated speedup" in capsys.readouterr().out
 
 
 if __name__ == "__main__":
