@@ -847,6 +847,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     from .simulator.trace_export import export_chrome_trace
     from .viz import timeline_chart
 
+    if args.windows < 1:
+        raise ParameterError(f"--windows must be >= 1, got {args.windows}")
     run = characterize(
         args.service, seed=args.seed, requests_target=args.requests,
         num_cores=args.cores, trace=True,

@@ -2,7 +2,7 @@
 
 Two standard interchange formats on top of :class:`TraceData`:
 
-* :func:`otlp_payload` -- the OpenTelemetry OTLP/JSON trace shape
+* :func:`otlp_json` -- the OpenTelemetry OTLP/JSON trace shape
   (``resourceSpans`` > ``scopeSpans`` > ``spans``), one simulated cycle
   mapped to one nanosecond, so any OTLP-speaking viewer can load a run.
 * :func:`folded_stack_samples` -- per-request intervals aggregated into
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ..profiling.folded import to_folded_text
 from ..profiling.stacks import SampledTrace
-from .spans import Span, SpanKind, TraceData
+from .spans import SpanKind, TraceData
 
-#: OTLP span-kind codes.
+#: OTLP span-kind codes; every other kind is INTERNAL (1).
 _OTLP_KINDS = {
     SpanKind.REQUEST: 2,  # SERVER
     SpanKind.RPC: 2,  # SERVER
@@ -34,79 +34,75 @@ _OTLP_KINDS = {
 #: Scope stamped on every exported span batch.
 OTLP_SCOPE = "repro.observability"
 
+_ENCODE = json.encoder.encode_basestring_ascii  # json.dumps' default
+#: ``float.__repr__`` spellings that ``json.dumps`` writes differently.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _otlp_value(value: object) -> Dict[str, object]:
+#: The ``json.dumps(..., sort_keys=True, indent=1)`` layout of the
+#: payload, one span and one attribute; spans go between the brackets.
+_PAYLOAD = ('{\n "resourceSpans": [\n  {\n   "resource": {\n    "attributes": [\n'
+            '     {\n      "key": "service.name",\n      "value": {\n'
+            '       "stringValue": %s\n      }\n     }\n    ]\n   },\n'
+            '   "scopeSpans": [\n    {\n     "scope": {\n      "name": %s\n'
+            '     },\n     "spans": [%s]\n    }\n   ]\n  }\n ]\n}\n')
+_SPAN = ('      {\n       "attributes": [\n%s\n       ],\n'
+         '       "endTimeUnixNano": "%d",\n       "kind": %d,\n       "name": %s,\n'
+         '%s       "spanId": %s,\n       "startTimeUnixNano": "%d",\n'
+         '       "traceId": %s\n      }')
+_PARENT = '       "parentSpanId": %s,\n'
+_ATTRIBUTE = ('        {\n         "key": %s,\n         "value": {\n'
+              '          %s\n         }\n        }')
+
+
+def _attribute(key: str, value: object) -> str:
+    """One span attribute, its value typed the OTLP way."""
     if isinstance(value, bool):
-        return {"boolValue": value}
-    if isinstance(value, int):
-        return {"intValue": str(value)}
-    if isinstance(value, float):
-        return {"doubleValue": value}
-    return {"stringValue": str(value)}
+        member = '"boolValue": ' + ("true" if value else "false")
+    elif isinstance(value, int):
+        member = '"intValue": ' + _ENCODE(str(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        member = '"doubleValue": ' + _FLOAT_WORDS.get(text, text)
+    else:
+        member = '"stringValue": ' + _ENCODE(str(value))
+    return _ATTRIBUTE % (_ENCODE(key), member)
 
 
-def _otlp_attributes(
-    attrs: Tuple[Tuple[str, object], ...]
-) -> List[Dict[str, object]]:
-    return [
-        {"key": key, "value": _otlp_value(value)} for key, value in attrs
-    ]
+#: Every span's last attributes: its kind, then the mark of a cut-off span.
+_KIND_ATTRIBUTES = {kind: _attribute("span.kind.repro", kind.value)
+                    for kind in SpanKind}
+_TRUNCATED = _attribute("repro.window_truncated", True)
 
 
-def _otlp_span(span: Span) -> Dict[str, object]:
-    end = span.start if span.end is None else span.end
-    payload: Dict[str, object] = {
-        "traceId": span.trace_id,
-        "spanId": span.span_id,
-        "name": span.name,
-        "kind": _OTLP_KINDS.get(span.kind, 1),  # default INTERNAL
-        "startTimeUnixNano": str(int(round(span.start))),
-        "endTimeUnixNano": str(int(round(end))),
-        "attributes": _otlp_attributes(
-            span.attrs + (("span.kind.repro", span.kind.value),)
-        ),
-    }
-    if span.parent_id is not None:
-        payload["parentSpanId"] = span.parent_id
-    if span.end is None:
-        payload["attributes"].append(
-            {"key": "repro.window_truncated", "value": {"boolValue": True}}
-        )
-    return payload
+def otlp_json(trace: TraceData) -> str:
+    """The OTLP/JSON text for one run, rendered straight from the spans:
+    the bytes of ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``."""
+    spans = []
+    for span in trace.spans:
+        attributes = [_attribute(key, value) for key, value in span.attrs]
+        attributes.append(_KIND_ATTRIBUTES[span.kind])
+        if span.end is None:
+            attributes.append(_TRUNCATED)
+        parent = "" if span.parent_id is None else _PARENT % _ENCODE(span.parent_id)
+        spans.append(_SPAN % (
+            ",\n".join(attributes),
+            round(span.start if span.end is None else span.end),
+            _OTLP_KINDS.get(span.kind, 1), _ENCODE(span.name), parent,
+            _ENCODE(span.span_id), round(span.start), _ENCODE(span.trace_id),
+        ))
+    body = "\n" + ",\n".join(spans) + "\n     " if spans else ""
+    return _PAYLOAD % (_ENCODE(trace.label), _ENCODE(OTLP_SCOPE), body)
 
 
 def otlp_payload(trace: TraceData) -> Dict[str, object]:
-    """The full OTLP/JSON trace payload for one run."""
-    return {
-        "resourceSpans": [
-            {
-                "resource": {
-                    "attributes": [
-                        {
-                            "key": "service.name",
-                            "value": {"stringValue": trace.label},
-                        }
-                    ]
-                },
-                "scopeSpans": [
-                    {
-                        "scope": {"name": OTLP_SCOPE},
-                        "spans": [_otlp_span(span) for span in trace.spans],
-                    }
-                ],
-            }
-        ]
-    }
+    """The OTLP/JSON payload for one run: :func:`otlp_json`, parsed."""
+    return json.loads(otlp_json(trace))
 
 
-def write_otlp_spans(
-    trace: TraceData, path: Union[str, Path]
-) -> Path:
+def write_otlp_spans(trace: TraceData, path: Union[str, Path]) -> Path:
     """Write the OTLP span JSON to *path*, byte-deterministically."""
     path = Path(path)
-    path.write_text(
-        json.dumps(otlp_payload(trace), sort_keys=True, indent=1) + "\n"
-    )
+    path.write_text(otlp_json(trace))
     return path
 
 

@@ -31,12 +31,24 @@ FAULTED = dict(
 )
 
 
-@pytest.fixture(scope="session")
-def traced_run():
+def healthy_characterization():
     """One healthy traced characterization (cache1, small window)."""
     return characterize(
         "cache1", seed=2020, requests_target=30, num_cores=2, trace=True
     )
+
+
+def faulted_cells():
+    """One traced faulted resilience cell per threading design."""
+    return {
+        design: traced_resilience_run(design=design, **FAULTED)
+        for design in DESIGNS
+    }
+
+
+@pytest.fixture(scope="session")
+def traced_run():
+    return healthy_characterization()
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +60,4 @@ def healthy_trace(traced_run):
 
 @pytest.fixture(scope="session")
 def faulted_results():
-    """One traced faulted resilience cell per threading design."""
-    return {
-        design: traced_resilience_run(design=design, **FAULTED)
-        for design in DESIGNS
-    }
+    return faulted_cells()

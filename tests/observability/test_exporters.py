@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.observability import (
     DegradationTrack,
+    Span,
     SpanKind,
     TraceData,
     folded_stack_samples,
@@ -13,11 +17,33 @@ from repro.observability import (
     write_folded_stacks,
     write_otlp_spans,
 )
-from repro.observability.export import OTLP_SCOPE
+from repro.observability.export import OTLP_SCOPE, otlp_json
 from repro.simulator import MetricSink
 from repro.simulator.trace_export import export_chrome_trace, trace_events
 
 from .conftest import DESIGNS
+
+
+_ATTR_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**70),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),  # non-ASCII and control characters included
+)
+_STAMPS = st.floats(allow_nan=False, allow_infinity=False)
+_SPANS = st.builds(
+    Span,
+    span_id=st.text(),
+    trace_id=st.text(),
+    parent_id=st.none() | st.text(),
+    name=st.text(),
+    kind=st.sampled_from(SpanKind),
+    start=_STAMPS,
+    end=st.none() | _STAMPS,
+    attrs=st.lists(st.tuples(st.text(), _ATTR_VALUES), max_size=6).map(tuple),
+)
 
 
 class TestOtlp:
@@ -58,6 +84,25 @@ class TestOtlp:
         second = write_otlp_spans(healthy_trace, tmp_path / "b.json")
         assert first.read_bytes() == second.read_bytes()
         json.loads(first.read_text())  # must be valid JSON
+
+    @settings(deadline=None, max_examples=200)
+    @given(label=st.text(), spans=st.lists(_SPANS, max_size=4))
+    @example(label="", spans=[])
+    @example(label="naïve\x00", spans=[Span(
+        span_id="1", trace_id='"t"', parent_id=None, name="\n☃",
+        kind=SpanKind.FALLBACK, start=-0.5, end=None,
+        attrs=(("nan", float("nan")), ("inf", float("inf")),
+               ("-inf", float("-inf")), ("-0", -0.0), ("sub", 5e-324),
+               ("big", 2**64), ("neg", -(2**63) - 1), ("yes", True),
+               ("\x1f", "\u2028\ud7ff\x7f")),
+    )])
+    def test_text_is_the_canonical_dump_of_itself(self, label, spans):
+        # Re-dumping through the stdlib encoder gives back the writer's
+        # text only when every byte of the format is exactly right.
+        text = otlp_json(TraceData(label=label, spans=tuple(spans),
+                                   timelines=()))
+        canonical = json.dumps(json.loads(text), sort_keys=True, indent=1)
+        assert canonical + "\n" == text
 
 
 class TestFoldedStacks:

@@ -157,9 +157,12 @@ class TestErrors:
         (["simulate", "--alpha", "0"], "alpha must be in (0, 1], got 0.0"),
         (["simulate", "--shared-device", "--alpha", "0"],
          "alpha must be in (0, 1], got 0.0"),
+        (["trace", "--windows", "0"], "--windows must be >= 1, got 0"),
+        (["trace", "--windows", "-3"], "--windows must be >= 1, got -3"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
             "unknown-service", "simulate-zero-alpha",
-            "simulate-shared-zero-alpha"])
+            "simulate-shared-zero-alpha", "trace-zero-windows",
+            "trace-negative-windows"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
