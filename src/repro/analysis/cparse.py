@@ -406,52 +406,59 @@ def fold_c_expression(
     except SyntaxError:
         return None
 
-    def fold(node: ast.AST) -> Optional[int]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name):
-            define = defines.get(node.id)
-            if define is None:
-                return None
-            return fold_c_expression(define.expression, defines, _depth + 1)
-        if isinstance(node, ast.UnaryOp):
-            operand = fold(node.operand)
-            if operand is None:
-                return None
-            if isinstance(node.op, ast.USub):
-                return -operand
-            if isinstance(node.op, ast.UAdd):
-                return operand
-            if isinstance(node.op, ast.Invert):
-                return ~operand
-            return None
-        if isinstance(node, ast.BinOp):
-            left, right = fold(node.left), fold(node.right)
-            if left is None or right is None:
-                return None
-            op = node.op
-            if isinstance(op, ast.Add):
-                return left + right
-            if isinstance(op, ast.Sub):
-                return left - right
-            if isinstance(op, ast.Mult):
-                return left * right
-            if isinstance(op, (ast.Div, ast.FloorDiv)) and right != 0:
-                return left // right
-            if isinstance(op, ast.LShift):
-                return left << right
-            if isinstance(op, ast.RShift):
-                return left >> right
-            if isinstance(op, ast.BitOr):
-                return left | right
-            if isinstance(op, ast.BitAnd):
-                return left & right
-            if isinstance(op, ast.BitXor):
-                return left ^ right
-            return None
-        return None
+    return _fold(tree.body, defines, _depth)
 
-    return fold(tree.body)
+
+def _fold(
+    node: ast.AST, defines: Dict[str, "CDefine"], depth: int
+) -> Optional[int]:
+    """Fold one node of a parsed C expression (see
+    :func:`fold_c_expression`).  A module function, not a recursive
+    closure: the closure's cell would make every call a reference cycle."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return node.value
+    if isinstance(node, ast.Name):
+        define = defines.get(node.id)
+        if define is None:
+            return None
+        return fold_c_expression(define.expression, defines, depth + 1)
+    if isinstance(node, ast.UnaryOp):
+        operand = _fold(node.operand, defines, depth)
+        if operand is None:
+            return None
+        if isinstance(node.op, ast.USub):
+            return -operand
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        if isinstance(node.op, ast.Invert):
+            return ~operand
+        return None
+    if isinstance(node, ast.BinOp):
+        left = _fold(node.left, defines, depth)
+        right = _fold(node.right, defines, depth)
+        if left is None or right is None:
+            return None
+        op = node.op
+        if isinstance(op, ast.Add):
+            return left + right
+        if isinstance(op, ast.Sub):
+            return left - right
+        if isinstance(op, ast.Mult):
+            return left * right
+        if isinstance(op, (ast.Div, ast.FloorDiv)) and right != 0:
+            return left // right
+        if isinstance(op, ast.LShift):
+            return left << right
+        if isinstance(op, ast.RShift):
+            return left >> right
+        if isinstance(op, ast.BitOr):
+            return left | right
+        if isinstance(op, ast.BitAnd):
+            return left & right
+        if isinstance(op, ast.BitXor):
+            return left ^ right
+        return None
+    return None
 
 
 def normalize_template(template: str) -> str:

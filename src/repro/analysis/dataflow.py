@@ -41,6 +41,7 @@ import os
 import tempfile
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -220,15 +221,19 @@ def compute_summaries(
             [CACHE_SCHEMA, analysis.name, analysis.version]
             + _model_digest_parts(model)
         )
-        cached = cache.load(f"summaries-{analysis.name}", key)
-        if cached is not None:
-            return {
+        cached = cache.load(
+            f"summaries-{analysis.name}",
+            key,
+            lambda payload: {
                 fq: {
                     fact_key: analysis.decode_fact(data)
                     for fact_key, data in facts.items()
                 }
-                for fq, facts in cached.items()
-            }
+                for fq, facts in payload.items()
+            },
+        )
+        if cached is not None:
+            return cached
 
     functions = list(model.functions())
     infos: Dict[str, FunctionInfo] = {func.fq: func for func in functions}
@@ -355,7 +360,15 @@ class SummaryCache:
     def _path(self, name: str) -> Path:
         return self.directory / f"{name}.json"
 
-    def load(self, name: str, key: str) -> Optional[object]:
+    def load(
+        self,
+        name: str,
+        key: str,
+        decode: Callable[[object], object] = lambda payload: payload,
+    ) -> Optional[object]:
+        """The slot's payload passed through *decode*, or ``None`` on a
+        miss: a missing, foreign, stale or corrupt file, or a payload
+        *decode* cannot make sense of."""
         try:
             raw = self._path(name).read_text(encoding="utf-8")
             payload = json.loads(raw)
@@ -365,7 +378,10 @@ class SummaryCache:
             return None
         if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
             return None
-        return payload.get("payload")
+        try:
+            return decode(payload["payload"])
+        except (AttributeError, LookupError, TypeError, ValueError):
+            return None
 
     def store(self, name: str, key: str, payload: object) -> None:
         record = {"schema": CACHE_SCHEMA, "key": key, "payload": payload}
@@ -380,7 +396,9 @@ class SummaryCache:
                 encoding="utf-8",
             )
             with handle:
-                json.dump(record, handle, sort_keys=True)
+                # One write of the C encoder's output: json.dump would
+                # stream the same bytes through the pure-Python encoder.
+                handle.write(json.dumps(record, sort_keys=True))
             os.replace(handle.name, self._path(name))
         except OSError:
             # A read-only or full disk degrades to an uncached run.

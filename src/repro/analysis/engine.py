@@ -25,6 +25,8 @@ mistaken for a broken program (exit code 2, not 1).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 from pathlib import Path
 from typing import (
     Collection,
@@ -237,6 +239,12 @@ class AnalysisResult:
         return 0 if self.clean else 1
 
 
+def _decode_findings(payload: object) -> List[Finding]:
+    """A cached findings slot back into findings (raises on a malformed
+    payload, which the cache turns into a miss)."""
+    return [Finding.from_dict(item) for item in payload]
+
+
 def _run_rule(
     rule: Rule,
     invoke,
@@ -268,6 +276,31 @@ def _run_rule(
         )
 
 
+def _collector_paused(analyze):
+    """Run *analyze* with the cyclic garbage collector paused.
+
+    A deep run keeps ~430k AST and model objects alive until it ends,
+    and every generation-2 pass re-scans all of them for nothing: the
+    analysis heap is acyclic, so reference counting frees it once the
+    result is returned.  The collector is re-enabled only if it was on,
+    so nested calls and callers that paused it themselves keep their
+    state.
+    """
+
+    @functools.wraps(analyze)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return analyze(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def analyze_sources(
     sources: Iterable[SourceFile],
     *,
@@ -322,12 +355,12 @@ def analyze_sources(
             )
             + SummaryCache.file_digest_parts(context.sources)
         )
-        cached_files = cache.load("file-findings", file_key)
+        cached_files = cache.load("file-findings", file_key, _decode_findings)
 
     raw: List[Finding] = []
     internal: List[Finding] = []
     if cached_files is not None:
-        raw.extend(Finding.from_dict(payload) for payload in cached_files)
+        raw.extend(cached_files)
     else:
         file_raw: List[Finding] = []
         for source in context.sources:
@@ -379,11 +412,13 @@ def analyze_sources(
             + SummaryCache.file_digest_parts(context.reference_sources)
             + SummaryCache.file_digest_parts(context.c_sources)
         )
-        cached_project = cache.load("project-findings", project_key)
+        cached_project = cache.load(
+            "project-findings", project_key, _decode_findings
+        )
     if cached_project is not None:
         # Warm path: replay the stored findings; the project model and
         # call graph are never built.
-        raw.extend(Finding.from_dict(payload) for payload in cached_project)
+        raw.extend(cached_project)
     else:
         project_raw: List[Finding] = []
         crashes_before = len(internal)

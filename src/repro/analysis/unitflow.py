@@ -208,84 +208,9 @@ class UnitFlowAnalyzer:
     def _analyze_function(
         self, func: FunctionInfo, module: ModuleInfo
     ) -> List[UnitViolation]:
-        violations: List[UnitViolation] = []
-        type_env = self.resolver.function_env(func, module)
-        units: Dict[str, str] = {}
-        trail: Dict[str, str] = {}
-
-        args = func.node.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            unit = identifier_unit(arg.arg)
-            if unit is not None:
-                units[arg.arg] = unit
-                trail[arg.arg] = f"parameter {arg.arg!r} declares {unit}"
-
-        body = func.node.body
-
-        def visit_statements(statements: List[ast.stmt]) -> None:
-            for statement in statements:
-                visit(statement)
-
-        def visit(node: ast.AST) -> None:
-            if isinstance(node, ast.Assign):
-                unit, how = self._expr_unit(
-                    node.value, units, trail, type_env, module
-                )
-                check_expr(node.value)
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        if unit is not None:
-                            units[target.id] = unit
-                            trail[target.id] = how or f"assigned {unit}"
-                        else:
-                            units.pop(target.id, None)
-                return
-            if isinstance(node, ast.AnnAssign) and node.value is not None:
-                check_expr(node.value)
-                if isinstance(node.target, ast.Name):
-                    unit, how = self._expr_unit(
-                        node.value, units, trail, type_env, module
-                    )
-                    if unit is not None:
-                        units[node.target.id] = unit
-                        trail[node.target.id] = how or f"assigned {unit}"
-                return
-            if isinstance(node, ast.AugAssign):
-                check_expr(node.value)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Nested defs: check their bodies with the outer env.
-                visit_statements(node.body)
-                return
-            if isinstance(node, ast.Return) and node.value is not None:
-                check_expr(node.value)
-                return
-            if isinstance(node, ast.Expr):
-                check_expr(node.value)
-                return
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    check_expr(child)
-                else:
-                    visit(child)
-
-        def check_expr(expr: ast.expr) -> None:
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.BinOp) and isinstance(
-                    sub.op, (ast.Add, ast.Sub)
-                ):
-                    self._check_arithmetic(
-                        sub, units, trail, type_env, module, func, violations
-                    )
-                elif isinstance(sub, ast.Call):
-                    self._check_call(
-                        sub, units, trail, type_env, module, func, violations
-                    )
-
-        visit_statements(body)
-        return violations
+        flow = _FunctionFlow(self, func, module)
+        flow.visit_statements(func.node.body)
+        return flow.violations
 
     # -- unit inference ----------------------------------------------------
 
@@ -463,6 +388,100 @@ class UnitFlowAnalyzer:
                     trail=tuple(how for how in (how,) if how is not None),
                 )
             )
+
+
+class _FunctionFlow:
+    """One function's unit environment, threaded through its body in
+    statement order.
+
+    A class rather than closures: three mutually recursive closures
+    form a reference cycle per function that pins the analyzer, the
+    project model and every AST until a cyclic-GC pass, which the
+    analysis driver pauses (docs/analysis.md).
+    """
+
+    def __init__(
+        self, analyzer: UnitFlowAnalyzer, func: FunctionInfo, module: ModuleInfo
+    ) -> None:
+        self.analyzer = analyzer
+        self.func = func
+        self.module = module
+        self.type_env = analyzer.resolver.function_env(func, module)
+        self.units: Dict[str, str] = {}
+        self.trail: Dict[str, str] = {}
+        self.violations: List[UnitViolation] = []
+        args = func.node.args
+        for arg in (
+            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+        ):
+            unit = identifier_unit(arg.arg)
+            if unit is not None:
+                self.units[arg.arg] = unit
+                self.trail[arg.arg] = f"parameter {arg.arg!r} declares {unit}"
+
+    def expr_unit(self, expr: ast.expr) -> Tuple[Optional[str], Optional[str]]:
+        return self.analyzer._expr_unit(
+            expr, self.units, self.trail, self.type_env, self.module
+        )
+
+    def visit_statements(self, statements: List[ast.stmt]) -> None:
+        for statement in statements:
+            self.visit(statement)
+
+    def visit(self, node: ast.AST) -> None:
+        units, trail = self.units, self.trail
+        if isinstance(node, ast.Assign):
+            unit, how = self.expr_unit(node.value)
+            self.check_expr(node.value)
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    if unit is not None:
+                        units[target.id] = unit
+                        trail[target.id] = how or f"assigned {unit}"
+                    else:
+                        units.pop(target.id, None)
+            return
+        if isinstance(node, ast.AnnAssign) and node.value is not None:
+            self.check_expr(node.value)
+            if isinstance(node.target, ast.Name):
+                unit, how = self.expr_unit(node.value)
+                if unit is not None:
+                    units[node.target.id] = unit
+                    trail[node.target.id] = how or f"assigned {unit}"
+            return
+        if isinstance(node, ast.AugAssign):
+            self.check_expr(node.value)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Nested defs: check their bodies with the outer env.
+            self.visit_statements(node.body)
+            return
+        if isinstance(node, ast.Return) and node.value is not None:
+            self.check_expr(node.value)
+            return
+        if isinstance(node, ast.Expr):
+            self.check_expr(node.value)
+            return
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.check_expr(child)
+            else:
+                self.visit(child)
+
+    def check_expr(self, expr: ast.expr) -> None:
+        for sub in ast.walk(expr):
+            if isinstance(sub, ast.BinOp) and isinstance(
+                sub.op, (ast.Add, ast.Sub)
+            ):
+                self.analyzer._check_arithmetic(
+                    sub, self.units, self.trail, self.type_env, self.module,
+                    self.func, self.violations,
+                )
+            elif isinstance(sub, ast.Call):
+                self.analyzer._check_call(
+                    sub, self.units, self.trail, self.type_env, self.module,
+                    self.func, self.violations,
+                )
 
 
 def _parameter_names(info: FunctionInfo) -> List[str]:

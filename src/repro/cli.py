@@ -1221,6 +1221,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
+        # Every --requests is a per-core request count; a run needs one.
+        if getattr(args, "requests", 1) < 1:
+            raise ParameterError(
+                f"--requests must be >= 1, got {args.requests}")
         status = args.func(args)
     except ReproError as exc:
         # UnknownServiceError is also a KeyError, whose str() adds quotes.

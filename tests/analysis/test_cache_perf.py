@@ -11,6 +11,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_paths, analyze_sources
 from repro.analysis.dataflow import CACHE_SCHEMA, SummaryCache
 from repro.analysis.engine import load_sources
@@ -173,3 +175,55 @@ def test_edited_source_invalidates_the_cache(tmp_path):
         [edited], deep=True, rules=["DET003"], cache_dir=cache_dir
     )
     assert [f.rule for f in second.findings] == ["DET003"]
+
+
+KEY_SOURCE = SourceFile.from_text(
+    "import time\n"
+    "def make_cache_key(x):\n"
+    "    return str(x) + str(time.time())\n",
+    relpath="pkg/runtime/key.py",
+)
+
+
+def _lint_key_source(cache_dir):
+    return analyze_sources(
+        [KEY_SOURCE], deep=True, rules=["DET001", "DET003"],
+        cache_dir=cache_dir,
+    )
+
+
+def test_slots_are_the_c_encoders_bytes_and_round_trip(tmp_path):
+    _lint_key_source(tmp_path)
+    slots = sorted(tmp_path.glob("*.json"))
+    assert len(slots) == 3  # file findings, project findings, taint
+    for slot in slots:
+        text = slot.read_text(encoding="utf-8")
+        record = json.loads(text)
+        assert text == json.dumps(record, sort_keys=True)
+        assert SummaryCache(tmp_path).load(slot.stem, record["key"]) == (
+            record["payload"]
+        )
+
+
+@pytest.mark.parametrize("slot, junk", [
+    ("file-findings", [{"rule": "DET001"}]),
+    ("project-findings", ["junk"]),
+    ("summaries-taint", {"pkg.runtime.key.make_cache_key": "junk"}),
+])
+def test_corrupt_payload_is_a_miss_and_is_rewritten(tmp_path, slot, junk):
+    # A slot with the right schema and key but a malformed payload must
+    # read as a miss: recomputed, overwritten, never a crash.
+    cold = _lint_key_source(tmp_path)
+    path = tmp_path / f"{slot}.json"
+    good = path.read_text(encoding="utf-8")
+    record = json.loads(good)
+    path.write_text(json.dumps(dict(record, payload=junk)), encoding="utf-8")
+    if slot.startswith("summaries-"):
+        # Only a project-findings miss reaches the summaries slot.
+        (tmp_path / "project-findings.json").unlink()
+
+    rerun = _lint_key_source(tmp_path)
+    assert not rerun.internal
+    assert [f.rule for f in cold.findings] == ["DET003", "DET001"]
+    assert rerun.findings == cold.findings
+    assert path.read_text(encoding="utf-8") == good

@@ -159,10 +159,15 @@ class TestErrors:
          "alpha must be in (0, 1], got 0.0"),
         (["trace", "--windows", "0"], "--windows must be >= 1, got 0"),
         (["trace", "--windows", "-3"], "--windows must be >= 1, got -3"),
+        (["characterize", "--requests", "0"], "--requests must be >= 1, got 0"),
+        (["characterize", "--requests", "-5"],
+         "--requests must be >= 1, got -5"),
+        (["trace", "--requests", "0"], "--requests must be >= 1, got 0"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
             "unknown-service", "simulate-zero-alpha",
             "simulate-shared-zero-alpha", "trace-zero-windows",
-            "trace-negative-windows"])
+            "trace-negative-windows", "characterize-zero-requests",
+            "characterize-negative-requests", "trace-zero-requests"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
