@@ -4,8 +4,8 @@ The benchmark and the CI determinism step cannot see a formatting
 change: the benchmark hashes JSON artifacts in canonical form, and the
 CI step diffs two runs of the same commit.  This module pins the exact
 bytes :func:`~repro.observability.write_otlp_spans` writes for the
-healthy cache1 trace, each faulted resilience cell, a runtime-telemetry
-shaped span tree, a synthetic trace of encoder edge cases, and an empty
+healthy cache1 trace, each faulted resilience cell, a faulted run that
+batches four calls per doorbell, a runtime-telemetry shaped span tree, a synthetic trace of encoder edge cases, and an empty
 trace.
 
 Regenerate ``tests/fixtures/otlp_digests.json`` only for an intentional
@@ -24,7 +24,24 @@ import tempfile
 
 import pytest
 
-from repro.observability import Span, SpanKind, TraceData, write_otlp_spans
+from repro.core import Placement, ThreadingDesign
+from repro.faults import FaultInjector, FaultPolicy
+from repro.observability import (
+    Span,
+    SpanKind,
+    SpanTracer,
+    TraceData,
+    write_otlp_spans,
+)
+from repro.simulator import (
+    AcceleratorDevice,
+    InterfaceModel,
+    Microservice,
+    OffloadConfig,
+    SimulationConfig,
+    run_simulation,
+)
+from repro.validation.matrix import synthetic_request
 
 try:
     from .conftest import DESIGNS, faulted_cells, healthy_characterization
@@ -40,6 +57,7 @@ FIXTURE = (
 NAMES = (
     "healthy-cache1",
     *(f"faulted-{design.value}" for design in DESIGNS),
+    "faulted-batched",
     "runtime-telemetry",
     "edge-cases",
     "empty",
@@ -48,6 +66,32 @@ NAMES = (
 
 class _Color(enum.Enum):
     RED = "red"
+
+
+def faulted_batched_trace() -> TraceData:
+    """A traced async run that rings one doorbell per four calls, with
+    drops, latency spikes, backoff gaps and whole-batch CPU fallbacks."""
+    factory, _ = synthetic_request(0.3)
+    policy = FaultPolicy(
+        drop_probability=0.3, spike_probability=0.1, spike_cycles=1_000.0,
+        timeout_cycles=2_000.0, max_retries=2, backoff_base_cycles=500.0,
+    )
+
+    def build(engine, cpu, metrics):
+        offloads = {"k": OffloadConfig(
+            device=AcceleratorDevice(engine, 8.0, servers=2),
+            interface=InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=30.0),
+            design=ThreadingDesign.ASYNC,
+            batch_size=4,
+            faults=FaultInjector(policy, seed=0),
+        )}
+        return Microservice(engine, cpu, metrics, offloads=offloads), factory
+
+    result = run_simulation(
+        build, SimulationConfig(num_cores=2, window_cycles=2.0e6),
+        tracer=SpanTracer(label="faulted-batched"),
+    )
+    return result.trace
 
 
 def runtime_telemetry_trace() -> TraceData:
@@ -152,6 +196,7 @@ def golden_traces(healthy: TraceData, faulted: dict) -> dict:
             f"faulted-{design.value}": faulted[design].trace
             for design in DESIGNS
         },
+        "faulted-batched": faulted_batched_trace(),
         "runtime-telemetry": runtime_telemetry_trace(),
         "edge-cases": edge_case_trace(),
         "empty": TraceData(label="empty", spans=(), timelines=()),
