@@ -165,10 +165,39 @@ def effective_offload_cost(
 # ---------------------------------------------------------------------------
 
 
-def _fault_terms(policy: FaultPolicy):
+def _validate_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+
+
+def doorbell_drop_probability(drop_probability: float, batch_size: int) -> float:
+    """Per-doorbell drop probability for a batch of *batch_size* items.
+
+    The simulator adjudicates every buffered invocation per attempt and
+    any single DROP fails the whole doorbell, so
+    ``p_B = 1 - (1 - p)**B``.  ``batch_size = 1`` returns
+    *drop_probability* unchanged (the complement round trip
+    ``1 - (1 - p)`` is *not* bit-exact for tiny ``p``, so the reduction
+    is gated rather than computed).
+    """
+    _validate_probability(drop_probability)
+    _validate_batch_size(batch_size)
+    if batch_size == 1:
+        return drop_probability
+    return 1.0 - (1.0 - drop_probability) ** batch_size
+
+
+def _fault_terms(policy: FaultPolicy, batch_size: int = 1):
     """``(E[F], E[B], p_fb)`` for *policy* -- the three scalars every
-    degraded equation needs."""
-    p = policy.drop_probability
+    degraded equation needs -- at doorbell level for a batch of
+    *batch_size*.
+
+    The retry machine is the same for every doorbell; batching only
+    lifts the per-attempt failure probability from ``p`` to ``p_B``
+    (:func:`doorbell_drop_probability`, which is ``p`` itself at
+    ``batch_size = 1``).
+    """
+    p = doorbell_drop_probability(policy.drop_probability, batch_size)
     r = policy.max_retries
     return (
         expected_failures(p, r),
@@ -289,22 +318,12 @@ def degraded_async_speedup(
 
     A failed attempt costs the dispatch work actually performed
     (``o0 + L``); the timeout is detected asynchronously and only shifts
-    the response arrival.
+    the response arrival.  An unbatched offload is a doorbell of one, so
+    this is :func:`degraded_batched_async_speedup` at ``batch_size = 1``.
     """
-    _validate_common(c, alpha, n)
-    _validate_overheads(o0=o0, L=l, Q=q)
-    denominator = (1.0 - alpha) + (n / c) * (o0 + l + q)
-    failures, backoff, p_fb = _fault_terms(policy)
-    h = _per_offload_kernel_cycles(c, alpha, n)
-    if n > 0:
-        delta = (
-            failures * (o0 + l)
-            + backoff
-            - p_fb * (o0 + l + q)
-            + (p_fb * h if policy.fallback_to_cpu else 0.0)
-        )
-        denominator += (n / c) * delta
-    return 1.0 / denominator
+    return degraded_batched_async_speedup(
+        c, alpha, n, o0, l, q, policy, batch_size=1
+    )
 
 
 def degraded_async_distinct_thread_speedup(
@@ -368,46 +387,6 @@ def degraded_speedup(
 # ---------------------------------------------------------------------------
 
 
-def _validate_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-
-
-def doorbell_drop_probability(drop_probability: float, batch_size: int) -> float:
-    """Per-doorbell drop probability for a batch of *batch_size* items.
-
-    The simulator adjudicates every buffered invocation per attempt and
-    any single DROP fails the whole doorbell, so
-    ``p_B = 1 - (1 - p)**B``.  ``batch_size = 1`` returns
-    *drop_probability* unchanged (the complement round trip
-    ``1 - (1 - p)`` is *not* bit-exact for tiny ``p``, so the reduction
-    is gated rather than computed).
-    """
-    _validate_probability(drop_probability)
-    _validate_batch_size(batch_size)
-    if batch_size == 1:
-        return drop_probability
-    return 1.0 - (1.0 - drop_probability) ** batch_size
-
-
-def _batched_fault_terms(policy: FaultPolicy, batch_size: int):
-    """``(E[F], E[B], p_fb)`` at doorbell level for a batch of *batch_size*.
-
-    The retry machine is unchanged -- only the per-attempt failure
-    probability lifts from ``p`` to ``p_B``.  ``batch_size = 1``
-    reproduces :func:`_fault_terms` bit-identically.
-    """
-    p_doorbell = doorbell_drop_probability(policy.drop_probability, batch_size)
-    r = policy.max_retries
-    return (
-        expected_failures(p_doorbell, r),
-        expected_backoff_cycles(
-            p_doorbell, r, policy.backoff_base_cycles, policy.backoff_multiplier
-        ),
-        fallback_probability(p_doorbell, r),
-    )
-
-
 def degraded_batched_async_speedup(
     c: float,
     alpha: float,
@@ -428,17 +407,16 @@ def degraded_batched_async_speedup(
     dispatch (``o0 / B + L`` per item), and an exhausted doorbell falls
     back the entire batch (``+h`` per item when falling back to CPU).
 
-    ``batch_size = 1`` reduces bit-identically to
-    :func:`degraded_async_speedup` (division by 1.0 is exact and the
-    term order matches), and a null policy at any ``B`` leaves only the
-    amortized base denominator.
+    ``batch_size = 1`` is :func:`degraded_async_speedup` (division by
+    1.0 is exact, so the amortization vanishes bit for bit), and a null
+    policy at any ``B`` leaves only the amortized base denominator.
     """
     _validate_common(c, alpha, n)
     _validate_overheads(o0=o0, L=l, Q=q)
     _validate_batch_size(batch_size)
     b = float(batch_size)
     denominator = (1.0 - alpha) + (n / c) * (o0 / b + l + q / b)
-    failures, backoff, p_fb = _batched_fault_terms(policy, batch_size)
+    failures, backoff, p_fb = _fault_terms(policy, batch_size)
     h = _per_offload_kernel_cycles(c, alpha, n)
     if n > 0:
         delta = (
@@ -481,7 +459,7 @@ def degraded_batched_min_profitable_granularity(
     _validate_overheads(o0=o0, L=l, Q=q)
     _validate_batch_size(batch_size)
     b = float(batch_size)
-    failures, backoff, p_fb = _batched_fault_terms(policy, batch_size)
+    failures, backoff, p_fb = _fault_terms(policy, batch_size)
     fallback = 1.0 if policy.fallback_to_cpu else 0.0
     k = 1.0 - p_fb * fallback
     d = (

@@ -22,6 +22,7 @@ from typing import (
     Iterator,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -188,23 +189,20 @@ class _BatchState:
 
     pending_host_cycles: float = 0.0
     pending_bytes: float = 0.0
-    pending_count: int = 0
     gates: list = dataclasses.field(default_factory=list)
-    #: Every request context covered by the pending batch (gating or
-    #: not), so a whole-batch fallback can mark each one degraded.
+    #: One request context per pending invocation (gating or not), so a
+    #: whole-batch fallback can mark each one degraded.
     contexts: list = dataclasses.field(default_factory=list)
 
-    def reset(self) -> Tuple[float, float, int, list, list]:
+    def reset(self) -> Tuple[float, float, list, list]:
         summary = (
             self.pending_host_cycles,
             self.pending_bytes,
-            self.pending_count,
             self.gates,
             self.contexts,
         )
         self.pending_host_cycles = 0.0
         self.pending_bytes = 0.0
-        self.pending_count = 0
         self.gates = []
         self.contexts = []
         return summary
@@ -242,13 +240,11 @@ class OffloadConfig:
     #: Optional seeded fault injector.  When active, every dispatch of
     #: this kernel runs through the retry / exponential-backoff /
     #: fallback-to-CPU state machine in
-    #: :meth:`Microservice._adjudicate_faults`.  Batched offloads
-    #: adjudicate per *doorbell* instead
-    #: (:meth:`Microservice._adjudicate_batch_faults`): each attempt
-    #: draws one outcome per buffered invocation -- the same entropy
-    #: budget as ``batch_size`` unbatched dispatches -- and a single
-    #: dropped doorbell fails the whole batch while per-item latency
-    #: spikes accrue per item.
+    #: :meth:`Microservice._adjudicate_faults`, once per *doorbell*: a
+    #: batch's doorbell covers ``batch_size`` invocations, an unbatched
+    #: dispatch is a doorbell of one.  Each attempt draws one outcome per
+    #: covered invocation, a single drop fails the whole doorbell, and
+    #: per-item latency spikes accrue per item.
     faults: Optional["FaultInjector"] = None
 
     _batch_state: _BatchState = dataclasses.field(default_factory=_BatchState)
@@ -609,10 +605,11 @@ class Microservice:
         context: _RequestContext,
     ):
         """The handler of an unbatched kernel with an active fault
-        injector: adjudicate the call's faults, then run the design's
-        state machine."""
+        injector: adjudicate the call's faults as a doorbell of one, then
+        run the design's state machine."""
         extra_delay = yield from self._adjudicate_faults(
-            thread, invocation, config, ops, context
+            thread, config, ops, context, ops.sized(invocation)[2],
+            invocation.host_cycles, (context,),
         )
         if extra_delay is None:
             # Retries exhausted: the kernel ran on the host (fallback)
@@ -650,19 +647,32 @@ class Microservice:
     def _adjudicate_faults(
         self,
         thread: SimThread,
-        invocation: KernelInvocation,
         config: OffloadConfig,
         ops: _OffloadOps,
         context: _RequestContext,
+        overhead: Optional[Compute],
+        host_cycles: float,
+        covered: Sequence[_RequestContext],
+        gates: Sequence[_RequestContext] = (),
     ):
-        """Retry loop for one offload under ``config.faults``.
+        """Retry loop for one doorbell under ``config.faults``.
 
-        Returns the response-delay shift of the final successful dispatch
-        (accumulated async timeouts plus any latency spike), or ``None``
-        when the offload exhausted its retries -- in which case the
+        The doorbell covers one invocation per entry of *covered* (their
+        request contexts); an unbatched offload is a doorbell of one.
+        Each attempt adjudicates every covered invocation -- one entropy
+        draw each, the same budget as that many unbatched dispatches --
+        so seeded fault streams stay aligned across batch sizes.  Any
+        DROP fails the whole doorbell (the device never saw it); per-item
+        SPIKEs accrue into its response delay.  *overhead* is the async
+        ``o0 + L`` op a failed attempt pays (:meth:`_failed_attempt`);
+        *host_cycles* and *gates* are what a fallback runs and releases.
+
+        Returns the response-delay shift of the final successful attempt
+        (accumulated async timeouts plus any latency spikes), or ``None``
+        when the doorbell exhausted its retries -- in which case the
         fallback (or the loss) has already been accounted for.
         """
-        kernel = invocation.kernel
+        kernel = ops.kernel
         injector = config.faults
         policy = injector.policy
         counters = self.metrics.fault_counters(kernel.name)
@@ -670,6 +680,7 @@ class Microservice:
             ThreadingDesign.SYNC,
             ThreadingDesign.SYNC_OS,
         )
+        count = len(covered)
         tracer = self.tracer
         trace_ctx = context.trace if tracer is not None else None
         if tracer is not None and trace_ctx is not None:
@@ -678,34 +689,42 @@ class Microservice:
         failures = 0
         while True:
             attempt_started = self.engine.now
-            outcome = injector.outcome(self.engine.now)
+            dropped = 0
+            spikes = 0
+            for _ in range(count):
+                outcome = injector.outcome(attempt_started)
+                if outcome is AttemptOutcome.DROP:
+                    dropped += 1
+                elif outcome is AttemptOutcome.SPIKE:
+                    spikes += 1
             counters.attempts += 1
-            if outcome is AttemptOutcome.OK:
+            if not dropped:
+                if spikes:
+                    spike_cycles = spikes * policy.spike_cycles
+                    counters.latency_spikes += spikes
+                    counters.spike_cycles += spike_cycles
+                    if tracer is not None and trace_ctx is not None:
+                        tracer.record_attempt(
+                            trace_ctx, kernel.name, failures, "spike",
+                            attempt_started, attempt_started,
+                            spike_cycles=spike_cycles,
+                        )
+                    return waited + spike_cycles
                 if tracer is not None and trace_ctx is not None:
                     tracer.record_attempt(
                         trace_ctx, kernel.name, failures, "ok",
                         attempt_started, attempt_started,
                     )
                 return waited
-            if outcome is AttemptOutcome.SPIKE:
-                counters.latency_spikes += 1
-                counters.spike_cycles += policy.spike_cycles
-                if tracer is not None and trace_ctx is not None:
-                    tracer.record_attempt(
-                        trace_ctx, kernel.name, failures, "spike",
-                        attempt_started, attempt_started,
-                        spike_cycles=policy.spike_cycles,
-                    )
-                return waited + policy.spike_cycles
-            # DROP: the attempt never completes; the host pays its share
-            # of the dispatch cost and notices only via the timeout.
+            # A dropped doorbell never completes; the host pays its share
+            # of the dispatch cost and notices only via one timeout.
             failures += 1
-            counters.drops += 1
+            counters.drops += dropped
             counters.timeouts += 1
             counters.timeout_cycles += policy.timeout_cycles
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = "fault-timeout"
-            yield from self._failed_attempt(thread, invocation, config, ops)
+            yield from self._failed_attempt(thread, config, ops, overhead)
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = None
                 tracer.record_attempt(
@@ -720,7 +739,9 @@ class Microservice:
                 fallback_started = self.engine.now
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = "fallback"
-                yield from self._fall_back(invocation, counters, policy, context)
+                yield from self._fall_back(
+                    kernel, host_cycles, covered, gates, counters, policy
+                )
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = None
                     tracer.record_fallback(
@@ -748,15 +769,16 @@ class Microservice:
     def _failed_attempt(
         self,
         thread: SimThread,
-        invocation: KernelInvocation,
         config: OffloadConfig,
         ops: _OffloadOps,
+        overhead: Optional[Compute],
     ):
         """Charge one dropped attempt's host-side cost for the design.
 
         Sync: ``o0`` busy plus the timeout blocked on-core.  Sync-OS:
         ``o0 + 2*o1`` busy with the timeout spent off-core.  Async family:
-        ``o0 + L`` busy (the bytes were sent), timeout off the host.
+        the *overhead* ``o0 + L`` busy (the bytes were sent), timeout off
+        the host.
         """
         design = config.design
         timeout = config.faults.policy.timeout_cycles
@@ -782,173 +804,33 @@ class Microservice:
                 # Immediate detection still pays the pair of switches,
                 # keeping cost parity with eqn. (3)'s 2 * o1.
                 yield _thread_switch(2.0 * config.thread_switch_cycles)
-        else:
-            overhead = ops.sized(invocation)[2]
-            if overhead is not None:
-                yield overhead
+        elif overhead is not None:
+            yield overhead
 
     def _fall_back(
         self,
-        invocation: KernelInvocation,
-        counters,
-        policy,
-        context: _RequestContext,
-    ):
-        """Retries exhausted: run on the host CPU, or lose the work."""
-        context.mark_degraded()
-        if policy.fallback_to_cpu:
-            kernel = invocation.kernel
-            counters.fallbacks += 1
-            counters.fallback_cycles += invocation.host_cycles
-            self.metrics.charge_kernel(
-                kernel.name, invocation.host_cycles, origin=kernel.functionality
-            )
-            if invocation.host_op is not None:
-                yield invocation.host_op
-        else:
-            counters.lost_offloads += 1
-
-    def _adjudicate_batch_faults(
-        self,
         kernel: KernelSpec,
-        batch_cycles: float,
-        transfer: float,
-        dispatch: float,
-        config: OffloadConfig,
-        batch_count: int,
-        batch_gates: list,
-        batch_contexts: list,
-        context: _RequestContext,
-    ):
-        """Doorbell-level retry loop for one batched (async) dispatch.
-
-        Each attempt adjudicates every buffered invocation -- consuming
-        exactly *batch_count* entropy draws, the same budget as that many
-        unbatched dispatches -- so seeded fault streams stay aligned
-        across batch sizes.  Any DROP fails the whole doorbell (the
-        device never saw the batch); per-item SPIKEs accrue into the
-        batch's response delay.  Returns the response-delay shift of the
-        final successful doorbell, or ``None`` when retries were
-        exhausted and the whole batch fell back (or was lost).
-        """
-        injector = config.faults
-        policy = injector.policy
-        counters = self.metrics.fault_counters(kernel.name)
-        tracer = self.tracer
-        trace_ctx = context.trace if tracer is not None else None
-        if tracer is not None and trace_ctx is not None:
-            tracer.note_degradations(kernel.name, injector.schedule)
-        waited = 0.0
-        failures = 0
-        while True:
-            attempt_started = self.engine.now
-            dropped = 0
-            spikes = 0
-            for _ in range(batch_count):
-                outcome = injector.outcome(self.engine.now)
-                if outcome is AttemptOutcome.DROP:
-                    dropped += 1
-                elif outcome is AttemptOutcome.SPIKE:
-                    spikes += 1
-            counters.attempts += 1
-            if dropped == 0:
-                if spikes:
-                    spike_cycles = spikes * policy.spike_cycles
-                    counters.latency_spikes += spikes
-                    counters.spike_cycles += spike_cycles
-                    if tracer is not None and trace_ctx is not None:
-                        tracer.record_attempt(
-                            trace_ctx, kernel.name, failures, "spike",
-                            attempt_started, attempt_started,
-                            spike_cycles=spike_cycles,
-                        )
-                    return waited + spike_cycles
-                if tracer is not None and trace_ctx is not None:
-                    tracer.record_attempt(
-                        trace_ctx, kernel.name, failures, "ok",
-                        attempt_started, attempt_started,
-                    )
-                return waited
-            # A dropped doorbell loses the whole dispatch: the host paid
-            # the batch's dispatch + transfer and notices via one timeout.
-            failures += 1
-            counters.drops += dropped
-            counters.timeouts += 1
-            counters.timeout_cycles += policy.timeout_cycles
-            if tracer is not None and trace_ctx is not None:
-                trace_ctx.tag = "fault-timeout"
-            overhead = dispatch + transfer
-            if overhead > 0:
-                yield Compute(
-                    overhead, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
-            if tracer is not None and trace_ctx is not None:
-                trace_ctx.tag = None
-                tracer.record_attempt(
-                    trace_ctx, kernel.name, failures - 1, "drop",
-                    attempt_started, self.engine.now,
-                )
-            # Async hosts compute through the wait; the lost time surfaces
-            # as response delay instead of core time.
-            waited += policy.timeout_cycles
-            if failures > policy.max_retries:
-                fallback_started = self.engine.now
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = "fallback"
-                yield from self._fall_back_batch(
-                    kernel, batch_cycles, batch_count, batch_gates,
-                    batch_contexts, counters, policy,
-                )
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = None
-                    tracer.record_fallback(
-                        trace_ctx, kernel.name, fallback_started,
-                        self.engine.now, policy.fallback_to_cpu,
-                    )
-                return None
-            backoff = policy.backoff_cycles(failures - 1)
-            if backoff > 0:
-                counters.backoff_cycles += backoff
-                backoff_started = self.engine.now
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = "backoff"
-                    tracer.record_backoff(
-                        trace_ctx, kernel.name, backoff_started,
-                        backoff_started + backoff,
-                    )
-                yield Compute(
-                    backoff, kernel.functionality, kernel.leaf, CycleKind.BLOCKED
-                )
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = None
-            counters.retries += 1
-
-    def _fall_back_batch(
-        self,
-        kernel: KernelSpec,
-        batch_cycles: float,
-        batch_count: int,
-        batch_gates: list,
-        batch_contexts: list,
+        host_cycles: float,
+        covered: Sequence[_RequestContext],
+        gates: Sequence[_RequestContext],
         counters,
         policy,
     ):
-        """Doorbell retries exhausted: the whole batch runs on the host
+        """Retries exhausted: every covered invocation runs on the host
         CPU (or its work is lost), and every gated request is released."""
-        for covered_context in batch_contexts:
+        for covered_context in covered:
             covered_context.mark_degraded()
         if policy.fallback_to_cpu:
-            counters.fallbacks += batch_count
-            counters.fallback_cycles += batch_cycles
+            counters.fallbacks += len(covered)
+            counters.fallback_cycles += host_cycles
             self.metrics.charge_kernel(
-                kernel.name, batch_cycles, origin=kernel.functionality
+                kernel.name, host_cycles, origin=kernel.functionality
             )
-            if batch_cycles > 0:
-                yield Compute(batch_cycles, kernel.functionality, kernel.leaf)
+            if host_cycles > 0:
+                yield Compute(host_cycles, kernel.functionality, kernel.leaf)
         else:
-            counters.lost_offloads += batch_count
-        for gated_context in batch_gates:
+            counters.lost_offloads += len(covered)
+        for gated_context in gates:
             gated_context.release_gate()
 
     def _offload_sync(
@@ -1107,34 +989,38 @@ class Microservice:
         state = config._batch_state
         state.pending_host_cycles += invocation.host_cycles
         state.pending_bytes += invocation.granularity
-        state.pending_count += 1
         state.contexts.append(context)
         if ops.gates:
             context.add_gate()
             state.gates.append(context)
-        if state.pending_count < config.batch_size:
+        if len(state.contexts) < config.batch_size:
             return
-        batch = state.reset()
-        batch_cycles, batch_bytes, batch_count, batch_gates, batch_contexts = batch
-        transfer = config.interface.transfer_cycles(batch_bytes)
-        dispatch = config.interface.dispatch_cycles
+        batch_cycles, batch_bytes, batch_gates, batch_contexts = state.reset()
+        # One o0 + L op per flush, paid by every failed doorbell attempt
+        # and by the final dispatch.
+        overhead_cycles = (
+            config.interface.dispatch_cycles
+            + config.interface.transfer_cycles(batch_bytes)
+        )
+        overhead = (
+            Compute(overhead_cycles, kernel.functionality, kernel.leaf,
+                    CycleKind.OFFLOAD_OVERHEAD)
+            if overhead_cycles > 0
+            else None
+        )
         extra_delay = 0.0
         injector = config.faults
         if injector is not None and injector.active:
-            extra_delay = yield from self._adjudicate_batch_faults(
-                kernel, batch_cycles, transfer, dispatch, config,
-                batch_count, batch_gates, batch_contexts, context,
+            extra_delay = yield from self._adjudicate_faults(
+                thread, config, ops, context, overhead, batch_cycles,
+                batch_contexts, batch_gates,
             )
             if extra_delay is None:
                 # Doorbell retries exhausted: the whole batch fell back
                 # to the host (or was lost); nothing reaches the device.
                 return
-        overhead = dispatch + transfer
-        if overhead > 0:
-            yield Compute(
-                overhead, kernel.functionality, kernel.leaf,
-                CycleKind.OFFLOAD_OVERHEAD,
-            )
+        if overhead is not None:
+            yield overhead
         batch_record = OffloadRecord(
             kernel=kernel.name,
             granularity=batch_bytes,
@@ -1148,7 +1034,7 @@ class Microservice:
             # Parented by the flushing request; the batch covers every
             # buffered invocation (batched_invocations attribute).
             tracer.begin_offload(
-                context.trace, batch_record, design, batched=batch_count,
+                context.trace, batch_record, design, batched=len(batch_contexts),
                 tenant=_tenant_label(config.device),
             )
 
