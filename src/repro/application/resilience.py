@@ -92,6 +92,23 @@ def _builds(alpha: float, design: ThreadingDesign, policy: FaultPolicy,
     return build_baseline, build_accelerated, plain
 
 
+def _cell(
+    design: ThreadingDesign,
+    num_cores: int,
+    window_cycles: float,
+    **fault_fields,
+) -> Tuple[FaultPolicy, SimulationConfig]:
+    """One cell's fault policy (every :class:`FaultPolicy` field, by
+    name) and simulation config, shared by the A/B point and its traced
+    re-run so the two always simulate the same cell."""
+    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
+    config = SimulationConfig(
+        num_cores=num_cores, threads_per_core=threads_per_core,
+        window_cycles=window_cycles,
+    )
+    return FaultPolicy(**fault_fields), config
+
+
 def run_resilience_point(
     drop_probability: float,
     timeout_cycles: float,
@@ -103,27 +120,32 @@ def run_resilience_point(
     num_cores: int = 2,
     window_cycles: float = 8.0e6,
     seed: int = 0,
+    spike_probability: float = 0.0,
+    spike_cycles: float = 0.0,
+    backoff_multiplier: float = 2.0,
+    fallback_to_cpu: bool = True,
 ) -> ResiliencePoint:
     """A/B-simulate one degraded cell and compare to the closed form.
 
-    The accelerated build carries a seeded fault injector; the model side
-    evaluates :func:`~repro.core.resilience.degraded_speedup` with the
-    same scenario parameters (``Q = 0``: the device has one engine per
-    core, so measured queueing is negligible by construction).
+    The accelerated build carries a seeded fault injector whose policy
+    takes every fault argument; the model side evaluates
+    :func:`~repro.core.resilience.degraded_speedup` with the same
+    scenario parameters (``Q = 0``: the device has one engine per core,
+    so measured queueing is negligible by construction).
     """
-    policy = FaultPolicy(
+    policy, config = _cell(
+        design, num_cores, window_cycles,
         drop_probability=drop_probability,
+        spike_probability=spike_probability,
+        spike_cycles=spike_cycles,
         timeout_cycles=timeout_cycles,
         max_retries=max_retries,
         backoff_base_cycles=backoff_base_cycles,
+        backoff_multiplier=backoff_multiplier,
+        fallback_to_cpu=fallback_to_cpu,
     )
     build_baseline, build_accelerated, plain = _builds(
         alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
     )
     baseline = run_simulation(build_baseline, config)
     accelerated = run_simulation(build_accelerated, config)
@@ -160,12 +182,17 @@ def traced_resilience_run(
     num_cores: int = 2,
     window_cycles: float = 8.0e6,
     seed: int = 0,
+    spike_probability: float = 0.0,
+    spike_cycles: float = 0.0,
+    backoff_multiplier: float = 2.0,
+    fallback_to_cpu: bool = True,
 ):
     """Re-run one resilience cell's *accelerated* build with a span tracer.
 
     :class:`ResiliencePoint` stays plain scalars (it must pickle into the
     result cache), so the traced run is a separate instrument: same
-    builder, same seed, same fault stream, plus a
+    arguments, builder, seed and fault stream as
+    :func:`run_resilience_point`, plus a
     :class:`~repro.observability.SpanTracer` whose finished trace shows
     each retry, backoff gap, and CPU fallback on the request timeline.
     Returns the live :class:`~repro.simulator.runner.SimulationResult`
@@ -173,19 +200,19 @@ def traced_resilience_run(
     """
     from ..observability import SpanTracer
 
-    policy = FaultPolicy(
+    policy, config = _cell(
+        design, num_cores, window_cycles,
         drop_probability=drop_probability,
+        spike_probability=spike_probability,
+        spike_cycles=spike_cycles,
         timeout_cycles=timeout_cycles,
         max_retries=max_retries,
         backoff_base_cycles=backoff_base_cycles,
+        backoff_multiplier=backoff_multiplier,
+        fallback_to_cpu=fallback_to_cpu,
     )
     _, build_accelerated, _ = _builds(
         alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
     )
     tracer = SpanTracer(label=f"resilience-{design.value}")
     return run_simulation(build_accelerated, config, tracer=tracer)

@@ -224,23 +224,32 @@ def run_shared_device_point(
     num_cores: int = 2,
     window_cycles: float = 1.6e7,
     seed: int = 0,
+    spike_probability: float = 0.0,
+    spike_cycles: float = 0.0,
+    backoff_base_cycles: float = 0.0,
+    backoff_multiplier: float = 2.0,
+    fallback_to_cpu: bool = True,
 ) -> SharedDevicePoint:
     """A/B-simulate one shared-device cell and compare to the closed form.
 
     *weight* is tenant 0's fair-queueing weight (the rest stay at 1.0);
-    the compared speedup is tenant 0's.  The device is provisioned with
-    one engine per tenant core, so queueing is negligible by construction
+    the compared speedup is tenant 0's.  Every tenant's fault injector
+    takes every fault argument.  The device is provisioned with one
+    engine per tenant core, so queueing is negligible by construction
     (``Q = 0`` on the model side) and the cell isolates the batching and
     doorbell-fault algebra of
     :func:`~repro.core.resilience.degraded_batched_async_speedup`.
     """
-    policy = None
-    if drop_probability > 0.0:
-        policy = FaultPolicy(
-            drop_probability=drop_probability,
-            timeout_cycles=timeout_cycles,
-            max_retries=max_retries,
-        )
+    policy = FaultPolicy(
+        drop_probability=drop_probability,
+        spike_probability=spike_probability,
+        spike_cycles=spike_cycles,
+        timeout_cycles=timeout_cycles,
+        max_retries=max_retries,
+        backoff_base_cycles=backoff_base_cycles,
+        backoff_multiplier=backoff_multiplier,
+        fallback_to_cpu=fallback_to_cpu,
+    )
     weights = [weight] + [1.0] * (tenants - 1)
     baseline = run_simulation(
         lambda engine, cpu, metrics: (
@@ -266,7 +275,7 @@ def run_shared_device_point(
     model = degraded_batched_async_speedup(
         c=request, alpha=KERNEL_CYCLES / request, n=float(KERNEL_CALLS),
         o0=_DISPATCH_CYCLES, l=0.0, q=0.0,
-        policy=policy or FaultPolicy(),
+        policy=policy,
         batch_size=batch_size,
     )
     return SharedDevicePoint(

@@ -12,6 +12,7 @@ Usage (installed as ``accelerometer``, also ``python -m repro``)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -662,14 +663,11 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
     from .simulator.trace_export import export_chrome_trace
 
     result = traced_resilience_run(
-        drop_probability=policy.drop_probability,
-        timeout_cycles=policy.timeout_cycles,
         design=design,
-        max_retries=policy.max_retries,
-        backoff_base_cycles=policy.backoff_base_cycles,
         alpha=getattr(args, "alpha", 0.3),
         accel_speedup=getattr(args, "a", 8.0),
         seed=args.seed,
+        **dataclasses.asdict(policy),
     )
     summary = result.summarize()
     if args.trace_out:
@@ -692,6 +690,29 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
                f"({fault_cycles / total_latency * 100:.1f}% of latency)")
 
 
+#: simulate's shared-device-only flags and their defaults.
+_SHARED_DEVICE_FLAGS = (
+    ("--tenants", "tenants", 2),
+    ("--tenant-weight", "tenant_weight", 1.0),
+    ("--batch-size", "batch_size", 1),
+)
+
+
+def _reject_ignored_simulate_flags(args: argparse.Namespace) -> None:
+    """simulate runs a private-device cell or a shared-device point;
+    refuse a flag the chosen one would silently ignore."""
+    if args.shared_device:
+        for flag, value in (("--trace-out", args.trace_out),
+                            ("--metrics-out", args.metrics_out)):
+            if value:
+                raise ParameterError(
+                    f"{flag} is not supported with --shared-device")
+        return
+    for flag, name, default in _SHARED_DEVICE_FLAGS:
+        if getattr(args, name) != default:
+            raise ParameterError(f"{flag} requires --shared-device")
+
+
 def _cmd_simulate_shared(args: argparse.Namespace) -> None:
     from .application.shared_device import run_shared_device_point
 
@@ -700,12 +721,10 @@ def _cmd_simulate_shared(args: argparse.Namespace) -> None:
         tenants=args.tenants,
         weight=args.tenant_weight,
         batch_size=args.batch_size,
-        drop_probability=policy.drop_probability,
-        timeout_cycles=policy.timeout_cycles,
-        max_retries=policy.max_retries,
         alpha=args.alpha,
         accel_speedup=args.a,
         seed=args.seed,
+        **dataclasses.asdict(policy),
     )
     _print("design:            async (shared device)")
     _print(f"tenants:           {point.tenants} "
@@ -722,19 +741,17 @@ def _cmd_simulate_shared(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     from .application.resilience import run_resilience_point
 
+    _reject_ignored_simulate_flags(args)
     if args.shared_device:
         _cmd_simulate_shared(args)
         return
     policy = _fault_policy_from_args(args)
     point = run_resilience_point(
-        drop_probability=policy.drop_probability,
-        timeout_cycles=policy.timeout_cycles,
         design=ThreadingDesign(args.design),
-        max_retries=policy.max_retries,
-        backoff_base_cycles=policy.backoff_base_cycles,
         alpha=args.alpha,
         accel_speedup=args.a,
         seed=args.seed,
+        **dataclasses.asdict(policy),
     )
     _print(f"design:            {point.design.value}")
     _print(f"model speedup:     {point.model_speedup_pct:8.2f}%")

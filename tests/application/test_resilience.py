@@ -71,6 +71,16 @@ class TestPointSemantics:
         assert point.fallbacks == 0
         assert point.goodput_fraction == 1.0
 
+    def test_every_fault_field_reaches_the_injector(self):
+        cell = dict(drop_probability=0.2, timeout_cycles=2_000.0,
+                    window_cycles=4.0e6, seed=0)
+        assert run_resilience_point(**cell).fallbacks > 0
+        assert run_resilience_point(fallback_to_cpu=False, **cell).fallbacks == 0
+        spiky = run_resilience_point(
+            spike_probability=0.3, spike_cycles=5_000.0, **cell)
+        assert spiky.simulated_speedup != run_resilience_point(
+            **cell).simulated_speedup
+
     def test_speedup_percent_views(self):
         point = run_resilience_point(
             drop_probability=0.05, timeout_cycles=1_000.0,

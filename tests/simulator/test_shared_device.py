@@ -356,6 +356,13 @@ class TestSimVsModel:
         assert point.attempts > 0
         assert point.drops > 0
 
+    def test_spikes_alone_reach_the_tenants_injectors(self):
+        point = run_shared_device_point(
+            tenants=1, batch_size=4, spike_probability=0.2,
+            spike_cycles=1_000.0, window_cycles=2.0e6)
+        assert point.attempts > 0
+        assert point.drops == 0
+
     def test_grid_meets_contract(self):
         grid = shared_device_grid(
             tenant_counts=(1, 2),

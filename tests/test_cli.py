@@ -175,6 +175,25 @@ class TestSharedDeviceCommands:
         assert [row["tenants"] for row in payload["rows"]] == [1, 2]
 
 
+class TestSimulateFaultFlags:
+    """Every parsed fault flag reaches the simulated policy."""
+
+    BASE = ["simulate", "--drop", "0.3", "--design", "async"]
+
+    def _run(self, capsys, *extra):
+        assert main([*self.BASE, *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_no_fallback_loses_instead_of_falling_back(self, capsys):
+        assert "fallbacks:         0\n" not in self._run(capsys)
+        assert "fallbacks:         0\n" in self._run(capsys, "--no-fallback")
+
+    def test_spike_flags_change_the_output(self, capsys):
+        healthy = self._run(capsys)
+        spiky = self._run(capsys, "--spike", "0.3", "--spike-cycles", "5000")
+        assert spiky != healthy
+
+
 class TestTraceCommand:
     """The observability CLI surface: `trace` plus the --trace-out /
     --metrics-out flags on simulate."""

@@ -56,6 +56,10 @@ TEST_CLI_ARGVS = [
      "--windows", "8", "--output", "trace-out"],
     ["simulate", "--drop", "0.2", "--timeout", "2000",
      "--trace-out", "cell.json", "--metrics-out", "cell-metrics.json"],
+    ["simulate", "--drop", "0.3", "--design", "async"],
+    ["simulate", "--drop", "0.3", "--design", "async", "--no-fallback"],
+    ["simulate", "--drop", "0.3", "--design", "async",
+     "--spike", "0.3", "--spike-cycles", "5000"],
 ]
 
 #: The operations of the six end-to-end benchmark workloads (seed 2020).
@@ -163,11 +167,25 @@ class TestErrors:
         (["characterize", "--requests", "-5"],
          "--requests must be >= 1, got -5"),
         (["trace", "--requests", "0"], "--requests must be >= 1, got 0"),
+        (["simulate", "--batch-size", "4", "--design", "async"],
+         "--batch-size requires --shared-device"),
+        (["simulate", "--tenants", "4"], "--tenants requires --shared-device"),
+        (["simulate", "--tenant-weight", "2"],
+         "--tenant-weight requires --shared-device"),
+        (["simulate", "--shared-device", "--trace-out", "cell.json"],
+         "--trace-out is not supported with --shared-device"),
+        (["simulate", "--shared-device", "--metrics-out", "metrics.json"],
+         "--metrics-out is not supported with --shared-device"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
             "unknown-service", "simulate-zero-alpha",
             "simulate-shared-zero-alpha", "trace-zero-windows",
             "trace-negative-windows", "characterize-zero-requests",
-            "characterize-negative-requests", "trace-zero-requests"])
+            "characterize-negative-requests", "trace-zero-requests",
+            "simulate-batch-size-without-shared-device",
+            "simulate-tenants-without-shared-device",
+            "simulate-tenant-weight-without-shared-device",
+            "simulate-shared-device-trace-out",
+            "simulate-shared-device-metrics-out"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
