@@ -165,28 +165,6 @@ def effective_offload_cost(
 # ---------------------------------------------------------------------------
 
 
-def _validate_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-
-
-def doorbell_drop_probability(drop_probability: float, batch_size: int) -> float:
-    """Per-doorbell drop probability for a batch of *batch_size* items.
-
-    The simulator adjudicates every buffered invocation per attempt and
-    any single DROP fails the whole doorbell, so
-    ``p_B = 1 - (1 - p)**B``.  ``batch_size = 1`` returns
-    *drop_probability* unchanged (the complement round trip
-    ``1 - (1 - p)`` is *not* bit-exact for tiny ``p``, so the reduction
-    is gated rather than computed).
-    """
-    _validate_probability(drop_probability)
-    _validate_batch_size(batch_size)
-    if batch_size == 1:
-        return drop_probability
-    return 1.0 - (1.0 - drop_probability) ** batch_size
-
-
 def _fault_terms(policy: FaultPolicy, batch_size: int = 1):
     """``(E[F], E[B], p_fb)`` for *policy* -- the three scalars every
     degraded equation needs -- at doorbell level for a batch of
@@ -385,6 +363,28 @@ def degraded_speedup(
 # ---------------------------------------------------------------------------
 # Doorbell batching under failures
 # ---------------------------------------------------------------------------
+
+
+def _validate_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+
+
+def doorbell_drop_probability(drop_probability: float, batch_size: int) -> float:
+    """Per-doorbell drop probability for a batch of *batch_size* items.
+
+    The simulator adjudicates every buffered invocation per attempt and
+    any single DROP fails the whole doorbell, so
+    ``p_B = 1 - (1 - p)**B``.  ``batch_size = 1`` returns
+    *drop_probability* unchanged (the complement round trip
+    ``1 - (1 - p)`` is *not* bit-exact for tiny ``p``, so the reduction
+    is gated rather than computed).
+    """
+    _validate_probability(drop_probability)
+    _validate_batch_size(batch_size)
+    if batch_size == 1:
+        return drop_probability
+    return 1.0 - (1.0 - drop_probability) ** batch_size
 
 
 def degraded_batched_async_speedup(
