@@ -22,7 +22,7 @@ declare.  This package makes those promises mechanical:
   :func:`find_taint_paths` (interprocedural nondeterminism),
   :class:`UnitFlowAnalyzer` (units through dataflow), and
   :class:`EffectAnalysis` (effect & purity summaries behind the
-  EFF001-EFF004 contracts);
+  EFF001, EFF003 and EFF004 contracts);
 * text/JSON/SARIF reporters and the ``repro lint`` CLI glue.
 
 Run it as ``python -m repro lint`` (or ``make lint``); add ``--deep``

@@ -23,23 +23,25 @@ bottom-up over the call graph by the shared dataflow framework
 ``mutates-observer``
     writes observer-side state (tracer/trace-context/ring fields, or
     ``self`` inside an observability class).  Not an *engine* effect --
-    it is what tracer hooks exist to do -- but tracked so EFF001 can
-    name exactly which state an ungated hook would touch.
+    it is what tracer hooks exist to do -- so it is kept apart from
+    ``mutates-param``/``mutates-global``.
 
-The zero-observer gate scan (:func:`find_gate_violations`) and the
-frozen-spec write scan (:func:`find_frozen_writes`) live here too, so
-the EFF rules stay thin adapters from these results to findings.
+The observer gate grammar (:class:`_GateWalker`, shared with OBS001 and
+PERF001), the RNG-draw helpers DET001 shares, the gated-region scan
+(:func:`find_gate_violations`) and the frozen-spec write scan
+(:func:`find_frozen_writes`) live here too, so the rules stay thin
+adapters from these results to findings.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .dataflow import CallStep, DataflowAnalysis
 from .graph import CallGraph
-from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel
+from .project import FunctionInfo, ModuleInfo, ProjectModel
 from .taint import classify_entropy_call, _resolved_target
 
 #: Effect kinds that perturb the simulated system: what the zero-
@@ -51,9 +53,10 @@ ENGINE_EFFECT_KINDS = (
     "schedules-event",
 )
 
-#: Name components marking observer-side state.  A write whose dotted
-#: target contains one of these is the observability layer doing its
-#: job, not an engine effect.
+#: Name components marking observer-side state: the one tracer
+#: vocabulary.  A write whose dotted target contains one of these is the
+#: observability layer doing its job, not an engine effect; a receiver
+#: or gate test naming one is a tracer touch (OBS001, PERF001, EFF001).
 OBSERVER_COMPONENTS = frozenset(
     {"trace", "tracer", "trace_ctx", "_tracer", "observer"}
 )
@@ -209,6 +212,70 @@ def _render_path(parts: List[str]) -> str:
     return out
 
 
+def local_aliases(nodes) -> Dict[str, List[str]]:
+    """Local name -> expanded dotted path for ``x = self._ring``-style
+    binds among one function's walked *nodes*, in source order so
+    chained aliases expand transitively."""
+    aliases: Dict[str, List[str]] = {}
+    assigns = [
+        node
+        for node in nodes
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ]
+    for node in sorted(assigns, key=lambda n: (n.lineno, n.col_offset)):
+        value = node.value
+        if isinstance(node.value, ast.IfExp):
+            # ``ctx = context.trace if tracer is not None else None``
+            value = node.value.body
+        parts = _dotted_parts(value)
+        target = node.targets[0].id
+        if parts is None:
+            aliases.pop(target, None)
+            continue
+        aliases[target] = expand_alias(aliases, parts)
+    return aliases
+
+
+def expand_alias(aliases: Dict[str, List[str]], parts: List[str]) -> List[str]:
+    """*parts* with a leading local alias replaced by what it binds."""
+    through = aliases.get(parts[0])
+    if through:
+        return list(through) + parts[1:]
+    return list(parts)
+
+
+def sanctioned_nodes(nodes) -> Set[int]:
+    """AST node ids lexically inside the arguments of a sanctioned
+    sampler constructor (``BlockSampler(lambda n: rng...(n))``)."""
+    sanctioned: Set[int] = set()
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _dotted_parts(node.func)
+        if not callee or callee[-1] not in SANCTIONED_RNG_CLASSES:
+            continue
+        for arg in list(node.args) + [kw.value for kw in node.keywords]:
+            for sub in ast.walk(arg):
+                sanctioned.add(id(sub))
+    return sanctioned
+
+
+def rng_receiver(
+    func: ast.expr, aliases: Dict[str, List[str]]
+) -> Optional[str]:
+    """The ``rng``/``_rng`` receiver a call draws from, seen through
+    local aliases (``r = self._rng; r.random()``), or ``None``."""
+    if not isinstance(func, ast.Attribute):
+        return None
+    parts = _dotted_parts(func.value)
+    if not parts:
+        return None
+    receiver = expand_alias(aliases, parts)[-1]
+    return receiver if receiver in _RNG_RECEIVERS else None
+
+
 class _FunctionScanner:
     """One function's local effect extraction state."""
 
@@ -244,9 +311,9 @@ class _FunctionScanner:
         self.in_observer_class = func.class_name is not None and (
             func.class_name in observer_classes
         )
-        self.aliases: Dict[str, List[str]] = {}
-        self._collect_aliases()
-        self.sanctioned = self._collect_sanctioned()
+        nodes = module.source.walk(func.node)
+        self.aliases = local_aliases(nodes)
+        self.sanctioned = sanctioned_nodes(nodes)
 
     def _annotation_is_observer(self, annotation: ast.expr) -> bool:
         node = annotation
@@ -259,48 +326,8 @@ class _FunctionScanner:
         parts = _dotted_parts(node)
         return bool(parts) and parts[-1] in self.observer_classes
 
-    def _collect_aliases(self) -> None:
-        """Local name -> expanded dotted path for ``x = self._ring``-style
-        binds, in source order so chained aliases expand transitively."""
-        assigns = [
-            node
-            for node in self.module.source.walk(self.func.node)
-            if isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ]
-        for node in sorted(assigns, key=lambda n: (n.lineno, n.col_offset)):
-            value = node.value
-            if isinstance(node.value, ast.IfExp):
-                # ``ctx = context.trace if tracer is not None else None``
-                value = node.value.body
-            parts = _dotted_parts(value)
-            target = node.targets[0].id
-            if parts is None:
-                self.aliases.pop(target, None)
-                continue
-            self.aliases[target] = self._expand(parts)
-
     def _expand(self, parts: List[str]) -> List[str]:
-        through = self.aliases.get(parts[0])
-        if through:
-            return list(through) + parts[1:]
-        return list(parts)
-
-    def _collect_sanctioned(self) -> Set[int]:
-        """AST node ids lexically inside the arguments of a sanctioned
-        sampler constructor (``BlockSampler(lambda n: rng...(n))``)."""
-        sanctioned: Set[int] = set()
-        for node in self.module.source.walk(self.func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _dotted_parts(node.func)
-            if not callee or callee[-1] not in SANCTIONED_RNG_CLASSES:
-                continue
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                for sub in ast.walk(arg):
-                    sanctioned.add(id(sub))
-        return sanctioned
+        return expand_alias(self.aliases, parts)
 
     # -- classification ----------------------------------------------------
 
@@ -429,14 +456,8 @@ class _FunctionScanner:
         if id(node) not in self.sanctioned and not (
             self.func.class_name in SANCTIONED_RNG_CLASSES
         ):
-            receiver = None
-            if isinstance(func, ast.Attribute):
-                parts = _dotted_parts(func.value)
-                if parts:
-                    receiver = self._expand(parts)[-1]
-                    if receiver == "[]":
-                        receiver = None
-            if receiver in _RNG_RECEIVERS:
+            receiver = rng_receiver(func, self.aliases)
+            if receiver is not None:
                 found.append(
                     Effect(
                         kind="consumes-rng",
@@ -599,15 +620,14 @@ def engine_facts(summary: Dict[str, object]) -> List[EffectFact]:
 
 
 # ---------------------------------------------------------------------------
-# Zero-observer gate scan (EFF001's simulator-side half).
+# The observer gate grammar (OBS001, PERF001) and EFF001's gated regions.
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class GateViolation:
-    """One zero-observer break in simulator/faults code."""
+    """An engine effect reached from inside an observer gate."""
 
-    kind: str  # "ungated-hook" | "gated-effect"
     relpath: str
     line: int
     column: int
@@ -618,29 +638,27 @@ class GateViolation:
 _TERMINAL_STMTS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
 
-def _observer_names_in(test: ast.expr) -> FrozenSet[str]:
-    names: Set[str] = set()
+def _observer_names_in(
+    test: ast.expr, names: FrozenSet[str] = OBSERVER_COMPONENTS
+) -> FrozenSet[str]:
+    """Handle *names* referenced anywhere in a gate expression."""
+    found: Set[str] = set()
     for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in OBSERVER_COMPONENTS:
-            names.add(node.id)
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in OBSERVER_COMPONENTS
-        ):
-            names.add(node.attr)
-    return frozenset(names)
+        if isinstance(node, ast.Name) and node.id in names:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.attr)
+    return frozenset(found)
 
 
-def _observer_receiver(func: ast.expr) -> Optional[str]:
+def _observer_receiver(func: ast.expr, names: FrozenSet[str]) -> Optional[str]:
+    """The handle name a method call dispatches on, if any."""
     if not isinstance(func, ast.Attribute):
         return None
     receiver = func.value
-    if isinstance(receiver, ast.Name) and receiver.id in OBSERVER_COMPONENTS:
+    if isinstance(receiver, ast.Name) and receiver.id in names:
         return receiver.id
-    if (
-        isinstance(receiver, ast.Attribute)
-        and receiver.attr in OBSERVER_COMPONENTS
-    ):
+    if isinstance(receiver, ast.Attribute) and receiver.attr in names:
         return receiver.attr
     return None
 
@@ -649,49 +667,67 @@ def _suite_exits(body: List[ast.stmt]) -> bool:
     return bool(body) and isinstance(body[-1], _TERMINAL_STMTS)
 
 
-class _GateWalker:
-    """Collect gated line spans and ungated observer touches, using the
-    same gate grammar the OBS001 rule recognizes (early-exit ``if x is
-    None`` gates the remainder; gate names accumulate into nested
-    suites)."""
+def _tests_absence(test: ast.expr) -> bool:
+    """``x is None`` / ``not x``: the ``if`` body is the unobserved path,
+    so it is no gated region (an early exit there gates the rest)."""
+    if isinstance(test, ast.UnaryOp):
+        return isinstance(test.op, ast.Not)
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Is)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    )
 
-    def __init__(self) -> None:
-        #: (lineno, end_lineno) spans of tracer-gated statements.
-        self.gated_spans: List[Tuple[int, int]] = []
-        #: Ungated method calls on observer-named receivers.
-        self.ungated_calls: List[Tuple[ast.Call, str]] = []
-        #: Ungated writes rooted at an observer-named local.
-        self.ungated_writes: List[Tuple[ast.expr, str]] = []
+
+#: What :class:`_GateWalker` yields: ``(kind, node, handle)``.
+GateEvent = Tuple[str, ast.AST, str]
+
+
+class _GateWalker:
+    """The one observer gate grammar.
+
+    An ``if`` whose test names a handle gates its body; an early-exit
+    ``if x is None: return`` gates the rest of its suite; a conditional
+    expression gates its true arm; gate names accumulate into nested
+    suites at any depth.  Walking a suite yields ``("gate", if_node,
+    "")`` for each ``if`` whose body is a gated region, and ``("call",
+    call, handle)`` / ``("write", target, handle)`` for each call on, or
+    write through, a handle that no enclosing gate names.
+    """
+
+    def __init__(self, names: FrozenSet[str] = OBSERVER_COMPONENTS) -> None:
+        self.names = names
 
     def walk_suite(
         self, statements: List[ast.stmt], guarded: FrozenSet[str]
-    ) -> None:
+    ) -> Iterator[GateEvent]:
         for statement in statements:
             if isinstance(statement, ast.If):
-                names = _observer_names_in(statement.test)
-                if names:
-                    for gated in statement.body:
-                        self.gated_spans.append(
-                            (gated.lineno, gated.end_lineno or gated.lineno)
-                        )
-                self.walk_suite(statement.body, guarded | names)
-                self.walk_suite(statement.orelse, guarded)
+                names = _observer_names_in(statement.test, self.names)
+                if names and not _tests_absence(statement.test):
+                    yield "gate", statement, ""
+                yield from self.walk_suite(statement.body, guarded | names)
+                yield from self.walk_suite(statement.orelse, guarded)
                 if names and _suite_exits(statement.body):
                     guarded = guarded | names
                 continue
-            self.walk_node(statement, guarded)
+            yield from self.walk_node(statement, guarded)
 
-    def walk_node(self, node: ast.AST, guarded: FrozenSet[str]) -> None:
+    def walk_node(
+        self, node: ast.AST, guarded: FrozenSet[str]
+    ) -> Iterator[GateEvent]:
         if isinstance(node, ast.IfExp):
-            names = _observer_names_in(node.test)
-            self.walk_node(node.test, guarded | names)
-            self.walk_node(node.body, guarded | names)
-            self.walk_node(node.orelse, guarded)
+            names = _observer_names_in(node.test, self.names)
+            yield from self.walk_node(node.test, guarded | names)
+            yield from self.walk_node(node.body, guarded | names)
+            yield from self.walk_node(node.orelse, guarded)
             return
         if isinstance(node, ast.Call):
-            name = _observer_receiver(node.func)
+            name = _observer_receiver(node.func, self.names)
             if name is not None and name not in guarded:
-                self.ungated_calls.append((node, name))
+                yield "call", node, name
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -701,61 +737,20 @@ class _GateWalker:
                 if (
                     parts is not None
                     and len(parts) > 1
-                    and parts[0] in OBSERVER_COMPONENTS
+                    and parts[0] in self.names
                     and parts[0] not in guarded
                 ):
-                    self.ungated_writes.append((target, parts[0]))
+                    yield "write", target, parts[0]
         for _, value in ast.iter_fields(node):
             if isinstance(value, list):
                 if value and isinstance(value[0], ast.stmt):
-                    self.walk_suite(value, guarded)
+                    yield from self.walk_suite(value, guarded)
                 else:
                     for item in value:
                         if isinstance(item, ast.AST):
-                            self.walk_node(item, guarded)
+                            yield from self.walk_node(item, guarded)
             elif isinstance(value, ast.AST):
-                self.walk_node(value, guarded)
-
-
-def observer_hooks(model: ProjectModel) -> Dict[str, FunctionInfo]:
-    """Hook name -> implementation for every observability-class method,
-    including instance-attribute alias hooks bound in ``__init__``
-    (``self.record_interval = self._sink.record`` resolves to the
-    observer method the alias terminates in)."""
-    observers = observer_class_names(model)
-    classes: List[ClassInfo] = []
-    for module in model.analyzed_modules():
-        for cls_info in module.classes.values():
-            if cls_info.name in observers:
-                classes.append(cls_info)
-    classes.sort(key=lambda c: c.fq)
-
-    by_method: Dict[str, FunctionInfo] = {}
-    for cls_info in classes:
-        for method_name in sorted(cls_info.methods):
-            by_method.setdefault(method_name, cls_info.methods[method_name])
-
-    hooks = dict(by_method)
-    for cls_info in classes:
-        init = cls_info.methods.get("__init__")
-        if init is None:
-            continue
-        for node in model.modules[init.module].source.walk(init.node):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Attribute)
-                and isinstance(node.targets[0].value, ast.Name)
-                and node.targets[0].value.id == "self"
-                and isinstance(node.value, ast.Attribute)
-            ):
-                continue
-            alias = node.targets[0].attr
-            terminal = node.value.attr
-            target = by_method.get(terminal)
-            if target is not None:
-                hooks.setdefault(alias, target)
-    return hooks
+                yield from self.walk_node(value, guarded)
 
 
 def find_gate_violations(
@@ -765,18 +760,13 @@ def find_gate_violations(
 ) -> List[GateViolation]:
     """EFF001's simulator-side scan.
 
-    Two violation kinds, over every function under ``simulator/`` or
-    ``faults/``:
-
-    * *ungated-hook*: a call on an observer-named receiver (or a write
-      rooted at one) with no enclosing gate naming it -- the finding
-      names the hook implementation and the observer state it mutates;
-    * *gated-effect*: a tracer-gated region that reaches an engine
-      effect (state mutation, RNG draw, event schedule) -- gated code
-      must be write-only with respect to the simulation.
+    Over every function under ``simulator/`` or ``faults/``: a
+    tracer-gated region that reaches an engine effect (state mutation,
+    RNG draw, event schedule), directly or through calls -- gated code
+    must be write-only with respect to the simulation.  Tracer touches
+    outside any gate are OBS001's.
     """
     observers = observer_class_names(model)
-    hooks = observer_hooks(model)
     adjacency = graph.adjacency()
     infos = {func.fq: func for func in model.functions()}
     violations: List[GateViolation] = []
@@ -784,64 +774,27 @@ def find_gate_violations(
     for func in model.functions():
         if not in_effect_scope(func.relpath, "simulator", "faults"):
             continue
-        module = model.modules[func.module]
-        walker = _GateWalker()
-        walker.walk_suite(func.node.body, frozenset())
-
-        for call, name in walker.ungated_calls:
-            method = (
-                call.func.attr if isinstance(call.func, ast.Attribute) else "?"
+        spans = [
+            (statement.lineno, statement.end_lineno or statement.lineno)
+            for kind, gate, _ in _GateWalker().walk_suite(
+                func.node.body, frozenset()
             )
-            hook = hooks.get(method)
-            if hook is not None:
-                touched = _observer_state_of(hook, summaries)
-                where = hook.fq
-            else:
-                touched = ""
-                where = f"(unresolved hook) .{method}"
-            state = f", which writes {touched}" if touched else ""
-            violations.append(
-                GateViolation(
-                    kind="ungated-hook",
-                    relpath=func.relpath,
-                    line=call.lineno,
-                    column=call.col_offset,
-                    message=(
-                        f"tracer call {ast.unparse(call.func)}() in "
-                        f"{func.fq} is outside any `if {name} ...` gate: "
-                        f"it invokes hook {where}{state}"
-                    ),
-                    trace=_hook_trace(func, call, hook, summaries),
-                )
-            )
-        for target, name in walker.ungated_writes:
-            parts = _dotted_parts(target) or [name]
-            violations.append(
-                GateViolation(
-                    kind="ungated-hook",
-                    relpath=func.relpath,
-                    line=target.lineno,
-                    column=target.col_offset,
-                    message=(
-                        f"write to observer state {_render_path(parts)} in "
-                        f"{func.fq} is outside any `if {name} ...` gate"
-                    ),
-                )
-            )
-
-        if not walker.gated_spans:
+            if kind == "gate"
+            for statement in gate.body
+        ]
+        if not spans:
             continue
 
         def gated(line: int) -> bool:
-            return any(lo <= line <= hi for lo, hi in walker.gated_spans)
+            return any(lo <= line <= hi for lo, hi in spans)
 
         # Direct engine effects lexically inside a gated region.
+        module = model.modules[func.module]
         for effect in function_effects(func, module, observers):
             if effect.kind in ENGINE_EFFECT_KINDS and gated(effect.line):
                 fact = EffectFact(steps=(), effect=effect)
                 violations.append(
                     GateViolation(
-                        kind="gated-effect",
                         relpath=func.relpath,
                         line=effect.line,
                         column=effect.column,
@@ -876,7 +829,6 @@ def find_gate_violations(
                 )
                 violations.append(
                     GateViolation(
-                        kind="gated-effect",
                         relpath=func.relpath,
                         line=line,
                         column=0,
@@ -894,41 +846,6 @@ def find_gate_violations(
 
     violations.sort(key=lambda v: (v.relpath, v.line, v.column, v.message))
     return violations
-
-
-def _observer_state_of(
-    hook: FunctionInfo, summaries: Dict[str, Dict[str, object]]
-) -> str:
-    """The observer state a hook writes, from its effect summary."""
-    targets: List[str] = []
-    for key in sorted(summaries.get(hook.fq, {})):
-        fact = summaries[hook.fq][key]
-        if fact.effect.kind == "mutates-observer":
-            rendered = fact.effect.detail.removeprefix("write to ")
-            rendered = rendered.removeprefix("call to ")
-            if rendered not in targets:
-                targets.append(rendered)
-    return ", ".join(targets[:4])
-
-
-def _hook_trace(
-    func: FunctionInfo,
-    call: ast.Call,
-    hook: Optional[FunctionInfo],
-    summaries: Dict[str, Dict[str, object]],
-) -> Tuple[str, ...]:
-    lines = [f"{func.fq} [ungated tracer call at line {call.lineno}]"]
-    if hook is not None:
-        lines.append(f"-> invokes hook {hook.fq} ({hook.relpath}:{hook.line})")
-        for key in sorted(summaries.get(hook.fq, {})):
-            fact = summaries[hook.fq][key]
-            if fact.effect.kind == "mutates-observer" and not fact.steps:
-                lines.append(
-                    f"** {fact.effect.detail} (mutates-observer) at "
-                    f"{fact.effect.relpath}:{fact.effect.line}:"
-                    f"{fact.effect.column}"
-                )
-    return tuple(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ The runtime's core contract is *serial == pool == cache, bit for bit*: a
 :class:`~repro.runtime.RunSpec` fully determines its result, so a cached
 result can replace a fresh simulation forever.  Both rules police the
 two ways that contract silently dies: reading entropy the spec does not
-control (wall clocks, unseeded RNGs) and iterating containers whose
-order varies across interpreter processes (sets under hash
-randomization).
+control (wall clocks, unseeded RNGs, private generators drawn outside
+the seeded facades) and iterating containers whose order varies across
+interpreter processes (sets under hash randomization).
 """
 
 from __future__ import annotations
@@ -15,13 +15,32 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..effects import (
+    SANCTIONED_RNG_CLASSES,
+    local_aliases,
+    rng_receiver,
+    sanctioned_nodes,
+)
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
 from ..taint import classify_entropy_call, is_set_expression
 from ._ast_util import import_map, resolve_target
 
 #: Directories whose code runs inside (or feeds) simulated execution.
-_SIMULATED_SCOPES = ("simulator", "runtime", "workloads")
+_SIMULATED_SCOPES = ("simulator", "faults", "runtime", "workloads")
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _functions(source):
+    """``(def, class name)`` for every module-level function and method."""
+    for node in source.tree.body:
+        if isinstance(node, _FUNCTION_DEFS):
+            yield node, None
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTION_DEFS):
+                    yield item, node.name
 
 
 @register_rule
@@ -30,14 +49,17 @@ class UnseededEntropy(Rule):
 
     name = "DET001"
     severity = Severity.ERROR
+    cache_version = "2"
     description = (
-        "no wall clocks or unseeded RNGs in simulator/, runtime/, or "
-        "workloads/"
+        "no wall clocks or unseeded RNGs in simulator/, faults/, runtime/ "
+        "or workloads/, and no rng draws outside BlockSampler/FaultInjector"
     )
     invariant = (
         "serial == pool == cache bit-identity: a RunSpec must fully "
         "determine its result, so simulated paths may only draw from "
-        "explicitly seeded generators and the simulated clock"
+        "the simulated clock and the seeded facades a RunSpec seeds -- "
+        "a stray draw anywhere in the simulation layers silently forks "
+        "the run from its cache key"
     )
 
     def check(self, source, context) -> Iterator[Finding]:
@@ -67,6 +89,41 @@ class UnseededEntropy(Rule):
                 ),
                 severity=self.severity,
             )
+        yield from self._unbudgeted_draws(source)
+
+    def _unbudgeted_draws(self, source) -> Iterator[Finding]:
+        """Draws on ``rng``/``_rng`` receivers, through local aliases
+        too, outside the facades' class bodies and constructor
+        arguments."""
+        for func, class_name in _functions(source):
+            if class_name in SANCTIONED_RNG_CLASSES:
+                continue
+            nodes = source.walk(func)
+            aliases = local_aliases(nodes)
+            sanctioned = sanctioned_nodes(nodes)
+            for node in nodes:
+                if (
+                    not isinstance(node, ast.Call)
+                    or id(node) in sanctioned
+                    or rng_receiver(node.func, aliases) is None
+                ):
+                    continue
+                yield Finding(
+                    rule=self.name,
+                    path=source.relpath,
+                    line=node.lineno,
+                    column=node.col_offset,
+                    message=(
+                        f"draw from RNG {ast.unparse(node.func)} in "
+                        f"{func.name}() outside the sanctioned samplers"
+                    ),
+                    hint=(
+                        "route the draw through BlockSampler or "
+                        "FaultInjector (seeded from the RunSpec) instead "
+                        "of holding a private RNG"
+                    ),
+                    severity=self.severity,
+                )
 
 
 #: Directories whose iteration order feeds cache keys, fingerprints, or

@@ -1,4 +1,4 @@
-"""The effect & purity rule pack: EFF001-EFF004.
+"""The effect & purity rule pack: EFF001, EFF003, EFF004.
 
 Deep rules over the effect summaries of :mod:`repro.analysis.effects`,
 proving the contracts the simulator's correctness argument leans on:
@@ -6,10 +6,8 @@ proving the contracts the simulator's correctness argument leans on:
 * EFF001 -- *zero-observer purity*: tracing may record, never perturb.
   Observability hooks (and anything they call) must not mutate engine
   state, draw randomness, or schedule events; and in simulator/faults
-  code every tracer touch must sit behind an ``is not None`` gate whose
-  body is write-only with respect to the simulation.
-* EFF002 -- *entropy budget*: every RNG draw in the simulation layers
-  flows through the sanctioned seeded facades.
+  code every tracer gate's body is write-only with respect to the
+  simulation.  (A tracer touch outside any gate is OBS001's.)
 * EFF003 -- *frozen-spec write protection*: specs are immutable after
   construction, ``object.__setattr__`` escapes included.
 * EFF004 -- *cache-input effect closure*: computing a cache key or
@@ -26,7 +24,6 @@ from ..effects import (
     find_frozen_writes,
     find_gate_violations,
     hops_phrase,
-    in_effect_scope,
     observer_class_names,
 )
 from ..findings import Finding, Severity
@@ -40,11 +37,12 @@ class ZeroObserverPurity(Rule):
 
     name = "EFF001"
     severity = Severity.ERROR
+    cache_version = "2"
     description = (
         "observability hooks reach no engine-state mutation, RNG draw, "
-        "or event schedule through any call chain; every tracer touch "
-        "in simulator/faults code is gated behind `is not None` and the "
-        "gated region is write-only toward the simulation"
+        "or event schedule through any call chain; every tracer-gated "
+        "region in simulator/faults code is write-only toward the "
+        "simulation"
     )
     invariant = (
         "the zero-observer contract: attaching a tracer changes no "
@@ -91,7 +89,8 @@ class ZeroObserverPurity(Rule):
                     trace=tuple(fact.chain(f"{func.fq} [observability hook]")),
                 )
 
-        # Face two: gate discipline in simulator/faults code.
+        # Face two: gated regions in simulator/faults code stay
+        # write-only toward the simulation.
         for violation in find_gate_violations(model, graph, summaries):
             yield Finding(
                 rule=self.name,
@@ -100,80 +99,13 @@ class ZeroObserverPurity(Rule):
                 column=violation.column,
                 message=violation.message,
                 hint=(
-                    "wrap the tracer touch in `if tracer is not None:` "
-                    "(write-only body) so a run without observability "
-                    "executes the identical engine path"
+                    "move the engine work out of the tracer gate so a "
+                    "run without observability executes the identical "
+                    "engine path"
                 ),
                 severity=self.severity,
                 trace=violation.trace,
             )
-
-
-@register_rule
-class EntropyBudget(Rule):
-    """EFF002: all simulation entropy flows through seeded facades."""
-
-    name = "EFF002"
-    severity = Severity.ERROR
-    description = (
-        "every consumes-rng effect in simulator/faults/runtime/"
-        "workloads code is reachable only through BlockSampler or "
-        "FaultInjector (the seeded, spec-determined entropy facades)"
-    )
-    invariant = (
-        "one seed, one stream: all randomness the simulation consumes "
-        "is budgeted through facades a RunSpec seeds, so replaying the "
-        "spec replays every draw -- a stray RNG anywhere in the "
-        "simulation layers silently forks the run from its cache key"
-    )
-    project_rule = True
-    deep = True
-
-    #: Call-graph hops through these classes sanction a draw: the
-    #: facade owns the stream, helpers it calls inherit the budget.
-    _SCOPE = ("simulator", "faults", "runtime", "workloads")
-
-    def check_project(self, context) -> Iterator[Finding]:
-        from ..effects import SANCTIONED_RNG_CLASSES
-
-        model = context.project_model()
-        summaries = context.summaries(EffectAnalysis())
-        infos = {func.fq: func for func in model.functions()}
-
-        sanctioned_fqs = {
-            fq
-            for fq, info in infos.items()
-            if info.class_name in SANCTIONED_RNG_CLASSES
-        }
-
-        for func in model.functions():
-            if not in_effect_scope(func.relpath, *self._SCOPE):
-                continue
-            if func.fq in sanctioned_fqs:
-                continue
-            for key in sorted(summaries.get(func.fq, {})):
-                fact = summaries[func.fq][key]
-                if fact.effect.kind != "consumes-rng" or fact.steps:
-                    # Lifted facts are reported at their owning
-                    # function; locals are the draw sites themselves.
-                    continue
-                yield Finding(
-                    rule=self.name,
-                    path=fact.effect.relpath,
-                    line=fact.effect.line,
-                    column=fact.effect.column,
-                    message=(
-                        f"{func.fq} draws entropy outside the sanctioned "
-                        f"samplers: {fact.effect.detail}"
-                    ),
-                    hint=(
-                        "route the draw through BlockSampler or "
-                        "FaultInjector (seeded from the RunSpec) instead "
-                        "of holding a private RNG"
-                    ),
-                    severity=self.severity,
-                    trace=tuple(fact.chain(f"{func.fq} [entropy budget]")),
-                )
 
 
 @register_rule
@@ -275,4 +207,4 @@ class CacheInputEffectClosure(Rule):
                 )
 
 
-_RULES = ["EFF001", "EFF002", "EFF003", "EFF004"]
+_RULES = ["EFF001", "EFF003", "EFF004"]

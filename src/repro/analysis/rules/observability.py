@@ -1,4 +1,4 @@
-"""OBS001/OBS002: observability emission must be gated behind its handle.
+"""OBS001: observability emission must be gated behind its handle.
 
 The zero-observer-effect contract has a structural half: instrumented
 code only ever *talks to* an observer through an ``is not None`` gate,
@@ -6,18 +6,20 @@ so an unobserved run pays one attribute load and one comparison per
 hook -- no allocation, no call, no way for observability state to leak
 into the observed computation.  That discipline erodes one convenience
 call at a time (``self.tracer.record_x(...)`` with no guard "works" on
-every traced test run), so these rules pin it at both layers:
+every traced test run), so OBS001 pins it at both layers, reporting
+every call on -- or write through -- a handle that no enclosing gate
+names:
 
-* **OBS001** -- simulated-time tracing: inside ``simulator/`` and
-  ``faults/``, every method call on a tracer-named receiver must sit
-  under an ``if`` whose test mentions that name.
-* **OBS002** -- runtime self-telemetry: inside ``runtime/``, the same
-  for telemetry-named receivers.  The batch executor and result cache
-  are on every experiment's hot path; an ungated telemetry call would
-  put clock reads and record allocation into *untelemetered* runs,
-  breaking the bit-identity the DET-rule family guarantees.
+* simulated-time tracing: inside ``simulator/`` and ``faults/``, the
+  handles are the tracer names (``OBSERVER_COMPONENTS``);
+* runtime self-telemetry: inside ``runtime/``, the handles are the
+  telemetry names.  The batch executor and result cache are on every
+  experiment's hot path; an ungated telemetry call would put clock
+  reads and record allocation into *untelemetered* runs, breaking the
+  bit-identity the DET-rule family guarantees.
 
-Recognized gates::
+The gate grammar is :class:`~repro.analysis.effects._GateWalker`, the
+same one PERF001 and EFF001 read gates with.  Recognized gates::
 
     trace = self.trace
     if trace is not None:
@@ -32,20 +34,22 @@ Violations::
     self.tracer.record_interval(...)        # no gate at all
     if enabled:
         tracer.end_body(...)                # gate tests the wrong name
+    trace_ctx.offloads += 1                 # ungated write
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import Iterator
 
+from ..effects import (
+    OBSERVER_COMPONENTS,
+    _dotted_parts,
+    _GateWalker,
+    _render_path,
+)
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-
-#: Receiver names treated as simulated-time observability handles.
-#: Matching is by the terminal name, so both a local ``tracer`` and an
-#: attribute ``self.trace`` are recognized.
-_TRACER_NAMES = frozenset({"trace", "tracer", "_tracer", "observer"})
 
 #: Receiver names treated as runtime self-telemetry handles.
 _TELEMETRY_NAMES = frozenset({
@@ -53,150 +57,64 @@ _TELEMETRY_NAMES = frozenset({
     "recorder",
 })
 
-#: Statements that end a suite, making a preceding ``if x is None:``
-#: an effective gate for everything after it.
-_TERMINAL = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-
-def _handle_names_in(test: ast.expr, handles: FrozenSet[str]) -> FrozenSet[str]:
-    """Observer-handle names referenced anywhere in a gate expression."""
-    names: Set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in handles:
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in handles:
-            names.add(node.attr)
-    return frozenset(names)
-
-
-def _receiver_name(func: ast.expr, handles: FrozenSet[str]):
-    """The handle name a method call dispatches on, if any."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    receiver = func.value
-    if isinstance(receiver, ast.Name) and receiver.id in handles:
-        return receiver.id
-    if isinstance(receiver, ast.Attribute) and receiver.attr in handles:
-        return receiver.attr
-    return None
-
-
-def _exits(body) -> bool:
-    return bool(body) and isinstance(body[-1], _TERMINAL)
-
-
-class _GatedEmission(Rule):
-    """Shared gate-accumulation walker for the OBS rule family.
-
-    Subclasses set ``scopes`` (path components the rule applies to),
-    ``handle_names`` (receiver names treated as observer handles), and
-    ``handle_word`` (what the findings call them).
-    """
-
-    scopes: Tuple[str, ...] = ()
-    handle_names: FrozenSet[str] = frozenset()
-    handle_word = "observer"
-
-    def check(self, source, context) -> Iterator[Finding]:
-        if not source.in_scope(*self.scopes):
-            return
-        yield from self._visit_suite(source, source.tree.body, frozenset())
-
-    def _visit_suite(self, source, statements, guarded: FrozenSet[str]):
-        """Scan a statement suite left to right, accumulating gates from
-        early-exit ``if`` statements."""
-        for statement in statements:
-            if isinstance(statement, ast.If):
-                names = _handle_names_in(statement.test, self.handle_names)
-                yield from self._visit_suite(
-                    source, statement.body, guarded | names
-                )
-                yield from self._visit_suite(
-                    source, statement.orelse, guarded
-                )
-                if names and _exits(statement.body):
-                    guarded = guarded | names
-                continue
-            yield from self._visit_node(source, statement, guarded)
-
-    def _visit_node(self, source, node, guarded: FrozenSet[str]):
-        if isinstance(node, ast.IfExp):
-            names = _handle_names_in(node.test, self.handle_names)
-            yield from self._visit_node(source, node.test, guarded | names)
-            yield from self._visit_node(source, node.body, guarded | names)
-            yield from self._visit_node(source, node.orelse, guarded)
-            return
-        if isinstance(node, ast.Call):
-            name = _receiver_name(node.func, self.handle_names)
-            if name is not None and name not in guarded:
-                yield Finding(
-                    rule=self.name,
-                    path=source.relpath,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"{self.handle_word} call {ast.unparse(node.func)}() "
-                        f"is not gated behind an `if {name} ...` check"
-                    ),
-                    hint=(
-                        f"bind the {self.handle_word} to a local and gate "
-                        f"the call: `{name} = self.{name}` / "
-                        f"`if {name} is not None: {name}.method(...)`"
-                    ),
-                    severity=self.severity,
-                )
-        for _, value in ast.iter_fields(node):
-            if isinstance(value, list):
-                if value and isinstance(value[0], ast.stmt):
-                    # A nested statement suite (function/loop/with/try
-                    # body): scan it sequentially so early-exit gates
-                    # accumulate at any depth.
-                    yield from self._visit_suite(source, value, guarded)
-                else:
-                    for item in value:
-                        if isinstance(item, ast.AST):
-                            yield from self._visit_node(source, item, guarded)
-            elif isinstance(value, ast.AST):
-                yield from self._visit_node(source, value, guarded)
+#: Path component -> (what findings call the handle, the handle names).
+_HANDLES = {
+    "simulator": ("tracer", OBSERVER_COMPONENTS),
+    "faults": ("tracer", OBSERVER_COMPONENTS),
+    "runtime": ("telemetry", _TELEMETRY_NAMES),
+}
 
 
 @register_rule
-class GatedObservability(_GatedEmission):
-    """OBS001: tracer method calls in simulator/faults code must be
-    inside an ``if`` that tests the tracer name."""
+class GatedObservability(Rule):
+    """OBS001: every tracer touch in simulator/faults code and every
+    telemetry touch in runtime/ code sits inside a gate naming it."""
 
     name = "OBS001"
-    severity = Severity.WARNING
+    severity = Severity.ERROR
+    cache_version = "2"
     description = (
-        "span/metric emission in simulator/ and faults/ is gated behind "
-        "an `if <tracer> ...` check naming the receiver"
+        "every call on, or write through, a tracer handle in simulator/ "
+        "and faults/ (a telemetry handle in runtime/) is gated behind an "
+        "`if <handle> ...` check naming it"
     )
     invariant = (
-        "zero observer effect: untraced runs execute no tracer calls, so "
-        "every simulator/fault hook costs one attribute load and one "
-        "comparison when observability is off"
+        "zero observer effect: untraced and untelemetered runs execute "
+        "no observer calls (and therefore no clock reads), so every hook "
+        "costs one attribute load and one comparison when observability "
+        "is off and results stay bit-identical"
     )
-    scopes = ("simulator", "faults")
-    handle_names = _TRACER_NAMES
-    handle_word = "tracer"
 
-
-@register_rule
-class GatedRuntimeTelemetry(_GatedEmission):
-    """OBS002: telemetry method calls in runtime/ code must be inside
-    an ``if`` that tests the telemetry name."""
-
-    name = "OBS002"
-    severity = Severity.WARNING
-    description = (
-        "runtime self-telemetry emission in runtime/ is gated behind an "
-        "`if <telemetry> ...` check naming the receiver"
-    )
-    invariant = (
-        "zero observer effect at the runtime layer: untelemetered batch "
-        "and cache operations execute no telemetry calls (and therefore "
-        "no clock reads), keeping results and fingerprints bit-identical"
-    )
-    scopes = ("runtime",)
-    handle_names = _TELEMETRY_NAMES
-    handle_word = "telemetry"
+    def check(self, source, context) -> Iterator[Finding]:
+        for component, (word, names) in _HANDLES.items():
+            if source.in_scope(component):
+                break
+        else:
+            return
+        for kind, node, name in _GateWalker(names).walk_suite(
+            source.tree.body, frozenset()
+        ):
+            if kind == "gate":
+                continue
+            if kind == "call":
+                what = f"{word} call {ast.unparse(node.func)}()"
+            else:
+                what = (
+                    f"write to {word} state "
+                    f"{_render_path(_dotted_parts(node))}"
+                )
+            yield Finding(
+                rule=self.name,
+                path=source.relpath,
+                line=node.lineno,
+                column=node.col_offset,
+                message=(
+                    f"{what} is not gated behind an `if {name} ...` check"
+                ),
+                hint=(
+                    f"bind the {word} to a local and gate the touch: "
+                    f"`{name} = self.{name}` / "
+                    f"`if {name} is not None: {name}.method(...)`"
+                ),
+                severity=self.severity,
+            )

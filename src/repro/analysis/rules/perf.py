@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..effects import _GateWalker
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
 from ._ast_util import (
@@ -55,29 +56,6 @@ _ALLOC_CALLS = {"dict", "list", "set"}
 #: interval/fault hooks), as opposed to the per-request/per-span
 #: ``begin_*``/``end_*`` lifecycle methods.
 _TRACER_HOT_PREFIXES = ("record", "mark_")
-
-#: Names a tracer is bound to at its call sites (mirrors OBS001).
-_TRACER_NAMES = {"trace", "tracer", "_tracer", "observer"}
-
-
-def _is_tracer_gate(test: ast.expr) -> bool:
-    """Whether *test* is (or contains) a ``<tracer> is not None`` check."""
-    for node in ast.walk(test):
-        if not isinstance(node, ast.Compare):
-            continue
-        if not any(isinstance(op, ast.IsNot) for op in node.ops):
-            continue
-        operands = [node.left, *node.comparators]
-        for operand in operands:
-            if isinstance(operand, ast.Name) and operand.id in _TRACER_NAMES:
-                return True
-            if (
-                isinstance(operand, ast.Attribute)
-                and operand.attr in _TRACER_NAMES
-            ):
-                return True
-    return False
-
 
 def _object_allocations(nodes) -> Iterator[tuple[ast.AST, str]]:
     """Per-event object allocations: container displays/comprehensions,
@@ -135,6 +113,7 @@ class HotPathHygiene(Rule):
 
     name = "PERF001"
     severity = Severity.WARNING
+    cache_version = "2"
     description = (
         "simulator classes define __slots__ (or dataclass slots=True); "
         "event drain loops and tracer record hooks allocate no "
@@ -145,7 +124,7 @@ class HotPathHygiene(Rule):
         "creation dominate the drain loop, so every class the loop "
         "touches avoids __dict__ overhead, loop bodies avoid container "
         "churn, and the tracer's per-event hooks (record_*/mark_* and "
-        "the is-not-None-gated call sites in the scheduler) append to "
+        "the tracer-gated call sites in the scheduler) append to "
         "flat ring buffers instead of constructing objects"
     )
 
@@ -168,9 +147,11 @@ class HotPathHygiene(Rule):
                     _TRACER_HOT_PREFIXES
                 ):
                     yield from self._check_tracer_hook(source, node)
-            elif isinstance(node, ast.If):
-                if in_simulator and _is_tracer_gate(node.test):
-                    yield from self._check_gated_hook(source, node)
+        if in_simulator:
+            gates = _GateWalker().walk_suite(source.tree.body, frozenset())
+            for kind, gate, _ in gates:
+                if kind == "gate":
+                    yield from self._check_gated_hook(source, gate)
 
     def _check_class(self, source, node: ast.ClassDef, imports):
         bases = {_base_name(base) for base in node.bases}
@@ -236,9 +217,10 @@ class HotPathHygiene(Rule):
             )
 
     def _check_gated_hook(self, source, gate):
-        """Bodies of ``if tracer is not None:`` gates in the scheduler
-        run once per simulated event when tracing is on; object
-        construction there is the overhead the ring buffer removed."""
+        """Bodies of tracer gates (``if tracer is not None:``) in the
+        scheduler run once per simulated event when tracing is on;
+        object construction there is the overhead the ring buffer
+        removed."""
         for node, alloc in _object_allocations(gate.body):
             yield Finding(
                 rule=self.name,
@@ -246,8 +228,7 @@ class HotPathHygiene(Rule):
                 line=node.lineno,
                 column=node.col_offset,
                 message=(
-                    f"per-event {alloc} allocation inside a tracer "
-                    "is-not-None gate"
+                    f"per-event {alloc} allocation inside a tracer gate"
                 ),
                 hint=(
                     "pass scalars to the tracer hook and let the ring "

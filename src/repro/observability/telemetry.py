@@ -34,7 +34,7 @@ is inherently nondeterministic, so the artifact
 
 Wall clocks are confined to the sanctioned :class:`MonotonicClock`
 defined *here* -- :mod:`repro.runtime` itself stays clock-free (DET001)
-and only ever talks to telemetry through ``is not None`` gates (OBS002),
+and only ever talks to telemetry through ``is not None`` gates (OBS001),
 so untelemetered runs, cache keys, and fingerprints are bit-identical
 to a build without this module.
 """

@@ -16,7 +16,7 @@ oversubscription sweeps, application topologies).  It guarantees:
 * **Zero observer effect** -- pass a
   :class:`~repro.observability.telemetry.RuntimeTelemetry` to record the
   runtime span tree (queue wait → cache lookup → simulate → result
-  store); every telemetry hook is ``is not None``-gated (OBS002) and the
+  store); every telemetry hook is ``is not None``-gated (OBS001) and the
   executor itself never reads a clock, so untelemetered batches are
   bit-identical to a build without telemetry.
 """

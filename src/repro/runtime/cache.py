@@ -24,7 +24,7 @@ simulator graph).  Properties:
 The cache is observable through an optional
 :class:`~repro.observability.telemetry.CacheTelemetry` attached as
 ``cache.telemetry``; every telemetry call is ``is not None``-gated
-(OBS002) and all clock reads live inside the telemetry object, so an
+(OBS001) and all clock reads live inside the telemetry object, so an
 unattached cache stays bit-identical in behaviour and never touches a
 clock.
 

@@ -1,7 +1,7 @@
 """Fixture: zero-observer breaks on the simulator side.
 
-One tracer call sits outside any ``is not None`` gate, and one gate
-body mutates engine state -- both faces of the EFF001 gate scan.
+One tracer call sits outside any ``is not None`` gate (OBS001's
+finding), and one gate body mutates engine state (EFF001's).
 """
 
 

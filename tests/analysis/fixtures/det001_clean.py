@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 
+from repro.simulator import BlockSampler
+
 
 def make_rng(seed):
     return np.random.default_rng(seed)
@@ -13,5 +15,5 @@ def make_stream(seed):
     return random.Random(seed)
 
 
-def draw(rng):
-    return rng.exponential(1.0)
+def make_sampler(rng):
+    return BlockSampler(lambda n: rng.exponential(1.0, n))

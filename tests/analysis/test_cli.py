@@ -59,6 +59,16 @@ def test_lint_list_rules(project, capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("retired", ["OBS002", "EFF002"])
+def test_lint_rejects_retired_rule_ids(retired, capsys):
+    # OBS002 became part of OBS001 and EFF002 part of DET001; naming a
+    # retired ID is the ordinary one-line unknown-rule error.
+    assert main(["lint", "--rules", retired]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0
+    assert f"unknown rule {retired!r}" in err
+
+
 def test_lint_baseline_workflow(project, capsys):
     # Record the pre-existing violation ...
     assert _lint(project, "--write-baseline") == 0

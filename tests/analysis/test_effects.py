@@ -1,11 +1,12 @@
-"""The effect & purity rule pack (EFF001-EFF004).
+"""The effect & purity rule pack (EFF001, EFF003, EFF004), and DET001's
+entropy budget on the ``eff002_*`` trees.
 
-Covers the effect extraction layer, the four deep rules on their
-fire/clean fixture pairs, the SARIF/text rendering of effect-chain
-traces, and -- the contract the whole pack exists for -- a mutation
-sweep proving that deleting ANY single tracer gate in the real
-simulator makes lint fail with a trace naming the hook and the state
-it would touch.
+Covers the effect extraction layer, the deep rules on their fire/clean
+fixture pairs, the SARIF/text rendering of effect-chain traces, and --
+the contract the whole pack exists for -- a mutation sweep proving that
+deleting ANY single tracer gate in the real simulator makes lint fail:
+OBS001 names the ungated tracer touch, EFF001 the engine state a gate
+was keeping write-only.
 """
 
 import ast
@@ -20,7 +21,6 @@ from repro.analysis.effects import (
     frozen_class_names,
     function_effects,
     observer_class_names,
-    observer_hooks,
 )
 from repro.analysis.reporters import render_text
 from repro.analysis.sarif import render_sarif, sarif_findings
@@ -28,7 +28,7 @@ from repro.analysis.source import SourceFile
 
 from .conftest import load_deep_sources
 
-EFF_RULES = ["EFF001", "EFF002", "EFF003", "EFF004"]
+EFF_RULES = ["EFF001", "EFF003", "EFF004"]
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -44,10 +44,11 @@ def run_tree(tree, rules):
 
 
 @pytest.mark.parametrize(
-    "rule", ["EFF001", "EFF002", "EFF003", "EFF004"]
+    "rule", ["EFF001", "DET001", "EFF003", "EFF004"]
 )
 def test_rule_fires_and_clean_pair(rule):
-    slug = rule.lower()
+    # The eff002 trees exercise DET001's private-RNG draw check.
+    slug = "eff002" if rule == "DET001" else rule.lower()
     fires = run_tree(f"{slug}_fires", [rule])
     assert not fires.internal
     assert fires.findings, f"{rule} silent on its firing fixture"
@@ -73,18 +74,6 @@ def test_eff001_hook_purity_is_interprocedural():
     assert any("schedules-event" in hop for hop in finding.trace)
 
 
-def test_eff001_ungated_call_names_hook_and_state():
-    result = run_tree("eff001_fires", ["EFF001"])
-    ungated = [f for f in result.findings if "outside any" in f.message]
-    assert ungated
-    finding = ungated[0]
-    # Names the resolved hook implementation and the observer state it
-    # writes, not just the call site.
-    assert "SpanTracer.begin_segment" in finding.message
-    assert "self.spans" in finding.message
-    assert any("invokes hook" in hop for hop in finding.trace)
-
-
 def test_eff001_gated_engine_mutation_flagged():
     result = run_tree("eff001_fires", ["EFF001"])
     gated = [f for f in result.findings if "observer gate" in f.message]
@@ -92,8 +81,8 @@ def test_eff001_gated_engine_mutation_flagged():
     assert any("mutates-param" in f.message for f in gated)
 
 
-def test_eff002_trace_points_at_draw_site():
-    result = run_tree("eff002_fires", ["EFF002"])
+def test_det001_points_at_private_rng_draw_site():
+    result = run_tree("eff002_fires", ["DET001"])
     assert len(result.findings) == 1
     finding = result.findings[0]
     assert "_rng" in finding.message
@@ -253,21 +242,6 @@ def test_find_frozen_writes_spots_annotated_param():
     assert "RunSpec" in write.message
 
 
-def test_observer_hooks_resolve_instance_aliases():
-    model = _model_for(
-        "class PyIntervalSink:\n"
-        "    def record(self, t0, t1):\n"
-        "        self.rows.append((t0, t1))\n"
-        "class SpanTracer:\n"
-        "    def __init__(self, sink):\n"
-        "        self._sink = sink\n"
-        "        self.record_interval = self._sink.record\n",
-        relpath="pkg/observability/tracer.py",
-    )
-    hooks = observer_hooks(model)
-    assert hooks["record_interval"].fq.endswith("PyIntervalSink.record")
-
-
 # ---------------------------------------------------------------------------
 # Satellite: effect-chain traces survive the SARIF round trip and
 # render as clickable chains in the text reporter.
@@ -302,8 +276,9 @@ def test_text_reporter_renders_clickable_effect_chain():
 
 # ---------------------------------------------------------------------------
 # The zero-observer contract, re-derived: delete any single tracer
-# gate in the real simulator and EFF001 must fail the lint with a
-# trace naming what the gate was protecting.
+# gate in the real simulator and lint must fail -- OBS001 on the
+# exposed tracer touch, EFF001 (with a trace) on engine state the gate
+# was keeping write-only.
 # ---------------------------------------------------------------------------
 
 _SIM_FILES = (
@@ -380,19 +355,26 @@ def test_deleting_any_tracer_gate_fails_lint(relpath, index):
     assert killer.count == _observer_gate_count(text)
 
     result = analyze_sources(
-        _simulator_sources(relpath, patched), deep=True, rules=["EFF001"]
+        _simulator_sources(relpath, patched),
+        deep=True,
+        rules=["OBS001", "EFF001"],
     )
     assert not result.internal
-    fired = [f for f in result.findings if f.rule == "EFF001"]
-    assert fired, f"gate {index} of {relpath} deleted without EFF001 firing"
-    # Every finding carries the evidence chain: either the hook it
-    # exposes or the engine state the gate was keeping write-only.
-    assert all(f.trace or "outside any" in f.message for f in fired)
+    fired = result.findings
+    assert fired, f"gate {index} of {relpath} deleted without lint failing"
+    # OBS001 names the exposed tracer touch; an EFF001 finding carries
+    # the chain to the engine state the gate was keeping write-only.
+    assert all(
+        "is not gated" in f.message if f.rule == "OBS001" else f.trace
+        for f in fired
+    )
 
 
 def test_unpatched_simulator_is_gate_clean():
     result = analyze_sources(
-        _simulator_sources(None, ""), deep=True, rules=EFF_RULES
+        _simulator_sources(None, ""),
+        deep=True,
+        rules=EFF_RULES + ["OBS001", "DET001"],
     )
     assert not result.internal
     assert result.findings == []

@@ -36,10 +36,10 @@ def test_repository_is_deep_lint_clean():
     )
     assert result.clean, f"deep lint violations:\n{details}"
     assert not result.internal, "deep analyzer crashed on its own repo"
-    # The effect & purity pack actually ran -- "clean" must mean the
-    # zero-observer, entropy-budget, frozen-spec, and cache-closure
-    # contracts were checked, not skipped.
-    for rule in ("EFF001", "EFF002", "EFF003", "EFF004"):
+    # The gate, entropy and effect rules actually ran -- "clean" must
+    # mean the zero-observer, entropy-budget, frozen-spec, and
+    # cache-closure contracts were checked, not skipped.
+    for rule in ("OBS001", "DET001", "EFF001", "EFF003", "EFF004"):
         assert rule in result.rules, f"{rule} did not run in the deep pass"
 
 
