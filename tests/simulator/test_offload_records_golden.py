@@ -33,7 +33,10 @@ import pathlib
 import pytest
 
 from repro.application.resilience import run_resilience_point
-from repro.application.shared_device import run_shared_device_point
+from repro.application.shared_device import (
+    contention_case_study,
+    run_shared_device_point,
+)
 from repro.core import Placement, ThreadingDesign
 from repro.faults import (
     DegradationSchedule,
@@ -184,6 +187,12 @@ SCENARIOS = {
     ),
     "shared-device-batched-faulty": lambda: run_shared_device_point(
         tenants=4, batch_size=4, drop_probability=0.1, seed=0,
+    ),
+    "shared-device-single-tenant": lambda: run_shared_device_point(
+        tenants=1,
+    ),
+    "contention-ladder": lambda: contention_case_study(
+        tenant_counts=(1, 2, 4, 8),
     ),
     "table6-aes-ni": simulate_aes_ni,
     "table6-encryption": simulate_cache3_encryption,
