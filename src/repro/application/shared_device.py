@@ -33,7 +33,6 @@ from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
     CPU,
     AcceleratorDevice,
-    DeviceConfig,
     Engine,
     InterfaceModel,
     MetricSink,
@@ -95,31 +94,22 @@ def _run_shared(
     num_cores: int,
     servers: int,
     window_cycles: float,
-    quantum_cycles: float = 1_000.0,
-    pipelined: bool = False,
     max_events: int = 20_000_000,
 ) -> SharedDeviceRun:
     """One measurement window with *tenants* services sharing one device.
 
     Every tenant runs the same synthetic workload on its own CPU and
     metric sink (they model independent hosts), attached to one shared
-    :class:`~repro.simulator.AcceleratorDevice` through per-tenant ports.
-    ``always_shared`` forces the fair-queueing scheduler even at
-    ``tenants = 1`` so every cell of a sweep runs the same discipline.
+    :class:`~repro.simulator.AcceleratorDevice` through per-tenant ports,
+    so every cell, ``tenants = 1`` included, runs the device's deficit
+    round robin.
     Per-tenant fault injectors are seeded ``seed + index`` so tenant
     streams are independent but reproducible.
     """
     tenant_weights = _tenant_weights(tenants, weights)
     factory, _ = synthetic_request(alpha)
     engine = Engine()
-    device = AcceleratorDevice(
-        engine, accel_speedup, servers=servers,
-        config=DeviceConfig(
-            quantum_cycles=quantum_cycles,
-            pipelined=pipelined,
-            always_shared=True,
-        ),
-    )
+    device = AcceleratorDevice(engine, accel_speedup, servers=servers)
     sinks: List[MetricSink] = []
     cpus: List[CPU] = []
     ports = []
@@ -361,7 +351,6 @@ def shared_wait_profile(
     num_cores: int = 2,
     servers: int = 1,
     window_cycles: float = 8.0e6,
-    quantum_cycles: float = 1_000.0,
     seed: int = 0,
 ) -> SharedDeviceRun:
     """Run a *contended* shared window (one engine by default) and return
@@ -383,7 +372,6 @@ def shared_wait_profile(
         num_cores=num_cores,
         servers=servers,
         window_cycles=window_cycles,
-        quantum_cycles=quantum_cycles,
     )
 
 

@@ -24,6 +24,19 @@ def _print(text: str) -> None:
     print(text)
 
 
+def _parse_list(flag: str, text: str, convert: Callable[[str], float]) -> list:
+    """The comma-separated values of *flag*, each through *convert*; a
+    malformed item is a one-line :class:`ParameterError` naming *flag*."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise ParameterError(
+                f"{flag}: malformed item {item!r} in {text!r}") from None
+    return values
+
+
 def _runtime_kwargs(args: argparse.Namespace) -> dict:
     """Map the shared --workers/--no-cache flags onto the batch
     executor's keyword arguments.  Caching defaults ON for the CLI (the
@@ -428,7 +441,7 @@ def _cmd_demand_risk(args: argparse.Namespace) -> None:
     from .fleet import DemandScenario, demand_risk_sweep
 
     forecast = DemandScenario(mean_rate=args.mean_rate)
-    growths = [float(g) for g in args.growths.split(",")]
+    growths = _parse_list("--growths", args.growths, float)
     _print(f"{'realized growth':>15s} {'mean util':>10s} "
            f"{'stranded':>9s} {'shortfall h':>12s}")
     for growth, outcome in demand_risk_sweep(
@@ -767,8 +780,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_resilience(args: argparse.Namespace) -> None:
     from .application.resilience import ads1_resilience_sweep, resilience_grid
 
-    drops = [float(x) for x in args.drops.split(",")]
-    timeouts = [float(x) for x in args.timeouts.split(",")]
+    drops = _parse_list("--drops", args.drops, float)
+    timeouts = _parse_list("--timeouts", args.timeouts, float)
     kwargs, report, store, telemetry = _runtime_context(
         args, label="resilience"
     )
@@ -825,7 +838,7 @@ def _cmd_contention(args: argparse.Namespace) -> None:
         contention_report,
     )
 
-    tenant_counts = [int(x) for x in args.tenants.split(",")]
+    tenant_counts = _parse_list("--tenants", args.tenants, int)
     rows = contention_case_study(
         tenant_counts=tenant_counts,
         accel_speedup=args.a,

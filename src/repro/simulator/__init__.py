@@ -10,7 +10,6 @@ Async offload designs whose costs the Accelerometer model projects.
 from .accelerator import (
     AcceleratorDevice,
     AcceleratorStats,
-    DeviceConfig,
     TenantPort,
     TenantStats,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "Core",
     "YieldCore",
     "CycleKind",
-    "DeviceConfig",
     "Engine",
     "FaultCounters",
     "HoldCore",

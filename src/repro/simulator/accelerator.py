@@ -6,26 +6,22 @@ would take ``h`` host cycles executes in ``h / A`` accelerator cycles
 delay each offload experiences is measured and reported -- this is the
 simulator's ground truth for the model parameter ``Q``.
 
-Two scheduling regimes share one device class:
+The device's tenancy picks its scheduling, with no other knob:
 
-* **Private (legacy) mode** -- the device serves a single service.
-  ``submit`` claims the earliest-free engine eagerly at submit time and
-  returns the completion time immediately.  This is the exact machine
-  every pre-shared-device study ran on, and it stays byte-for-byte on
-  that code path: a device with zero or one attached tenant routes every
-  port submission straight through :meth:`submit`, so single-tenant
-  artifacts (fingerprints, traces, error strings) are bit-identical to
-  the private-device era by construction.
-* **Shared multi-tenant mode** -- several services attach via
-  :meth:`attach`, each receiving a :class:`TenantPort` (duck-compatible
-  with the device itself, so :class:`~repro.simulator.service.OffloadConfig`
-  accepts either).  With two or more tenants (or
-  ``DeviceConfig.always_shared``) dispatch turns event-driven: arrivals
-  queue per tenant and a deficit-round-robin scheduler picks which
-  tenant's head-of-line offload each freed engine serves next, giving
+* **No tenants: the private device.**  The device serves one service,
+  which submits to it directly.  ``submit`` claims the earliest-free
+  engine eagerly at submit time and returns the completion time
+  immediately.
+* **Any attached tenant: deficit round robin (DRR).**  Services attach
+  via :meth:`attach`, each receiving a :class:`TenantPort`
+  (duck-compatible with the device itself, so
+  :class:`~repro.simulator.service.OffloadConfig` accepts either).  Port
+  submissions queue per tenant, and each arrival and each engine
+  completion runs a dispatch event in which a DRR scheduler picks which
+  tenant's head-of-line offload each free engine serves next, giving
   weighted fair shares of device throughput (the SmartNIC/DPU shared-tax
-  model).  Optionally (``DeviceConfig.pipelined``) a DMA stage overlaps
-  one offload's transfer with another's compute.
+  model).  A single tenant runs the same scheduler, so a sweep's
+  tenants=1 cell and its larger cells share one discipline.
 
 Deficit round robin keeps the repo's determinism contract trivially:
 tenant order is attach order, the quantum is deterministic, and no
@@ -47,37 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.degradation import DegradationSchedule
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class DeviceConfig:
-    """Sharing/QoS knobs for one accelerator device.
-
-    The defaults describe the legacy private device exactly: a freshly
-    constructed device with no config behaves bit-identically to the
-    pre-shared-device implementation.
-    """
-
-    #: Deficit-round-robin quantum in accelerator service cycles credited
-    #: to a weight-1.0 tenant per scheduling round.  Smaller quanta
-    #: interleave tenants more finely; the value never changes total
-    #: work, only its order.
-    quantum_cycles: float = 1_000.0
-
-    #: Overlap the device-side DMA stage with engine compute: an
-    #: offload's transfer (when the caller routes it through the port's
-    #: ``transfer_cycles`` argument) occupies a dedicated transfer stage
-    #: and the *next* transfer proceeds while engines compute.
-    pipelined: bool = False
-
-    #: Force the event-driven fair-queueing scheduler even with a single
-    #: attached tenant.  Metamorphic sweeps use this so the tenants=1
-    #: cell of a monotonicity grid runs the same discipline as the rest;
-    #: production-style runs leave it off and get the legacy eager path
-    #: (and its bit-identical artifacts) for free.
-    always_shared: bool = False
-
-    def __post_init__(self) -> None:
-        if self.quantum_cycles <= 0:
-            raise ParameterError("quantum_cycles must be > 0")
+#: DRR credit per round for a weight-1 tenant, in accelerator cycles:
+#: it orders work between tenants and never changes its total.
+_QUANTUM_CYCLES = 1_000.0
 
 
 @dataclasses.dataclass(slots=True)
@@ -103,11 +71,9 @@ class AcceleratorStats:
 class TenantStats:
     """Per-tenant share of a shared device's work.
 
-    Only the shared (fair-queueing) scheduler fills these in; a
-    single-tenant port rides the legacy eager path where the device-level
-    :class:`AcceleratorStats` is the sole ledger.  Conservation is a
-    pinned test contract: summed tenant ``busy_cycles`` equal the
-    device's ``busy_cycles`` exactly.
+    The DRR scheduler fills these in for every attached tenant.
+    Conservation is a pinned test contract: summed tenant
+    ``busy_cycles`` equal the device's ``busy_cycles`` exactly.
     """
 
     offloads_served: int = 0
@@ -123,14 +89,13 @@ class TenantStats:
 class _TenantQueue:
     """Deficit-round-robin state for one attached tenant."""
 
-    __slots__ = ("name", "weight", "quantum_cycles", "deficit_cycles",
-                 "charged", "jobs", "stats")
+    __slots__ = ("name", "quantum_cycles", "deficit_cycles", "charged",
+                 "jobs", "stats")
 
-    def __init__(self, name: str, weight: float, quantum_cycles: float) -> None:
+    def __init__(self, name: str, weight: float) -> None:
         self.name = name
-        self.weight = weight
         #: This tenant's per-round deficit credit (weight-scaled).
-        self.quantum_cycles = quantum_cycles * weight
+        self.quantum_cycles = _QUANTUM_CYCLES * weight
         self.deficit_cycles = 0.0
         #: Whether the tenant already received its quantum for the
         #: current scheduler visit (cleared when the round moves on).
@@ -146,35 +111,20 @@ class TenantPort:
 
     Duck-compatible with the device itself (``service_cycles`` /
     ``submit``), so offload configs and the service runtime need not know
-    whether they talk to a private device or a shared one.
+    whether they talk to a private device or a shared one.  ``tenant``
+    names the tenant on its offload spans.
     """
 
-    __slots__ = ("_device", "_queue", "tenant", "weight")
+    __slots__ = ("_device", "_queue", "tenant")
 
     def __init__(self, device: "AcceleratorDevice", queue: _TenantQueue) -> None:
         self._device = device
         self._queue = queue
         self.tenant = queue.name
-        self.weight = queue.weight
 
     @property
     def stats(self) -> TenantStats:
         return self._queue.stats
-
-    @property
-    def tenant_label(self) -> str:
-        """Tenant name for span attribution.
-
-        Empty on the legacy single-tenant path so that tenants=1 traces
-        stay bit-identical to private-device traces.
-        """
-        if self._device._shared_mode():
-            return self.tenant
-        return ""
-
-    @property
-    def device(self) -> "AcceleratorDevice":
-        return self._device
 
     def service_cycles(self, host_kernel_cycles: float) -> float:
         return self._device.service_cycles(host_kernel_cycles)
@@ -185,23 +135,25 @@ class TenantPort:
         arrival_time: float,
         on_accept: Optional[Callable[[float], None]] = None,
         on_complete: Optional[Callable[[float], None]] = None,
-        transfer_cycles: float = 0.0,
     ) -> float:
-        """Enqueue one offload for this tenant.
+        """Enqueue one offload on this tenant's DRR queue.
 
-        In shared mode the completion time is a scheduling decision that
-        has not happened yet, so the return value is ``nan`` and the
-        callbacks are the contract; in single-tenant (legacy) mode this
-        is exactly :meth:`AcceleratorDevice.submit`, return value
-        included.
+        The completion time is a scheduling decision that has not
+        happened yet, so the return value is ``nan`` and the callbacks
+        are the contract.
         """
-        return self._device._submit_tenant(
-            self._queue, host_kernel_cycles, arrival_time,
-            on_accept, on_complete, transfer_cycles,
-        )
+        if arrival_time < 0:
+            raise ParameterError("arrival_time must be >= 0")
+        device = self._device
+        self._queue.jobs.append((
+            device.service_cycles(host_kernel_cycles), arrival_time,
+            on_accept, on_complete,
+        ))
+        device._engine.at(arrival_time, device._dispatch)
+        return _UNSCHEDULED
 
 
-#: ``submit`` return value in shared mode: completion is decided later.
+#: A port's ``submit`` return value: completion is decided later.
 _UNSCHEDULED = float("nan")
 
 
@@ -217,8 +169,7 @@ class AcceleratorDevice:
     """
 
     __slots__ = ("_engine", "peak_speedup", "placement", "name", "_free_at",
-                 "stats", "degradation", "config", "_tenants", "_rr_index",
-                 "_dma_free_at")
+                 "stats", "degradation", "_tenants", "_rr_index")
 
     def __init__(
         self,
@@ -228,7 +179,6 @@ class AcceleratorDevice:
         servers: int = 1,
         name: Optional[str] = None,
         degradation: Optional["DegradationSchedule"] = None,
-        config: Optional[DeviceConfig] = None,
     ) -> None:
         if peak_speedup <= 0:
             raise ParameterError("peak_speedup must be > 0")
@@ -245,12 +195,9 @@ class AcceleratorDevice:
         #: windows slow service down; outage windows are enforced by the
         #: fault injector as guaranteed drops before work reaches here.
         self.degradation = degradation
-        self.config = config or DeviceConfig()
         #: Attached tenants in attach order (the DRR scan order).
         self._tenants: List[_TenantQueue] = []
         self._rr_index = 0
-        #: Next-free time of the pipelined DMA stage.
-        self._dma_free_at = 0.0
 
     # -- tenancy -----------------------------------------------------------
 
@@ -267,7 +214,7 @@ class AcceleratorDevice:
         for queue in self._tenants:
             if queue.name == tenant:
                 raise ParameterError(f"tenant {tenant!r} already attached")
-        queue = _TenantQueue(tenant, weight, self.config.quantum_cycles)
+        queue = _TenantQueue(tenant, weight)
         self._tenants.append(queue)
         return TenantPort(self, queue)
 
@@ -282,9 +229,6 @@ class AcceleratorDevice:
                 return queue.stats
         raise ParameterError(f"unknown tenant {tenant!r}")
 
-    def _shared_mode(self) -> bool:
-        return self.config.always_shared or len(self._tenants) >= 2
-
     # -- service model -----------------------------------------------------
 
     def service_cycles(self, host_kernel_cycles: float) -> float:
@@ -293,7 +237,7 @@ class AcceleratorDevice:
             raise ParameterError("host_kernel_cycles must be >= 0")
         return host_kernel_cycles / self.peak_speedup
 
-    # -- legacy eager path (private device / single tenant) ----------------
+    # -- private eager path (no tenants) -----------------------------------
 
     def submit(
         self,
@@ -341,36 +285,7 @@ class AcceleratorDevice:
             )
         return completion
 
-    # -- shared fair-queueing path -----------------------------------------
-
-    def _submit_tenant(
-        self,
-        queue: _TenantQueue,
-        host_kernel_cycles: float,
-        arrival_time: float,
-        on_accept: Optional[Callable[[float], None]],
-        on_complete: Optional[Callable[[float], None]],
-        transfer_cycles: float,
-    ) -> float:
-        """Port-side submit: legacy passthrough or shared enqueue."""
-        if not self._shared_mode():
-            # Single tenant: the legacy eager machine, verbatim -- this
-            # is the bit-identity guarantee the differential suite pins.
-            return self.submit(
-                host_kernel_cycles, arrival_time, on_accept, on_complete
-            )
-        if arrival_time < 0:
-            raise ParameterError("arrival_time must be >= 0")
-        if self.config.pipelined and transfer_cycles > 0:
-            # The DMA stage serializes transfers but overlaps compute:
-            # the offload reaches the engines once its transfer drains.
-            transfer_start = max(arrival_time, self._dma_free_at)
-            arrival_time = transfer_start + transfer_cycles
-            self._dma_free_at = arrival_time
-        service = self.service_cycles(host_kernel_cycles)
-        queue.jobs.append((service, arrival_time, on_accept, on_complete))
-        self._engine.at(arrival_time, self._dispatch)
-        return _UNSCHEDULED
+    # -- shared DRR path (any attached tenant) -----------------------------
 
     def _select_tenant(self, now: float) -> Optional[_TenantQueue]:
         """Deficit-round-robin pick among tenants with an arrived job.
@@ -410,7 +325,7 @@ class AcceleratorDevice:
                 index = 0
 
     def _dispatch(self) -> None:
-        """Serve arrived offloads onto free engines (shared mode).
+        """Serve arrived offloads onto free engines (DRR).
 
         Runs at every arrival and every engine-completion instant; each
         iteration binds one free engine to the DRR-selected tenant's

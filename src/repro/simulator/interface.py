@@ -27,14 +27,10 @@ class InterfaceModel:
     #: Fixed component of the transfer latency ``L`` in host cycles.
     transfer_base_cycles: float = 0.0
 
-    #: Per-byte component of ``L`` (unpipelined transfers scale with g).
+    #: Per-byte component of ``L``.  The paper's systems are unpipelined
+    #: (the accelerator needs the whole block before starting), so ``L``
+    #: scales with g.
     transfer_cycles_per_byte: float = 0.0
-
-    #: Whether the transfer is pipelined.  The paper's systems are
-    #: unpipelined (the accelerator needs the whole block before starting);
-    #: with ``pipelined=True`` the per-byte component is dropped from the
-    #: critical path, the extension the paper mentions but does not study.
-    pipelined: bool = False
 
     def __post_init__(self) -> None:
         if self.dispatch_cycles < 0:
@@ -48,8 +44,6 @@ class InterfaceModel:
         """``L`` for one offload of *granularity_bytes*."""
         if granularity_bytes < 0:
             raise ParameterError("granularity must be >= 0")
-        if self.pipelined:
-            return self.transfer_base_cycles
         return (
             self.transfer_base_cycles
             + self.transfer_cycles_per_byte * granularity_bytes

@@ -177,10 +177,10 @@ def _tenant_label(device) -> str:
     """Span attribution label for *device* (a device or a tenant port).
 
     Private devices have no label; a :class:`~repro.simulator.accelerator.
-    TenantPort` reports its tenant name only in shared mode, keeping
-    single-tenant traces bit-identical to private-device traces.
+    TenantPort` reports its tenant name whatever the tenant count, so a
+    one-tenant trace names its tenant just as a many-tenant one does.
     """
-    return getattr(device, "tenant_label", "")
+    return getattr(device, "tenant", "")
 
 
 @dataclasses.dataclass(slots=True)

@@ -3,7 +3,7 @@
 The multi-tenant device refactor rebuilt the accelerator's dispatch
 machinery, so this module pins the *pre-PR* artifacts directly: the
 ``characterize("cache1")`` digests captured before the shared scheduler
-existed must hash out unchanged (single-tenant runs ride the legacy
+existed must hash out unchanged (a device with no tenants rides the
 eager path byte for byte), and the result cache must keep replaying old
 entries -- the new study types are *new* frozen dataclasses, not layout
 changes to existing ones, so :data:`~repro.runtime.SCHEMA_VERSION`

@@ -21,13 +21,6 @@ class TestTransferCycles:
         assert interface.transfer_cycles(0) == 100
         assert interface.transfer_cycles(200) == 200
 
-    def test_pipelined_ignores_granularity(self):
-        interface = InterfaceModel(
-            Placement.OFF_CHIP, transfer_base_cycles=100,
-            transfer_cycles_per_byte=0.5, pipelined=True,
-        )
-        assert interface.transfer_cycles(1_000_000) == 100
-
     def test_mean_transfer_matches_mean_granularity(self):
         interface = InterfaceModel(
             Placement.OFF_CHIP, transfer_base_cycles=10,

@@ -1,15 +1,15 @@
-"""Differential & behavioural contract suite for the shared device.
+"""Behavioural contract suite for the shared device.
 
 Three layers of evidence pin the multi-tenant accelerator:
 
-* **Differential** -- a single tenant routed through a
-  :class:`~repro.simulator.TenantPort` must be *bit-identical* to the
-  private-device era: same fingerprints, same decoded traces, same error
-  strings.  The shared scheduler may not perturb validated artifacts.
-* **Device microbenchmarks** -- deficit round robin is checked against
-  static, pre-loaded backlogs where the fair share is exact: busy-cycle
-  ratios track weights, conservation holds to the bit, and the pipelined
-  DMA stage overlaps transfers with compute at hand-computable instants.
+* **Tenancy rule** -- a device with no tenants is the private eager
+  device (``submit`` returns the completion time); any attached tenant,
+  even one, runs deficit round robin (DRR): a port's ``submit`` returns
+  ``nan``, each offload costs a dispatch event, and its spans name the
+  tenant.
+* **Device microbenchmarks** -- DRR is checked against static,
+  pre-loaded backlogs where the fair share is exact: busy-cycle ratios
+  track weights and conservation holds to the bit.
 * **Closed loop** -- whole-service windows check the metamorphic
   contracts (adding a tenant never helps the others) and the sim-vs-model
   grid holds the repository's ~2% accuracy bar over tenants x weights x
@@ -31,11 +31,10 @@ from repro.application.shared_device import (
 from repro.core.strategies import Placement, ThreadingDesign
 from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultPolicy
-from repro.observability import SpanTracer
+from repro.observability import SpanKind, SpanTracer
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     AcceleratorDevice,
-    DeviceConfig,
     Engine,
     InterfaceModel,
     KernelInvocation,
@@ -86,34 +85,41 @@ def _run(build, window=4.0e5, tracer=None):
 
 
 # ---------------------------------------------------------------------------
-# Differential: tenants=1 is the legacy private device, bit for bit
+# Tenancy rule: no tenants is the private device, any tenant is DRR
 # ---------------------------------------------------------------------------
 
 
-class TestSingleTenantBitIdentity:
-    @pytest.mark.parametrize("design", [ThreadingDesign.SYNC,
-                                        ThreadingDesign.ASYNC])
-    def test_port_run_fingerprint_matches_private_device(self, design):
-        private = _run(_build(design=design))
-        ported = _run(_build(design=design, via_port=True))
-        assert (ported.summarize().fingerprint()
-                == private.summarize().fingerprint())
+class TestTenancyRule:
+    def test_tenantless_submit_returns_completion_time(self):
+        engine = Engine()
+        device = AcceleratorDevice(engine, 4.0)
+        assert device.submit(100.0, arrival_time=10.0) == 10.0 + 25.0
 
-    def test_port_traced_run_decodes_identical_trace(self):
-        private = _run(_build(), tracer=SpanTracer(label="x"))
-        ported = _run(_build(via_port=True), tracer=SpanTracer(label="x"))
-        assert (ported.summarize().fingerprint()
-                == private.summarize().fingerprint())
-        assert ported.trace == private.trace
+    def test_one_tenant_submit_returns_nan(self):
+        engine = Engine()
+        port = AcceleratorDevice(engine, 4.0).attach("solo")
+        assert math.isnan(port.submit(100.0, arrival_time=10.0))
 
-    def test_port_run_with_faults_matches_private_device(self):
-        policy = FaultPolicy(drop_probability=0.2, timeout_cycles=500.0,
-                             max_retries=1)
-        private = _run(_build(injector=FaultInjector(policy, seed=3)))
-        ported = _run(_build(injector=FaultInjector(policy, seed=3),
-                             via_port=True))
-        assert (ported.summarize().fingerprint()
-                == private.summarize().fingerprint())
+    def test_one_tenant_offloads_drain_through_dispatch_events(self):
+        """Ten back-to-back offloads on a one-tenant port take three
+        events each: the arrival's dispatch, the completion callback and
+        the completion's dispatch (the eager device takes two)."""
+        engine = Engine()
+        port = AcceleratorDevice(engine, 4.0).attach("solo")
+        accepted, completed = [], []
+        for _ in range(10):
+            port.submit(100.0, arrival_time=0.0, on_accept=accepted.append,
+                        on_complete=completed.append)
+        engine.run_until(1.0e4)
+        assert engine.events_processed == 30
+        assert completed == [25.0 * k for k in range(1, 11)]
+        assert accepted == [25.0 * k for k in range(10)]
+
+    def test_one_tenant_offload_spans_name_the_tenant(self):
+        result = _run(_build(via_port=True), tracer=SpanTracer(label="x"))
+        offloads = result.trace.spans_of_kind(SpanKind.OFFLOAD)
+        assert offloads
+        assert all(("tenant", "solo") in span.attrs for span in offloads)
 
     def test_port_error_strings_match_private_device(self):
         engine = Engine()
@@ -125,18 +131,6 @@ class TestSingleTenantBitIdentity:
         with pytest.raises(ParameterError) as ported_error:
             port.submit(100.0, arrival_time=-1.0)
         assert str(ported_error.value) == str(private_error.value)
-
-    def test_single_tenant_port_returns_real_completion_time(self):
-        engine = Engine()
-        port = AcceleratorDevice(engine, 4.0).attach("solo")
-        assert port.submit(100.0, arrival_time=10.0) == 10.0 + 25.0
-
-    def test_single_tenant_port_label_is_empty(self):
-        """Span attribution must not change for tenants=1 traces."""
-        engine = Engine()
-        port = AcceleratorDevice(engine, 4.0).attach("solo")
-        assert port.tenant_label == ""
-        assert port.tenant == "solo"
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +165,6 @@ class TestTenancySurface:
         with pytest.raises(ParameterError, match="unknown tenant"):
             device.tenant_stats("ghost")
 
-    def test_bad_quantum_rejected(self):
-        with pytest.raises(ParameterError, match="quantum_cycles"):
-            DeviceConfig(quantum_cycles=0.0)
-
-    def test_default_config_is_legacy(self):
-        engine = Engine()
-        device = AcceleratorDevice(engine, 4.0)
-        assert device.config == DeviceConfig()
-        assert device.tenants == ()
-
 
 # ---------------------------------------------------------------------------
 # DRR microbenchmarks: static backlogs make the fair share exact
@@ -188,21 +172,15 @@ class TestTenancySurface:
 
 
 def _drain_backlog(weights, jobs_per_tenant=400, host_cycles=8_000.0,
-                   servers=1, quantum=1_000.0, run_cycles=6.0e5,
-                   pipelined=False, transfer_cycles=0.0):
+                   servers=1, run_cycles=6.0e5):
     """Pre-load every tenant with an identical backlog at t=0 and let the
-    shared scheduler drain it for *run_cycles*; returns (device, ports)."""
+    DRR scheduler drain it for *run_cycles*; returns (device, ports)."""
     engine = Engine()
-    device = AcceleratorDevice(
-        engine, 4.0, servers=servers,
-        config=DeviceConfig(quantum_cycles=quantum, pipelined=pipelined,
-                            always_shared=True),
-    )
+    device = AcceleratorDevice(engine, 4.0, servers=servers)
     ports = [device.attach(f"t{i}", weight=w) for i, w in enumerate(weights)]
     for port in ports:
         for _ in range(jobs_per_tenant):
-            port.submit(host_cycles, arrival_time=0.0,
-                        transfer_cycles=transfer_cycles)
+            port.submit(host_cycles, arrival_time=0.0)
     engine.run_until(run_cycles)
     return device, ports
 
@@ -240,10 +218,7 @@ class TestDeficitRoundRobin:
 
     def test_fifo_within_tenant(self):
         engine = Engine()
-        device = AcceleratorDevice(
-            engine, 4.0, config=DeviceConfig(always_shared=True))
-        port = device.attach("t0")
-        device.attach("t1")  # second tenant keeps shared mode honest
+        port = AcceleratorDevice(engine, 4.0).attach("t0")
         completions = []
         for tag in range(5):
             port.submit(
@@ -254,57 +229,15 @@ class TestDeficitRoundRobin:
         assert [tag for tag, _ in completions] == [0, 1, 2, 3, 4]
         assert completions == sorted(completions, key=lambda item: item[1])
 
-    def test_shared_submit_returns_nan(self):
-        engine = Engine()
-        device = AcceleratorDevice(
-            engine, 4.0, config=DeviceConfig(always_shared=True))
-        port = device.attach("t0")
-        assert math.isnan(port.submit(100.0, arrival_time=0.0))
-
     def test_pending_offloads_counts_queued_work(self):
         engine = Engine()
-        device = AcceleratorDevice(
-            engine, 4.0, config=DeviceConfig(always_shared=True))
+        device = AcceleratorDevice(engine, 4.0)
         port = device.attach("t0")
         for _ in range(3):
             port.submit(8_000.0, arrival_time=0.0)
         assert device.pending_offloads() == 3
         engine.run_until(1.0e5)
         assert device.pending_offloads() == 0
-
-
-class TestPipelinedDma:
-    def test_transfers_serialize_while_compute_overlaps(self):
-        """With a dedicated DMA stage, job k reaches the engines at
-        ``(k+1) * transfer`` and computes in parallel with later DMAs."""
-        engine = Engine()
-        device = AcceleratorDevice(
-            engine, 4.0, servers=2,
-            config=DeviceConfig(pipelined=True, always_shared=True),
-        )
-        port = device.attach("t0")
-        completions = []
-        for _ in range(2):
-            port.submit(200.0, arrival_time=0.0,  # 50 service cycles
-                        on_complete=completions.append,
-                        transfer_cycles=100.0)
-        engine.run_until(1.0e4)
-        assert completions == [150.0, 250.0]
-
-    def test_unpipelined_config_ignores_transfer_stage(self):
-        engine = Engine()
-        device = AcceleratorDevice(
-            engine, 4.0, servers=2,
-            config=DeviceConfig(pipelined=False, always_shared=True),
-        )
-        port = device.attach("t0")
-        completions = []
-        for _ in range(2):
-            port.submit(200.0, arrival_time=0.0,
-                        on_complete=completions.append,
-                        transfer_cycles=100.0)
-        engine.run_until(1.0e4)
-        assert completions == [50.0, 50.0]
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,16 @@ class TestErrors:
          "--trace-out is not supported with --shared-device"),
         (["simulate", "--shared-device", "--metrics-out", "metrics.json"],
          "--metrics-out is not supported with --shared-device"),
+        (["contention", "--tenants", "1,x"],
+         "--tenants: malformed item 'x' in '1,x'"),
+        (["contention", "--tenants", "2,,3"],
+         "--tenants: malformed item '' in '2,,3'"),
+        (["resilience", "--drops", "0.1,x"],
+         "--drops: malformed item 'x' in '0.1,x'"),
+        (["resilience", "--timeouts", "1000,x"],
+         "--timeouts: malformed item 'x' in '1000,x'"),
+        (["demand-risk", "--growths", "1,x"],
+         "--growths: malformed item 'x' in '1,x'"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
             "unknown-service", "simulate-zero-alpha",
             "simulate-shared-zero-alpha", "trace-zero-windows",
@@ -185,7 +195,10 @@ class TestErrors:
             "simulate-tenants-without-shared-device",
             "simulate-tenant-weight-without-shared-device",
             "simulate-shared-device-trace-out",
-            "simulate-shared-device-metrics-out"])
+            "simulate-shared-device-metrics-out",
+            "contention-bad-tenant", "contention-empty-tenant",
+            "resilience-bad-drop", "resilience-bad-timeout",
+            "demand-risk-bad-growth"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
