@@ -121,6 +121,38 @@ class TestTenancyRule:
         assert offloads
         assert all(("tenant", "solo") in span.attrs for span in offloads)
 
+    @pytest.mark.parametrize("options", [
+        {"design": ThreadingDesign.SYNC},
+        {"design": ThreadingDesign.ASYNC},
+        {"batch_size": 4},
+        {"injector": "faulty"},
+    ], ids=["sync", "async", "batched", "faulty"])
+    def test_one_tenant_measures_like_private_device(self, options):
+        """FIFO DRR over one tenant serves offloads in the eager device's
+        order at its instants: only the dispatch events differ."""
+
+        def build(via_port):
+            kwargs = dict(options)
+            if kwargs.get("injector") == "faulty":
+                policy = FaultPolicy(drop_probability=0.2,
+                                     timeout_cycles=500.0, max_retries=1)
+                kwargs["injector"] = FaultInjector(policy, seed=3)
+            return _build(via_port=via_port, **kwargs)
+
+        private = _run(build(via_port=False))
+        ported = _run(build(via_port=True))
+        assert ported.metrics.offloads == private.metrics.offloads
+        assert ported.metrics.requests == private.metrics.requests
+        private_record = private.summarize().measurement_record()
+        ported_record = ported.summarize().measurement_record()
+        assert (ported_record.pop("events_processed")
+                > private_record.pop("events_processed"))
+        assert ported_record == private_record
+
+    def test_new_device_has_no_tenants(self):
+        engine = Engine()
+        assert AcceleratorDevice(engine, 4.0).tenants == ()
+
     def test_port_error_strings_match_private_device(self):
         engine = Engine()
         device = AcceleratorDevice(engine, 8.0)
