@@ -243,7 +243,7 @@ def sink_reason(func: FunctionInfo) -> Optional[str]:
         "canonical_digest",
     ):
         return "canonical fingerprint"
-    if func.class_name == "RunSummary" and name in ("__init__", "from_result"):
+    if func.class_name == "RunSummary" and name == "__init__":
         return "RunSummary assembly (cached measurement surface)"
     return None
 

@@ -149,8 +149,7 @@ def run_resilience_point(
     )
     baseline = run_simulation(build_baseline, config)
     accelerated = run_simulation(build_accelerated, config)
-    summary = accelerated.summarize()
-    totals = summary.metrics.fault_totals()
+    totals = accelerated.metrics.fault_totals()
 
     request = plain + KERNEL_CYCLES
     model = degraded_speedup(
@@ -167,7 +166,7 @@ def run_resilience_point(
         simulated_speedup=measured_speedup(baseline, accelerated),
         retries=totals.retries,
         fallbacks=totals.fallbacks,
-        goodput_fraction=summary.goodput_fraction,
+        goodput_fraction=accelerated.goodput_fraction,
     )
 
 
@@ -195,8 +194,8 @@ def traced_resilience_run(
     :func:`run_resilience_point`, plus a
     :class:`~repro.observability.SpanTracer` whose finished trace shows
     each retry, backoff gap, and CPU fallback on the request timeline.
-    Returns the live :class:`~repro.simulator.runner.SimulationResult`
-    with ``result.trace`` populated.
+    Returns the run's :class:`~repro.simulator.summary.RunSummary` with
+    ``summary.trace`` populated.
     """
     from ..observability import SpanTracer
 

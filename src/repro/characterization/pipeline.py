@@ -83,14 +83,14 @@ def characterize(
         num_cores=num_cores, threads_per_core=1, window_cycles=window_cycles
     )
     tracer = SpanTracer(label=service) if trace else None
-    result = run_simulation(build, config, tracer=tracer)
+    summary = run_simulation(build, config, tracer=tracer)
     ipc_model = IPCModel(platform=platform)
     sampler = StackSampler(workload.trace_templates())
     profile = capture_trace_profile(
-        result.metrics, sampler, ipc_model, service=service
+        summary.metrics, sampler, ipc_model, service=service
     )
     return CharacterizationRun(
-        workload=workload, simulation=result.summarize(), profile=profile
+        workload=workload, simulation=summary, profile=profile
     )
 
 

@@ -675,14 +675,13 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
     )
     from .simulator.trace_export import export_chrome_trace
 
-    result = traced_resilience_run(
+    summary = traced_resilience_run(
         design=design,
         alpha=getattr(args, "alpha", 0.3),
         accel_speedup=getattr(args, "a", 8.0),
         seed=args.seed,
         **dataclasses.asdict(policy),
     )
-    summary = result.summarize()
     if args.trace_out:
         path = export_chrome_trace(
             summary.metrics, args.trace_out, trace=summary.trace
@@ -1256,7 +1255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ParameterError(
                 f"--requests must be >= 1, got {args.requests}")
         status = args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         # UnknownServiceError is also a KeyError, whose str() adds quotes.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"{parser.prog}: error: {message}", file=sys.stderr)

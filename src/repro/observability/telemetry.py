@@ -786,13 +786,22 @@ def write_runtime_telemetry(
 
 
 def load_runtime_telemetry(path: Union[str, Path]) -> Dict[str, object]:
-    payload = json.loads(Path(path).read_text())
-    schema = payload.get("schema")
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise ParameterError(f"invalid JSON in {path}: {error}") from error
+    schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != TELEMETRY_SCHEMA:
         raise ParameterError(
-            f"not a runtime-telemetry artifact: schema {schema!r} "
+            f"{path}: not a runtime-telemetry artifact: schema {schema!r} "
             f"(expected {TELEMETRY_SCHEMA!r})"
         )
+    for section in ("structural", "timing"):
+        if not isinstance(payload.get(section), dict):
+            raise ParameterError(
+                f"{path}: runtime-telemetry artifact has no {section!r} section"
+            )
     return payload
 
 

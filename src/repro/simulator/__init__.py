@@ -40,12 +40,11 @@ from .metrics import (
 )
 from .runner import (
     SimulationConfig,
-    SimulationResult,
     measured_latency_reduction,
     measured_speedup,
     run_simulation,
 )
-from .summary import RunSummary, summarize
+from .summary import RunSummary
 from .service import (
     KernelInvocation,
     KernelSpec,
@@ -86,12 +85,10 @@ __all__ = [
     "SegmentWork",
     "SimThread",
     "SimulationConfig",
-    "SimulationResult",
     "TenantPort",
     "TenantStats",
     "ThreadState",
     "require_positive_window",
-    "summarize",
     "export_chrome_trace",
     "measured_latency_reduction",
     "measured_speedup",

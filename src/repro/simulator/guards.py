@@ -1,7 +1,6 @@
 """Shared argument guards for simulator measurement code.
 
 Measurement windows appear in several places (:class:`SimulationConfig`,
-:class:`~repro.simulator.runner.SimulationResult`,
 :class:`~repro.simulator.metrics.MetricSink`,
 :class:`~repro.simulator.summary.RunSummary`); all of them must agree on
 what a usable window is.  A config object can also be *mutated* after

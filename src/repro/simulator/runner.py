@@ -2,9 +2,10 @@
 
 :func:`run_simulation` wires an :class:`Engine`, :class:`MetricSink`,
 :class:`CPU`, and a caller-built :class:`Microservice` together, runs a
-fixed measurement window, and returns a :class:`SimulationResult` with
+fixed measurement window, and returns a :class:`RunSummary` with
 throughput, latency, and cycle-attribution measurements -- the simulated
-equivalent of one production measurement interval.
+equivalent of one production measurement interval.  The live engine, CPU
+and service stay inside the call, so the result pickles as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Callable, Optional, Tuple
 from ..errors import ParameterError
 from .cpu import CPU
 from .engine import Engine
-from .guards import require_positive_window
 from .metrics import MetricSink
 from .service import Microservice, RequestSpec
 from .summary import RunSummary
@@ -47,75 +47,6 @@ class SimulationConfig:
             raise ParameterError("window_cycles must be > 0")
 
 
-@dataclasses.dataclass(slots=True)
-class SimulationResult:
-    """Measurements from one run."""
-
-    config: SimulationConfig
-    metrics: MetricSink
-    service: Microservice
-    engine: Engine
-    cpu: CPU
-    #: Finished :class:`~repro.observability.TraceData` when the run
-    #: carried a tracer; None otherwise.  Excluded from the measurement
-    #: record, so traced and untraced runs fingerprint identically.
-    trace: Optional[object] = None
-
-    @property
-    def completed_requests(self) -> int:
-        return len(self.metrics.completed_requests())
-
-    @property
-    def events_processed(self) -> int:
-        return self.engine.events_processed
-
-    @property
-    def throughput(self) -> float:
-        """Requests completed per window."""
-        window = require_positive_window(self.config.window_cycles)
-        return self.completed_requests / window
-
-    @property
-    def mean_latency_cycles(self) -> float:
-        return self.metrics.mean_latency()
-
-    def latency_percentile(self, percentile: float) -> float:
-        return self.metrics.latency_percentile(percentile)
-
-    @property
-    def host_cycles_per_request(self) -> float:
-        """Busy host cycles consumed per completed request -- the
-        simulated counterpart of the model's ``CS``-per-request."""
-        completed = self.completed_requests
-        if completed == 0:
-            raise ParameterError("no completed requests in the window")
-        return self.metrics.busy_cycles() / completed
-
-    @property
-    def core_time_per_request(self) -> float:
-        """Core time (busy + blocked) per completed request; for Sync
-        designs blocked time occupies a core, so this is the quantity the
-        model's critical-path equations describe."""
-        from .metrics import CycleKind
-
-        completed = self.completed_requests
-        if completed == 0:
-            raise ParameterError("no completed requests in the window")
-        consumed = self.metrics.total_cycles(
-            (
-                CycleKind.USEFUL,
-                CycleKind.OFFLOAD_OVERHEAD,
-                CycleKind.THREAD_SWITCH,
-                CycleKind.BLOCKED,
-            )
-        )
-        return consumed / completed
-
-    def summarize(self) -> RunSummary:
-        """Detach a picklable :class:`RunSummary` from this live result."""
-        return RunSummary.from_result(self)
-
-
 ServiceBuilder = Callable[[Engine, CPU, MetricSink], Tuple[Microservice, Callable[[], RequestSpec]]]
 
 
@@ -123,13 +54,14 @@ def run_simulation(
     build: ServiceBuilder,
     config: Optional[SimulationConfig] = None,
     tracer=None,
-) -> SimulationResult:
+) -> RunSummary:
     """Run one closed-loop measurement window.
 
     *build* receives the fresh engine/cpu/metrics and returns the
     configured :class:`Microservice` plus a request factory; the runner
     spawns ``num_cores * threads_per_core`` closed-loop workers, runs the
-    window, and finalizes accounting.
+    window, finalizes accounting, and returns the run's
+    :class:`RunSummary`.
 
     *tracer* is an optional :class:`~repro.observability.SpanTracer`.  It
     is deliberately **not** part of :class:`SimulationConfig`: the config
@@ -154,17 +86,16 @@ def run_simulation(
         service.spawn_worker(request_stream(factory), name=f"worker-{index}")
     engine.run_until(config.window_cycles, max_events=config.max_events)
     cpu.finalize(config.window_cycles)
-    trace = None
-    if tracer is not None:
-        trace = tracer.finish()
-    return SimulationResult(
-        config=config, metrics=metrics, service=service, engine=engine,
-        cpu=cpu, trace=trace,
+    return RunSummary(
+        config=config,
+        metrics=metrics,
+        events_processed=engine.events_processed,
+        trace=tracer.finish() if tracer is not None else None,
     )
 
 
 def measured_speedup(
-    baseline: SimulationResult, accelerated: SimulationResult
+    baseline: RunSummary, accelerated: RunSummary
 ) -> float:
     """A/B throughput speedup: accelerated over baseline."""
     if baseline.throughput == 0:
@@ -173,7 +104,7 @@ def measured_speedup(
 
 
 def measured_latency_reduction(
-    baseline: SimulationResult, accelerated: SimulationResult
+    baseline: RunSummary, accelerated: RunSummary
 ) -> float:
     """A/B mean-latency reduction (baseline latency over accelerated)."""
     return baseline.mean_latency_cycles / accelerated.mean_latency_cycles

@@ -1,18 +1,15 @@
 """Portable, picklable summaries of simulation runs.
 
-:class:`~repro.simulator.runner.SimulationResult` is a *live* object graph:
-it holds the engine (a heap of closures), the CPU (suspended generator
-threads), and the service runtime.  None of that survives pickling, so it
-can neither cross a process boundary nor live in an on-disk result cache.
-
-:class:`RunSummary` is the serializable counterpart factored out of
-``runner.py``/``metrics.py``: the run's configuration, its full
+:class:`RunSummary` is what :func:`~repro.simulator.runner.run_simulation`
+returns: the run's configuration, its full
 :class:`~repro.simulator.metrics.MetricSink` measurement record (plain
 data -- cycle attribution, per-request latencies, kernel and offload
-counters), the engine's event count, and every derived measurement the
-rest of the repository reads (throughput, latency percentiles,
-cycles-per-request).  It is the unit the :mod:`repro.runtime` batch
-executor ships between worker processes and stores in the result cache.
+counters), the engine's event count, the finished trace of a traced run,
+and every derived measurement the rest of the repository reads
+(throughput, latency percentiles, cycles-per-request).  The live engine,
+CPU threads and service never leave the runner, so a summary pickles as
+it is: it is the unit the :mod:`repro.runtime` batch executor ships
+between worker processes and stores in the result cache.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from .guards import require_positive_window
 from .metrics import CycleKind, MetricSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .runner import SimulationConfig, SimulationResult
+    from .runner import SimulationConfig
 
 #: Latency percentiles pre-tabulated into every summary fingerprint.
 SUMMARY_PERCENTILES: Tuple[float, ...] = (50.0, 90.0, 95.0, 99.0)
@@ -42,12 +39,7 @@ _CONSUMING_KINDS = (
 
 @dataclasses.dataclass(slots=True)
 class RunSummary:
-    """Measurements from one run, detached from the live simulator.
-
-    Mirrors the measurement surface of
-    :class:`~repro.simulator.runner.SimulationResult` (same property
-    names, same semantics) so call sites accept either interchangeably.
-    """
+    """Measurements from one run, detached from the live simulator."""
 
     config: "SimulationConfig"
     metrics: MetricSink
@@ -61,17 +53,7 @@ class RunSummary:
     #: bumped to v4.)
     trace: Optional[object] = None
 
-    @classmethod
-    def from_result(cls, result: "SimulationResult") -> "RunSummary":
-        """Detach a summary from a live :class:`SimulationResult`."""
-        return cls(
-            config=result.config,
-            metrics=result.metrics,
-            events_processed=result.engine.events_processed,
-            trace=result.trace,
-        )
-
-    # -- the SimulationResult measurement surface -------------------------
+    # -- the measurement surface -----------------------------------------
 
     @property
     def completed_requests(self) -> int:
@@ -184,8 +166,3 @@ class RunSummary:
         the determinism regression tests enforce.
         """
         return canonical_digest(self.measurement_record(), salt="run-summary")
-
-
-def summarize(result: "SimulationResult") -> RunSummary:
-    """Convenience alias for :meth:`RunSummary.from_result`."""
-    return RunSummary.from_result(result)

@@ -66,10 +66,9 @@ def ab_test(
 ) -> ABTestResult:
     """Run the baseline and accelerated variants under identical
     conditions and compare."""
-    baseline = run_simulation(build_baseline, config)
-    accelerated = run_simulation(build_accelerated, config)
     return ABTestResult(
-        baseline=baseline.summarize(), accelerated=accelerated.summarize()
+        baseline=run_simulation(build_baseline, config),
+        accelerated=run_simulation(build_accelerated, config),
     )
 
 

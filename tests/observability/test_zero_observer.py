@@ -63,11 +63,10 @@ def test_tracing_does_not_perturb_the_fault_stream():
     )
     traced = traced_resilience_run(**FAULTED)
     assert traced.trace is not None
-    summary = traced.summarize()
-    totals = summary.metrics.fault_totals()
+    totals = traced.metrics.fault_totals()
     assert totals.retries == point.retries
     assert totals.fallbacks == point.fallbacks
-    assert summary.goodput_fraction == point.goodput_fraction
+    assert traced.goodput_fraction == point.goodput_fraction
 
 
 def test_traced_resilience_run_is_deterministic():

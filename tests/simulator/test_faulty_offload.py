@@ -78,13 +78,12 @@ class TestInactiveInjectorTransparency:
         measurement record -- and hence the fingerprint -- untouched."""
         without = _run(_build(injector=None))
         with_null = _run(_build(injector=FaultInjector(NO_FAULTS, seed=5)))
-        assert (with_null.summarize().fingerprint()
-                == without.summarize().fingerprint())
+        assert with_null.fingerprint() == without.fingerprint()
 
     def test_null_policy_records_no_fault_counters(self):
         result = _run(_build(injector=FaultInjector(NO_FAULTS, seed=5)))
         assert result.metrics.faults == {}
-        assert "faults" not in result.summarize().measurement_record()
+        assert "faults" not in result.measurement_record()
 
 
 class TestFallbackAccounting:
@@ -92,8 +91,7 @@ class TestFallbackAccounting:
         policy = FaultPolicy(drop_probability=1.0, timeout_cycles=100.0,
                              max_retries=1)
         result = _run(_build(injector=FaultInjector(policy, seed=0)))
-        summary = result.summarize()
-        totals = summary.metrics.fault_totals()
+        totals = result.metrics.fault_totals()
         offloads = totals.fallbacks
         assert offloads > 0
         # Every offload: 2 attempts (initial + 1 retry), both drop.
@@ -107,9 +105,9 @@ class TestFallbackAccounting:
         # Nothing ever reached the device.
         assert len(result.metrics.offloads) == 0
         # Every completed request is degraded: goodput collapses to zero.
-        assert summary.degraded_requests == summary.completed_requests
-        assert summary.goodput_fraction == 0.0
-        assert summary.goodput == 0.0
+        assert result.degraded_requests == result.completed_requests
+        assert result.goodput_fraction == 0.0
+        assert result.goodput == 0.0
 
     def test_certain_drop_without_fallback_loses_work(self):
         policy = FaultPolicy(drop_probability=1.0, timeout_cycles=100.0,
@@ -120,13 +118,12 @@ class TestFallbackAccounting:
         assert totals.fallbacks == 0
         assert totals.fallback_cycles == 0.0
         assert result.metrics.kernel_cycles["k"] == 0.0
-        summary = result.summarize()
-        assert summary.degraded_requests == summary.completed_requests
+        assert result.degraded_requests == result.completed_requests
 
     def test_fault_counters_appear_in_measurement_record(self):
         policy = FaultPolicy(drop_probability=1.0, max_retries=0)
-        record = _run(_build(injector=FaultInjector(policy, seed=0))) \
-            .summarize().measurement_record()
+        result = _run(_build(injector=FaultInjector(policy, seed=0)))
+        record = result.measurement_record()
         assert "faults" in record
         assert "degraded_requests" in record
         assert "goodput" in record
@@ -192,8 +189,7 @@ class TestTimeoutCost:
         # Every surviving offload's response was pushed out by the
         # accumulated timeouts, visible as added mean latency vs healthy.
         healthy = _run(_build(design=ThreadingDesign.ASYNC))
-        assert (faulty.summarize().mean_latency_cycles
-                > healthy.summarize().mean_latency_cycles)
+        assert faulty.mean_latency_cycles > healthy.mean_latency_cycles
 
 
 class TestSpikes:
@@ -213,7 +209,7 @@ class TestSpikes:
             totals.attempts * spike, rel=0.05
         )
         # A spiked attempt still succeeds: nothing degrades.
-        assert faulty.summarize().degraded_requests == 0
+        assert faulty.degraded_requests == 0
 
     def test_spiked_offloads_still_reach_the_device(self):
         policy = FaultPolicy(spike_probability=1.0, spike_cycles=100.0)
@@ -247,8 +243,7 @@ class TestOutageWindows:
         assert totals.drops == 0
         assert totals.fallbacks == 0
         healthy = _run(_build())
-        assert (with_window.summarize().completed_requests
-                == healthy.summarize().completed_requests)
+        assert with_window.completed_requests == healthy.completed_requests
 
 
 class TestBackoff:
@@ -290,8 +285,7 @@ class TestConfigValidation:
         assert totals.attempts > 0
         assert totals.drops > 0  # p=0.1 over many doorbells must fire
         second = _run(build)
-        assert (first.summarize().fingerprint()
-                == second.summarize().fingerprint())
+        assert first.fingerprint() == second.fingerprint()
 
     def test_batched_sync_still_refused(self):
         """The *sync* refusal is unchanged: a blocking thread cannot wait

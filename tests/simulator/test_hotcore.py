@@ -219,7 +219,7 @@ def _run_cache1(engine_class, monkeypatch, tracer=None):
 def test_compiled_run_is_bit_identical_to_pure(monkeypatch):
     pure = _run_cache1(PyEngine, monkeypatch)
     compiled = _run_cache1(hotcore.HotEngine, monkeypatch)
-    assert compiled.summarize().fingerprint() == pure.summarize().fingerprint()
+    assert compiled.fingerprint() == pure.fingerprint()
     assert compiled.events_processed == pure.events_processed
 
 
@@ -231,7 +231,7 @@ def test_compiled_traced_run_decodes_identical_trace(monkeypatch):
     compiled = _run_cache1(
         hotcore.HotEngine, monkeypatch, tracer=SpanTracer(label="x")
     )
-    assert compiled.summarize().fingerprint() == pure.summarize().fingerprint()
+    assert compiled.fingerprint() == pure.fingerprint()
     assert compiled.trace == pure.trace
 
 
@@ -249,7 +249,7 @@ def test_compiled_engine_supports_generic_tracers(monkeypatch):
     legacy = _run_cache1(
         hotcore.HotEngine, monkeypatch, tracer=ObjectSpanTracer(label="x")
     )
-    assert legacy.summarize().fingerprint() == ring.summarize().fingerprint()
+    assert legacy.fingerprint() == ring.fingerprint()
     assert legacy.trace == ring.trace
 
 

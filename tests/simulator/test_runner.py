@@ -1,8 +1,11 @@
 """Unit tests for the simulation runner and A/B measurement helpers."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ParameterError
+from repro.observability import SpanTracer
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     Microservice,
@@ -98,12 +101,14 @@ class TestABMeasurement:
         assert measured_latency_reduction(slow, fast) == pytest.approx(2.0)
 
 
-class TestSummarizeAlias:
-    def test_free_function_matches_method(self):
-        from repro.simulator import summarize
-
+class TestDetachedResult:
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_result_survives_a_pickle_round_trip(self, traced):
+        # The result crosses process boundaries and lives in the result
+        # cache, so no live engine, CPU thread or service may come back.
         config = SimulationConfig(num_cores=1, window_cycles=50_000)
-        result = run_simulation(simple_build(1000.0), config)
-        summary = summarize(result)
-        assert summary.fingerprint() == result.summarize().fingerprint()
-        assert summary.events_processed == result.engine.events_processed
+        tracer = SpanTracer(label="pickle") if traced else None
+        result = run_simulation(simple_build(1000.0), config, tracer=tracer)
+        assert (result.trace is not None) == traced
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored.fingerprint() == result.fingerprint()

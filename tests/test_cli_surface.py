@@ -21,6 +21,8 @@ import pytest
 from repro.cli import COMMANDS, build_parser, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cli_help.json"
+NOT_JSON = FIXTURE.parent / "telemetry_not_json.json"
+NO_SECTIONS = FIXTURE.parent / "telemetry_no_sections.json"
 COLUMNS = "80"
 
 #: Every command line that tests/test_cli.py parses or runs.
@@ -186,6 +188,18 @@ class TestErrors:
          "--timeouts: malformed item 'x' in '1000,x'"),
         (["demand-risk", "--growths", "1,x"],
          "--growths: malformed item 'x' in '1,x'"),
+        (["telemetry", "/nonexistent"],
+         "[Errno 2] No such file or directory: '/nonexistent'"),
+        (["contention", "--tenants", "1", "--output", "/proc/x/y.json"],
+         "[Errno 2] No such file or directory: '/proc/x/y.json'"),
+        (["export-data", "--output", "/proc/x"],
+         "[Errno 2] No such file or directory: '/proc/x'"),
+        (["render", "--output", "/proc/x"],
+         "[Errno 2] No such file or directory: '/proc/x'"),
+        (["telemetry", str(NOT_JSON)], f"invalid JSON in {NOT_JSON}: "),
+        (["telemetry", str(NO_SECTIONS)],
+         f"{NO_SECTIONS}: runtime-telemetry artifact has no 'structural' "
+         "section"),
     ], ids=["pair-without-value", "pair-with-bad-value", "zero-workers",
             "unknown-service", "simulate-zero-alpha",
             "simulate-shared-zero-alpha", "trace-zero-windows",
@@ -198,7 +212,10 @@ class TestErrors:
             "simulate-shared-device-metrics-out",
             "contention-bad-tenant", "contention-empty-tenant",
             "resilience-bad-drop", "resilience-bad-timeout",
-            "demand-risk-bad-growth"])
+            "demand-risk-bad-growth", "telemetry-missing-file",
+            "contention-unwritable-output", "export-data-unwritable-output",
+            "render-unwritable-output", "telemetry-not-json",
+            "telemetry-no-sections"])
     def test_domain_errors_print_one_line(self, capsys, argv, prefix):
         assert main(argv) == 2
         err = capsys.readouterr().err
