@@ -141,11 +141,11 @@ def bench_ring_tracing(repeat: int = 5, window_cycles: float = _WINDOW) -> dict:
 
     Recording is measured with ``finish()`` stubbed out, so only the
     in-window hook cost (span ring appends + interval sink records) is
-    on the clock; the decode -- rebuilding the object trace from the
-    columns after the run -- is timed separately.  This is the headline
-    split for the flat-ring design: the simulated window pays a few
-    hundred nanoseconds per event, and object construction happens once,
-    off the hot path."""
+    on the clock; the decode -- rebuilding the span objects and grouping
+    the interval columns per request after the run -- is timed
+    separately.  This is the headline split for the flat-ring design: the
+    simulated window pays a few hundred nanoseconds per event, and the
+    decode happens once, off the hot path."""
     from repro.observability import SpanTracer
     from repro.observability import tracer as tracer_module
 

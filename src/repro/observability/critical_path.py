@@ -20,10 +20,13 @@ summation error (the tests pin agreement to ~1e-9 relative).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from .spans import Interval, RequestTimeline, TraceData
+import numpy as np
+
+from .spans import RequestTimeline, TraceData
 
 #: Residual component names.
 SCHEDULER_WAIT = "scheduler-wait"
@@ -33,19 +36,32 @@ RESPONSE_WAIT = "response-wait"
 FAULT_TAGS = ("backoff", "fallback", "fault-timeout")
 
 
-def component_key(interval: Interval) -> str:
-    """Map one interval to its attribution component."""
-    if interval.tag is not None:
-        return interval.tag
-    kind = interval.kind
+def component_key(key: Tuple[str, str, str, Optional[str]]) -> str:
+    """Map one ``(functionality, leaf, kind, tag)`` interval key to its
+    attribution component."""
+    functionality, _, kind, tag = key
+    if tag is not None:
+        return tag
     if kind == "useful":
-        return f"compute:{interval.functionality}"
+        return f"compute:{functionality}"
     if kind in ("hold-wait", "blocked"):
         return "blocked-offload"
     if kind == "release-wait":
         return "released-wait"
     # "offload-overhead" and "thread-switch" keep their kind names.
     return kind
+
+
+@functools.lru_cache(maxsize=16)
+def _component_table(keys) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The sorted component names of a key table, and each key code's
+    position among them (read-only: cached results are shared)."""
+    per_code = [component_key(key) for key in keys]
+    names = tuple(sorted(set(per_code)))
+    position = {name: index for index, name in enumerate(names)}
+    positions = np.array([position[name] for name in per_code], dtype=np.intp)
+    positions.flags.writeable = False
+    return names, positions
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,14 +101,19 @@ def attribute_timeline(timeline: RequestTimeline) -> RequestAttribution:
             f"request {timeline.request_id} completed without a recorded "
             "body end"
         )
-    parts: Dict[str, float] = {}
-    for interval in timeline.intervals:
-        key = component_key(interval)
-        parts[key] = parts.get(key, 0.0) + (interval.end - interval.start)
+    # bincount adds each row's weight in row order, so every sum is the
+    # same float a running per-component total over the intervals gives.
+    names, positions = _component_table(timeline.keys)
+    rows = positions[timeline.codes]
+    sums = np.bincount(
+        rows, weights=timeline.ends - timeline.starts, minlength=len(names)
+    ).tolist()
+    present = np.flatnonzero(np.bincount(rows, minlength=len(names)))
+    parts = tuple((names[index], sums[index]) for index in present.tolist())
     body_elapsed = timeline.body_end - timeline.started_at
-    scheduler_wait = body_elapsed - math.fsum(parts.values())
+    scheduler_wait = body_elapsed - math.fsum(value for _, value in parts)
     response_wait = timeline.completed_at - timeline.body_end
-    components = tuple(sorted(parts.items())) + (
+    components = parts + (
         (SCHEDULER_WAIT, scheduler_wait),
         (RESPONSE_WAIT, response_wait),
     )

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from ..profiling.folded import to_folded_text
 from ..profiling.stacks import SampledTrace
@@ -106,6 +108,14 @@ def write_otlp_spans(trace: TraceData, path: Union[str, Path]) -> Path:
     return path
 
 
+def _leaf_frame(key: Tuple[str, str, str, Optional[str]]) -> str:
+    """The flamegraph leaf of one interval key: the leaf, marked with the
+    fault tag or the non-useful cycle kind."""
+    _, leaf, kind, tag = key
+    marker = tag if tag is not None else kind
+    return leaf if marker == "useful" else f"{leaf} [{marker}]"
+
+
 def folded_stack_samples(trace: TraceData) -> Tuple[SampledTrace, ...]:
     """Aggregate per-request intervals into flamegraph stacks.
 
@@ -113,21 +123,36 @@ def folded_stack_samples(trace: TraceData) -> Tuple[SampledTrace, ...]:
     fault tags surface as their own leaves, so a flamegraph shows the
     backoff/fallback/timeout tax next to the work it interrupted.
     """
-    totals: Dict[Tuple[str, ...], float] = {}
+    slots: Dict[Tuple[str, ...], int] = {}
+    tables: Dict[tuple, np.ndarray] = {}
+    rows = []
+    durations = []
     for timeline in trace.timelines:
-        for interval in timeline.intervals:
-            marker = interval.tag if interval.tag is not None else interval.kind
-            if marker == "useful":
-                leaf_frame = interval.leaf
-            else:
-                leaf_frame = f"{interval.leaf} [{marker}]"
-            frames = (trace.label, interval.functionality, leaf_frame)
-            totals[frames] = totals.get(frames, 0.0) + (
-                interval.end - interval.start
-            )
+        table = tables.get(timeline.keys)
+        if table is None:
+            table = tables[timeline.keys] = np.array([
+                slots.setdefault(
+                    (trace.label, key[0], _leaf_frame(key)), len(slots)
+                )
+                for key in timeline.keys
+            ], dtype=np.intp)
+        rows.append(table[timeline.codes])
+        durations.append(timeline.ends - timeline.starts)
+    if not slots:
+        return ()
+    # One bincount over the rows in trace order adds every stack's
+    # weights in the order a running per-stack total would.
+    row_slots = np.concatenate(rows)
+    totals = np.bincount(
+        row_slots, weights=np.concatenate(durations), minlength=len(slots)
+    ).tolist()
+    counts = np.bincount(row_slots, minlength=len(slots)).tolist()
     return tuple(
-        SampledTrace(frames=frames, cycles=cycles, instructions=cycles)
-        for frames, cycles in sorted(totals.items())
+        SampledTrace(
+            frames=frames, cycles=totals[slot], instructions=totals[slot]
+        )
+        for frames, slot in sorted(slots.items())
+        if counts[slot]
     )
 
 

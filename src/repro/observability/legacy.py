@@ -7,7 +7,9 @@ any hot path anymore -- :class:`repro.observability.SpanTracer` records
 into a flat ring buffer and decodes post-run -- but it stays in-tree as
 the executable specification the ring decoder is pinned against: the
 equality tests run the same simulation under both tracers and assert
-``ring.finish() == object.finish()`` field for field.
+``ring.finish() == object.finish()``: every span field, and every
+timeline's header and interval sequence (this tracer's timelines come
+from :meth:`~repro.observability.RequestTimeline.from_intervals`).
 
 Being the slow reference, this module is deliberately exempt from the
 per-event-allocation half of lint rule PERF001 (which scopes to
@@ -329,13 +331,13 @@ class ObjectSpanTracer:
         for context in self._contexts:
             record = context.record
             context.request_span.end = record.completed_at
-            timelines.append(RequestTimeline(
+            timelines.append(RequestTimeline.from_intervals(
                 request_id=record.request_id,
                 started_at=record.started_at,
                 body_end=context.body_end,
                 completed_at=record.completed_at,
                 degraded=record.degraded,
-                intervals=tuple(context.intervals),
+                intervals=context.intervals,
             ))
         degradations = tuple(
             DegradationTrack(kernel=kernel, windows=windows)

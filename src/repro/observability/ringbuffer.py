@@ -6,9 +6,8 @@ The tracer used to allocate a :class:`~repro.observability.Span` or
 (``BENCH_runtime.json`` v2).  This module replaces the hot-path storage
 with append-only ring buffers of preallocated ``array('d')`` /
 ``array('q')`` columns -- one row per hook call, a handful of machine
-words wide -- and a post-run decoder that rebuilds the *exact* object
-trace afterwards.  Record flat, decode later (the Monarch pattern the
-windowed-metrics layer already follows).
+words wide -- and a post-run decoder.  Record flat, decode later (the
+Monarch pattern the windowed-metrics layer already follows).
 
 Two buffers, because the two hook classes have very different rates:
 
@@ -33,11 +32,15 @@ Two buffers, because the two hook classes have very different rates:
 Both buffers grow by doubling when an append crosses the preallocation
 boundary, so capacity is a performance knob, never a correctness limit.
 
-:func:`decode_spans` and :func:`decode_timelines` rebuild the legacy
-object trace from the columns; the observability regression suite pins
-them bit-identical (``==`` over every dataclass field) against
-:class:`~repro.observability.legacy.ObjectSpanTracer` on the same run.
-Decoded span ids are the row index + 1 rendered through
+:func:`decode_spans` rebuilds the span objects the legacy tracer
+allocated.  :func:`decode_timelines` builds no objects per interval: it
+groups the interval rows by request and hands each
+:class:`~repro.observability.RequestTimeline` its slices of the
+``starts``/``ends``/``codes`` columns plus the trace's one decoded key
+table.  The observability regression suite pins the decoded trace equal
+to :class:`~repro.observability.legacy.ObjectSpanTracer`'s on the same
+run: every span field, and every timeline's header and interval
+sequence.  Decoded span ids are the row index + 1 rendered through
 :func:`~repro.observability.spans.span_id_from_sequence`, which equals
 the legacy per-call sequence because rows are appended in exactly the
 order the legacy tracer allocated spans.
@@ -48,8 +51,9 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .spans import (
-    Interval,
     RequestTimeline,
     Span,
     SpanKind,
@@ -250,7 +254,7 @@ class PyIntervalSink:
         return self._t0[:n], self._t1[:n], self._meta[:n]
 
 
-def _decoded_keys(sink) -> List[Tuple[str, str, str, Optional[str]]]:
+def _decoded_keys(sink) -> Tuple[Tuple[str, str, str, Optional[str]], ...]:
     """Map interned key tuples to the string form Interval stores.
 
     Key components arrive as enums from the simulator hooks (their
@@ -260,35 +264,40 @@ def _decoded_keys(sink) -> List[Tuple[str, str, str, Optional[str]]]:
     enum itself instead of its value, so both spellings land on the
     same decoded string.
     """
-    decoded = []
-    for functionality, leaf, kind, tag in sink.keys():
-        decoded.append((
+    return tuple(
+        (
             functionality.value,
             leaf.value,
             kind if isinstance(kind, str) else kind.value,
             tag,
-        ))
-    return decoded
+        )
+        for functionality, leaf, kind, tag in sink.keys()
+    )
 
 
 def decode_timelines(sink, contexts) -> Tuple[RequestTimeline, ...]:
-    """Rebuild per-request interval timelines from the interval columns.
+    """Group the interval columns into per-request column slices.
 
-    Intervals were appended in global simulated-time order; stable
-    bucketing by context id reproduces each request's per-timeline order
-    exactly as the legacy tracer's per-context lists saw it.
+    Intervals were appended in global simulated-time order; one stable
+    sort by context id keeps each request's rows in that order, the
+    order the legacy tracer's per-context lists saw them in.  Every
+    timeline shares the one decoded key table.  The sink's snapshot may
+    be ``array`` slices (pure sink) or lists (compiled sink).
     """
     t0s, t1s, metas = sink.snapshot()
+    meta = np.asarray(metas, dtype=np.int64)
+    owners = meta >> CODE_BITS
+    order = np.argsort(owners, kind="stable")
+    starts = np.asarray(t0s, dtype=np.float64)[order]
+    ends = np.asarray(t1s, dtype=np.float64)[order]
+    codes = (meta & CODE_MASK)[order]
+    for column in (starts, ends, codes):  # timelines share these as views
+        column.flags.writeable = False
+    bounds = np.cumsum(np.bincount(owners, minlength=len(contexts))).tolist()
     keys = _decoded_keys(sink)
-    per_context: List[List[Interval]] = [[] for _ in contexts]
-    for j in range(len(metas)):
-        meta = metas[j]
-        functionality, leaf, kind, tag = keys[meta & CODE_MASK]
-        per_context[meta >> CODE_BITS].append(
-            Interval(t0s[j], t1s[j], functionality, leaf, kind, tag)
-        )
     timelines = []
-    for index, context in enumerate(contexts):
+    begin = 0
+    for context, end in zip(contexts, bounds):
         record = context.record
         timelines.append(RequestTimeline(
             record.request_id,
@@ -296,8 +305,12 @@ def decode_timelines(sink, contexts) -> Tuple[RequestTimeline, ...]:
             context.body_end,
             record.completed_at,
             record.degraded,
-            tuple(per_context[index]),
+            starts[begin:end],
+            ends[begin:end],
+            codes[begin:end],
+            keys,
         ))
+        begin = end
     return tuple(timelines)
 
 

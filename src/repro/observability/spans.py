@@ -14,7 +14,8 @@ to a (functionality, leaf, kind) triple, optionally overridden by a fault
 request's on-host time; the critical-path analysis
 (:mod:`repro.observability.critical_path`) closes the tiling with
 scheduler-wait and response-wait residuals so per-request attributions
-sum to measured latency.
+sum to measured latency.  A :class:`RequestTimeline` keeps its intervals
+as columns; :class:`Interval` objects are built only on request.
 
 Everything here is plain, slotted, picklable data: a
 :class:`TraceData` rides inside a :class:`~repro.simulator.summary.RunSummary`
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class SpanKind(enum.Enum):
@@ -122,14 +125,79 @@ class Interval:
 
 @dataclasses.dataclass(slots=True)
 class RequestTimeline:
-    """One request's interval tiling, closed at trace finish time."""
+    """One request's interval tiling, closed at trace finish time.
+
+    The intervals are held as columns, one row per interval in recording
+    order: ``starts`` and ``ends`` (float64 cycles) and ``codes``, each an
+    index into ``keys``, the ``(functionality, leaf, kind, tag)`` table of
+    the trace.  Every timeline a tracer decodes shares one key table, so
+    a pickled trace carries it once.  Consumers aggregate over the
+    columns; :attr:`intervals` builds :class:`Interval` objects on demand.
+
+    Equality compares content -- the header and the interval sequence --
+    not the encoding, so two timelines with differently ordered key
+    tables but the same intervals are equal.
+    """
 
     request_id: int
     started_at: float
     body_end: Optional[float]
     completed_at: Optional[float]
     degraded: bool
-    intervals: Tuple[Interval, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    codes: np.ndarray
+    keys: Tuple[Tuple[str, str, str, Optional[str]], ...]
+
+    @classmethod
+    def from_intervals(
+        cls,
+        request_id: int,
+        started_at: float,
+        body_end: Optional[float],
+        completed_at: Optional[float],
+        degraded: bool,
+        intervals: Sequence[Interval],
+    ) -> "RequestTimeline":
+        """A timeline from interval objects, with a key table of its own."""
+        table: Dict[Tuple[str, str, str, Optional[str]], int] = {}
+        codes = [
+            table.setdefault(
+                (item.functionality, item.leaf, item.kind, item.tag),
+                len(table),
+            )
+            for item in intervals
+        ]
+        return cls(
+            request_id, started_at, body_end, completed_at, degraded,
+            np.array([item.start for item in intervals], dtype=np.float64),
+            np.array([item.end for item in intervals], dtype=np.float64),
+            np.array(codes, dtype=np.int64),
+            tuple(table),
+        )
+
+    @property
+    def intervals(self) -> Tuple[Interval, ...]:
+        """The intervals as objects, built on every access."""
+        keys = self.keys
+        return tuple(
+            Interval(start, end, *keys[code])
+            for start, end, code in zip(
+                self.starts.tolist(), self.ends.tolist(), self.codes.tolist()
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RequestTimeline):
+            return NotImplemented
+        return (
+            self.request_id == other.request_id
+            and self.started_at == other.started_at
+            and self.body_end == other.body_end
+            and self.completed_at == other.completed_at
+            and self.degraded == other.degraded
+            and self.intervals == other.intervals
+        )
 
     @property
     def latency(self) -> float:

@@ -9,7 +9,9 @@ latency, components) and of every
 :func:`~repro.observability.folded_stack_samples` ``(frames, cycles)``
 pair, for the healthy cache1 trace, each faulted resilience cell and the
 faulted run that batches four calls per doorbell -- the traces
-``test_otlp_golden.py`` pins the OTLP bytes of.
+``test_otlp_golden.py`` pins the OTLP bytes of -- and checks the
+consumers' column sums against running per-key totals over interval
+objects, float for float.
 
 Regenerate ``tests/fixtures/consumer_digests.json`` only for an
 intentional change of the attribution or flamegraph arithmetic::
@@ -30,6 +32,7 @@ from repro.observability import (
     attribute_requests,
     folded_stack_samples,
 )
+from repro.observability.critical_path import component_key
 
 try:
     from .conftest import DESIGNS, faulted_cells, healthy_characterization
@@ -102,6 +105,41 @@ def test_consumer_floats_match_golden(name, traces):
     digest = consumer_digest(traces[name])
     assert digest["requests"] and digest["stacks"], "empty consumer output"
     assert digest == _golden()[name]
+
+
+def _running_totals(trace: TraceData):
+    """The reference arithmetic: running per-key totals over interval
+    objects, in row order, as the consumers computed them before the
+    timelines held columns."""
+    attributions = []
+    for timeline in trace.completed_timelines():
+        parts: dict = {}
+        for item in timeline.intervals:
+            key = component_key(
+                (item.functionality, item.leaf, item.kind, item.tag)
+            )
+            parts[key] = parts.get(key, 0.0) + (item.end - item.start)
+        attributions.append(tuple(sorted(parts.items())))
+    stacks: dict = {}
+    for timeline in trace.timelines:
+        for item in timeline.intervals:
+            marker = item.tag if item.tag is not None else item.kind
+            leaf = item.leaf if marker == "useful" else f"{item.leaf} [{marker}]"
+            frames = (trace.label, item.functionality, leaf)
+            stacks[frames] = stacks.get(frames, 0.0) + (item.end - item.start)
+    return attributions, sorted(stacks.items())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_column_sums_equal_running_totals(name, traces):
+    trace = traces[name]
+    attributions, stacks = _running_totals(trace)
+    assert [
+        record.components[:-2] for record in attribute_requests(trace)
+    ] == attributions
+    assert [
+        (sample.frames, sample.cycles) for sample in folded_stack_samples(trace)
+    ] == stacks
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

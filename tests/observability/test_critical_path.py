@@ -88,7 +88,7 @@ class TestFaultCosts:
 
 class TestEdgeCases:
     def test_incomplete_request_is_rejected(self):
-        timeline = RequestTimeline(
+        timeline = RequestTimeline.from_intervals(
             request_id=7, started_at=0.0, body_end=None,
             completed_at=None, degraded=False, intervals=(),
         )
@@ -96,7 +96,7 @@ class TestEdgeCases:
             attribute_timeline(timeline)
 
     def test_missing_body_end_is_rejected(self):
-        timeline = RequestTimeline(
+        timeline = RequestTimeline.from_intervals(
             request_id=7, started_at=0.0, body_end=None,
             completed_at=10.0, degraded=False, intervals=(),
         )

@@ -3,24 +3,39 @@
 The ring tracer's contract is that :meth:`SpanTracer.finish` decodes its
 flat columns into *exactly* the :class:`TraceData` the legacy
 object-per-span tracer (:mod:`repro.observability.legacy`) produced --
-span ids, parents, attributes, timelines, degradation tracks, all of it.
+span ids, parents, attributes, every timeline's header and interval
+sequence, degradation tracks, all of it.
 These tests pin that equality on a healthy characterization run, on a
 faulted run exercising every fault span opcode, and on a topology run
 with RPC hops, plus the ring-specific edge cases: growth across the
-preallocation boundary and the pure-vs-compiled sink agreement.
+preallocation boundary, the pure-vs-compiled sink agreement, and the
+two snapshot shapes (``array`` slices and lists) decoding alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.observability import SpanTracer
+from repro.observability import (
+    Interval,
+    RequestTimeline,
+    SpanTracer,
+    TraceContext,
+)
 from repro.observability.legacy import ObjectSpanTracer
-from repro.observability.ringbuffer import PyIntervalSink
+from repro.observability.ringbuffer import (
+    CODE_BITS,
+    PyIntervalSink,
+    decode_timelines,
+)
+from repro.paperdata.categories import FunctionalityCategory, LeafCategory
 from repro.simulator import SimulationConfig, run_simulation
+from repro.simulator.metrics import CycleKind, RequestRecord
 from repro.simulator.service import Microservice
 from repro.workloads import build_workload
 
@@ -121,6 +136,92 @@ def test_pure_sink_agrees_with_selected_sink():
         assert isinstance(tracer._sink, PyIntervalSink)
         pure = _trace_cache1(tracer)
     assert selected == pure
+
+
+def test_timeline_equality_compares_content_not_encoding():
+    """A timeline re-encoded with a key table of its own equals the
+    decoded one; changing one interval breaks the equality."""
+    trace = _trace_cache1(SpanTracer(label="run"))
+    decoded = max(trace.timelines, key=lambda timeline: len(timeline.codes))
+    header = (decoded.request_id, decoded.started_at, decoded.body_end,
+              decoded.completed_at, decoded.degraded)
+    intervals = decoded.intervals
+    reencoded = RequestTimeline.from_intervals(*header, intervals)
+    assert reencoded.keys != decoded.keys
+    assert reencoded == decoded
+    shifted = Interval(intervals[-1].start, intervals[-1].end + 1.0,
+                       *dataclasses.astuple(intervals[-1])[2:])
+    assert RequestTimeline.from_intervals(
+        *header, intervals[:-1] + (shifted,)
+    ) != decoded
+
+
+def test_pickled_trace_carries_one_key_table():
+    trace = _trace_cache1(SpanTracer(label="run"))
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored == trace
+    keys = {id(timeline.keys) for timeline in restored.timelines}
+    assert len(keys) == 1
+
+
+class _ListSnapshotSink:
+    """A sink whose snapshot is three Python lists, the shape the
+    compiled ``IntervalSink.snapshot()`` returns."""
+
+    def __init__(self, sink: PyIntervalSink) -> None:
+        self._sink = sink
+
+    def keys(self):
+        return self._sink.keys()
+
+    def snapshot(self):
+        return tuple(list(column) for column in self._sink.snapshot())
+
+
+def test_array_and_list_snapshots_decode_alike():
+    """The pure sink snapshots ``array`` slices and the compiled sink
+    Python lists; the decoded timelines must not depend on the shape."""
+    io, logic = FunctionalityCategory.IO, FunctionalityCategory.APPLICATION_LOGIC
+    memory, zstd = LeafCategory.MEMORY, LeafCategory.ZSTD
+    contexts = []
+    for index in range(3):
+        context = TraceContext(index, RequestRecord(index, 10.0 * index),
+                               index << CODE_BITS)
+        context.body_end = 10.0 * index + 4.0
+        context.record.completed_at = 10.0 * index + 5.0
+        contexts.append(context)
+    contexts[2].tag = "backoff"
+    sink = PyIntervalSink(2)  # grows twice across the six rows
+    sink.record(contexts[1], 10.0, 11.0, io, memory, CycleKind.USEFUL)
+    sink.record(contexts[0], 0.0, 1.5, logic, zstd, "hold-wait")
+    sink.record(contexts[2], 20.0, 20.25, io, memory, CycleKind.USEFUL)
+    sink.record(contexts[1], 11.0, 12.0, io, memory, CycleKind.USEFUL)
+    sink.record(contexts[0], 1.5, 3.0, io, memory, CycleKind.THREAD_SWITCH)
+    sink.record(contexts[1], 12.0, 13.5, logic, zstd, "hold-wait")
+
+    from_arrays = decode_timelines(sink, contexts)
+    from_lists = decode_timelines(_ListSnapshotSink(sink), contexts)
+    assert from_arrays == from_lists
+    for ours, theirs in zip(from_arrays, from_lists):
+        for column in ("starts", "ends", "codes"):
+            mine, other = getattr(ours, column), getattr(theirs, column)
+            assert mine.dtype == other.dtype
+            assert mine.tolist() == other.tolist()
+        assert ours.keys == theirs.keys
+    assert from_arrays[0].intervals == (
+        Interval(0.0, 1.5, "application-logic", "zstd", "hold-wait"),
+        Interval(1.5, 3.0, "secure-insecure-io", "memory", "thread-switch"),
+    )
+    assert from_arrays[1].intervals == (
+        Interval(10.0, 11.0, "secure-insecure-io", "memory", "useful"),
+        Interval(11.0, 12.0, "secure-insecure-io", "memory", "useful"),
+        Interval(12.0, 13.5, "application-logic", "zstd", "hold-wait"),
+    )
+    assert from_arrays[2].intervals == (
+        Interval(20.0, 20.25, "secure-insecure-io", "memory", "useful",
+                 "backoff"),
+    )
+    assert all(t.keys is from_arrays[0].keys for t in from_arrays)
 
 
 def test_interval_sink_key_interning_is_bounded():

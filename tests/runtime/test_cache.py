@@ -125,6 +125,37 @@ def test_stale_format_entry_is_classified_stale(cache, monkeypatch):
     assert cache.telemetry.corrupt_drops == 0
 
 
+def test_interval_tuple_timeline_entry_is_classified_stale(cache, monkeypatch):
+    # A traced result cached when a RequestTimeline held a tuple of
+    # Interval objects in an ``intervals`` slot.  The stand-in class has
+    # the same module and name and the same six slots, so the entry has
+    # exactly that layout's bytes.  Today ``intervals`` is a read-only
+    # view over columns: restoring the slot raises AttributeError, a
+    # stale-format miss rather than a wrong-shaped hit.
+    from repro.observability import CacheTelemetry, Interval, TraceData, spans
+
+    interval_tuple_layout = dataclasses.make_dataclass(
+        "RequestTimeline",
+        ["request_id", "started_at", "body_end", "completed_at",
+         "degraded", "intervals"],
+        slots=True,
+    )
+    interval_tuple_layout.__module__ = spans.__name__
+    timeline = interval_tuple_layout(
+        1, 0.0, 5.0, 6.0, False,
+        (Interval(0.0, 5.0, "f", "l", "useful", None),),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(spans, "RequestTimeline", interval_tuple_layout)
+        cache.put(KEY, TraceData(label="run", spans=(), timelines=(timeline,)))
+    cache.telemetry = CacheTelemetry()
+    hit, value = cache.lookup(KEY)
+    assert not hit and value is None
+    assert not cache.path_for(KEY).exists()
+    assert cache.telemetry.stale_drops == 1
+    assert cache.telemetry.corrupt_drops == 0
+
+
 def test_corrupt_entry_survives_unlink_race(cache, monkeypatch):
     # Another process may delete (or hold) the bad entry between our
     # failed load and the unlink; the OSError must not escape and the
