@@ -18,7 +18,6 @@ import dataclasses
 import pickle
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.observability import (
@@ -34,31 +33,14 @@ from repro.observability.ringbuffer import (
     decode_timelines,
 )
 from repro.paperdata.categories import FunctionalityCategory, LeafCategory
-from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.metrics import CycleKind, RequestRecord
-from repro.simulator.service import Microservice
-from repro.workloads import build_workload
 
-from .conftest import FAULTED
-
-
-def _trace_cache1(tracer):
-    workload = build_workload("cache1")
-    config = SimulationConfig(num_cores=2, window_cycles=2.0e6)
-    rng = np.random.default_rng(2020)
-
-    def build(engine, cpu, metrics):
-        service = Microservice(engine, cpu, metrics, name="cache1")
-        return service, workload.request_factory(rng)
-
-    result = run_simulation(build, config, tracer=tracer)
-    assert result.trace is not None
-    return result.trace
+from .conftest import FAULTED, cache1_trace, topology_trace
 
 
 def test_ring_decode_equals_legacy_tracer_on_healthy_run():
-    ring = _trace_cache1(SpanTracer(label="run"))
-    legacy = _trace_cache1(ObjectSpanTracer(label="run"))
+    ring = cache1_trace(SpanTracer(label="run"))
+    legacy = cache1_trace(ObjectSpanTracer(label="run"))
     assert ring.spans, "expected a non-trivial trace"
     assert ring.spans == legacy.spans
     assert ring.timelines == legacy.timelines
@@ -84,28 +66,8 @@ def test_ring_decode_equals_legacy_tracer_on_faulted_run():
 
 
 def test_ring_decode_equals_legacy_tracer_on_topology_run():
-    from repro.topology import (
-        ApplicationSimConfig,
-        Call,
-        CallGraph,
-        ServiceNode,
-        simulate_application,
-    )
-
-    graph = CallGraph(
-        [ServiceNode("front", 10_000.0), ServiceNode("leaf", 5_000.0)],
-        [Call("front", "leaf", network_cycles=1_000.0)],
-        root="front",
-    )
-    config = ApplicationSimConfig(
-        cores_per_service=2, arrivals_per_unit=200, window_cycles=2.0e7,
-    )
-    ring = simulate_application(
-        graph, config, tracer=SpanTracer(label="topology")
-    ).trace
-    legacy = simulate_application(
-        graph, config, tracer=ObjectSpanTracer(label="topology")
-    ).trace
+    ring = topology_trace(SpanTracer(label="topology"))
+    legacy = topology_trace(ObjectSpanTracer(label="topology"))
     assert ring.spans, "expected RPC spans"
     assert ring == legacy
 
@@ -114,10 +76,10 @@ def test_ring_growth_across_preallocation_boundary():
     """Tiny initial capacities force both rings (spans and intervals)
     through multiple doublings mid-run; the decoded trace must be
     unchanged."""
-    tiny = _trace_cache1(
+    tiny = cache1_trace(
         SpanTracer(label="run", span_capacity=2, interval_capacity=2)
     )
-    roomy = _trace_cache1(
+    roomy = cache1_trace(
         SpanTracer(label="run", span_capacity=65536, interval_capacity=262144)
     )
     assert len(tiny.spans) > 2, "run too small to cross the boundary"
@@ -130,18 +92,18 @@ def test_pure_sink_agrees_with_selected_sink():
     the pure sink and this degenerates to determinism."""
     import repro.observability.tracer as tracer_module
 
-    selected = _trace_cache1(SpanTracer(label="run"))
+    selected = cache1_trace(SpanTracer(label="run"))
     with mock.patch.object(tracer_module, "_COMPILED_SINK", None):
         tracer = SpanTracer(label="run")
         assert isinstance(tracer._sink, PyIntervalSink)
-        pure = _trace_cache1(tracer)
+        pure = cache1_trace(tracer)
     assert selected == pure
 
 
 def test_timeline_equality_compares_content_not_encoding():
     """A timeline re-encoded with a key table of its own equals the
     decoded one; changing one interval breaks the equality."""
-    trace = _trace_cache1(SpanTracer(label="run"))
+    trace = cache1_trace(SpanTracer(label="run"))
     decoded = max(trace.timelines, key=lambda timeline: len(timeline.codes))
     header = (decoded.request_id, decoded.started_at, decoded.body_end,
               decoded.completed_at, decoded.degraded)
@@ -157,7 +119,7 @@ def test_timeline_equality_compares_content_not_encoding():
 
 
 def test_pickled_trace_carries_one_key_table():
-    trace = _trace_cache1(SpanTracer(label="run"))
+    trace = cache1_trace(SpanTracer(label="run"))
     restored = pickle.loads(pickle.dumps(trace))
     assert restored == trace
     keys = {id(timeline.keys) for timeline in restored.timelines}
