@@ -19,14 +19,18 @@
  *
  * IntervalSink is the C twin of
  * repro.observability.ringbuffer.PyIntervalSink: flat (t0, t1, meta)
- * columns with an identity-memoized key intern.  The engine's Compute
+ * columns with an identity-memoized key intern, snapshotted as three
+ * bytes buffers that the decoder reads in place.  The engine's Compute
  * path appends to it without re-entering the interpreter, which is
  * where the "near-zero observer cost" of the ring tracer comes from.
+ * Both sinks decode to the traces pinned in
+ * tests/fixtures/trace_digests.json.
  *
  * Scheduler state (cores, threads, run queue) stays in Python objects;
  * the extension only caches references and reads attributes, so the
- * pure and compiled paths can be mixed per-process (e.g. a pure-engine
- * run can still use the C sink).
+ * pure and compiled paths can be mixed per-process (a pure-engine run
+ * can use the C sink, and HotEngine calls record_interval on a tracer
+ * whose sink is the pure one).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,7 +46,7 @@
  * ------------------------------------------------------------------- */
 
 static PyObject *str_current, *str_body, *str_cycles, *str_functionality,
-    *str_leaf, *str_kind, *str_value, *str_trace, *str_trace_ctx,
+    *str_leaf, *str_kind, *str_trace, *str_trace_ctx,
     *str_record_interval, *str_tag, *str_packed, *str_sink_attr,
     *str_metrics;
 static PyObject *SimulationError;
@@ -219,39 +223,12 @@ static PyObject *
 sink_snapshot(SinkObject *self, PyObject *Py_UNUSED(ignored))
 {
     Py_ssize_t n = self->n;
-    PyObject *t0s = PyList_New(n);
-    PyObject *t1s = PyList_New(n);
-    PyObject *metas = PyList_New(n);
-    if (t0s == NULL || t1s == NULL || metas == NULL) {
-        goto fail;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = PyFloat_FromDouble(self->t0[i]);
-        if (v == NULL) {
-            goto fail;
-        }
-        PyList_SET_ITEM(t0s, i, v);
-        v = PyFloat_FromDouble(self->t1[i]);
-        if (v == NULL) {
-            goto fail;
-        }
-        PyList_SET_ITEM(t1s, i, v);
-        v = PyLong_FromLongLong(self->meta[i]);
-        if (v == NULL) {
-            goto fail;
-        }
-        PyList_SET_ITEM(metas, i, v);
-    }
-    PyObject *result = PyTuple_Pack(3, t0s, t1s, metas);
-    Py_DECREF(t0s);
-    Py_DECREF(t1s);
-    Py_DECREF(metas);
-    return result;
-fail:
-    Py_XDECREF(t0s);
-    Py_XDECREF(t1s);
-    Py_XDECREF(metas);
-    return NULL;
+    return Py_BuildValue("(y#y#y#)", (const char *)self->t0,
+                         n * (Py_ssize_t)sizeof(double),
+                         (const char *)self->t1,
+                         n * (Py_ssize_t)sizeof(double),
+                         (const char *)self->meta,
+                         n * (Py_ssize_t)sizeof(long long));
 }
 
 static Py_ssize_t
@@ -337,7 +314,8 @@ static PyMethodDef sink_methods[] = {
     {"keys", (PyCFunction)sink_keys, METH_NOARGS,
      "The interned key table, in code order."},
     {"snapshot", (PyCFunction)sink_snapshot, METH_NOARGS,
-     "The live columns, trimmed to the append count."},
+     "The live columns, trimmed to the append count, as three bytes "
+     "objects of native float64, float64 and int64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -717,28 +695,22 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
                 Py_DECREF(sink);
             }
             else {
-                /* Generic tracer (e.g. the legacy object tracer):
-                 * trace.record_interval(ctx, now, end, f, l, kind.value) */
+                /* Any other sink (e.g. a forced PyIntervalSink):
+                 * trace.record_interval(ctx, now, end, f, l, k), with
+                 * the CycleKind member itself, as cpu.py passes it. */
                 Py_XDECREF(sink);
-                PyObject *kind_value = PyObject_GetAttr(k, str_value);
                 PyObject *now_obj = PyFloat_FromDouble(self->now);
                 PyObject *end_obj = PyFloat_FromDouble(end);
-                if (kind_value == NULL || now_obj == NULL || end_obj == NULL) {
-                    Py_XDECREF(kind_value);
-                    Py_XDECREF(now_obj);
-                    Py_XDECREF(end_obj);
-                    Py_DECREF(ctx);
-                    Py_DECREF(trace);
-                    goto fail_flk;
+                PyObject *result = NULL;
+                if (now_obj != NULL && end_obj != NULL) {
+                    PyObject *args[7] = {trace, ctx, now_obj, end_obj,
+                                         f,     l,   k};
+                    result = PyObject_VectorcallMethod(
+                        str_record_interval, args,
+                        7 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
                 }
-                PyObject *args[7] = {trace,   ctx, now_obj, end_obj,
-                                     f,       l,   kind_value};
-                PyObject *result = PyObject_VectorcallMethod(
-                    str_record_interval, args,
-                    7 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-                Py_DECREF(kind_value);
-                Py_DECREF(now_obj);
-                Py_DECREF(end_obj);
+                Py_XDECREF(now_obj);
+                Py_XDECREF(end_obj);
                 if (result == NULL) {
                     Py_DECREF(ctx);
                     Py_DECREF(trace);
@@ -1175,7 +1147,6 @@ intern_names(void)
     INTERN(str_functionality, "functionality");
     INTERN(str_leaf, "leaf");
     INTERN(str_kind, "kind");
-    INTERN(str_value, "value");
     INTERN(str_trace, "trace");
     INTERN(str_trace_ctx, "trace_ctx");
     INTERN(str_record_interval, "record_interval");

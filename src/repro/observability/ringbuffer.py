@@ -32,18 +32,16 @@ Two buffers, because the two hook classes have very different rates:
 Both buffers grow by doubling when an append crosses the preallocation
 boundary, so capacity is a performance knob, never a correctness limit.
 
-:func:`decode_spans` rebuilds the span objects the legacy tracer
-allocated.  :func:`decode_timelines` builds no objects per interval: it
-groups the interval rows by request and hands each
-:class:`~repro.observability.RequestTimeline` its slices of the
-``starts``/``ends``/``codes`` columns plus the trace's one decoded key
-table.  The observability regression suite pins the decoded trace equal
-to :class:`~repro.observability.legacy.ObjectSpanTracer`'s on the same
-run: every span field, and every timeline's header and interval
-sequence.  Decoded span ids are the row index + 1 rendered through
-:func:`~repro.observability.spans.span_id_from_sequence`, which equals
-the legacy per-call sequence because rows are appended in exactly the
-order the legacy tracer allocated spans.
+:func:`decode_spans` rebuilds the span objects.  :func:`decode_timelines`
+builds no objects per interval: it groups the interval rows by request
+and hands each :class:`~repro.observability.RequestTimeline` its slices
+of the ``starts``/``ends``/``codes`` columns plus the trace's one decoded
+key table.  ``tests/fixtures/trace_digests.json`` is the decode
+reference: it pins every span field, and every timeline's header and
+interval sequence, of healthy, faulted, degraded and topology runs.
+Decoded span ids are the row index + 1 rendered through
+:func:`~repro.observability.spans.span_id_from_sequence`: rows are
+appended in hook-call order, so ids follow the order the hooks ran in.
 """
 
 from __future__ import annotations
@@ -279,17 +277,17 @@ def decode_timelines(sink, contexts) -> Tuple[RequestTimeline, ...]:
     """Group the interval columns into per-request column slices.
 
     Intervals were appended in global simulated-time order; one stable
-    sort by context id keeps each request's rows in that order, the
-    order the legacy tracer's per-context lists saw them in.  Every
-    timeline shares the one decoded key table.  The sink's snapshot may
-    be ``array`` slices (pure sink) or lists (compiled sink).
+    sort by context id keeps each request's rows in that order.  Every
+    timeline shares the one decoded key table.  The sink's snapshot is
+    three buffers of native float64/float64/int64 -- ``array`` slices
+    (pure sink) or ``bytes`` (compiled sink) -- read without a copy.
     """
     t0s, t1s, metas = sink.snapshot()
-    meta = np.asarray(metas, dtype=np.int64)
+    meta = np.frombuffer(metas, dtype=np.int64)
     owners = meta >> CODE_BITS
     order = np.argsort(owners, kind="stable")
-    starts = np.asarray(t0s, dtype=np.float64)[order]
-    ends = np.asarray(t1s, dtype=np.float64)[order]
+    starts = np.frombuffer(t0s, dtype=np.float64)[order]
+    ends = np.frombuffer(t1s, dtype=np.float64)[order]
     codes = (meta & CODE_MASK)[order]
     for column in (starts, ends, codes):  # timelines share these as views
         column.flags.writeable = False
@@ -322,8 +320,8 @@ def decode_spans(
 ) -> Tuple[Span, ...]:
     """Rebuild the span tuple from the span columns.
 
-    Row order *is* legacy emission order, so span ids are row + 1 and
-    the root-RPC trace counter can be replayed by scanning rows.
+    Row order is hook-call order, so span ids are row + 1 and the
+    root-RPC trace counter can be replayed by scanning rows.
     """
     n = ring.n
     op_col, t0_col, t1_col = ring.op, ring.t0, ring.t1

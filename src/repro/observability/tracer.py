@@ -12,9 +12,9 @@ every fingerprint) is bit-identical to the untraced run.
 Recording is *flat*: hooks append rows to the struct-of-arrays ring
 buffers in :mod:`~repro.observability.ringbuffer` (a handful of array
 stores per call, no object construction) and :meth:`SpanTracer.finish`
-decodes the columns into the same :class:`~repro.observability.TraceData`
-the original object-per-span tracer produced -- bit-identical, pinned by
-test against :class:`~repro.observability.legacy.ObjectSpanTracer`.
+decodes the columns into a :class:`~repro.observability.TraceData`,
+whose every field is pinned by the golden digests in
+``tests/fixtures/trace_digests.json``.
 Downstream consumers (``critical_path``, ``windows``, ``export``,
 ``trace_export``) never see the ring.  When the compiled hot core is
 importable (see :mod:`repro.simulator.hotcore`), the interval columns

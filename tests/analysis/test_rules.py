@@ -168,10 +168,10 @@ def test_perf001_silent_on_flat_ring_tracer(run_fixture):
 
 
 def test_perf001_tracer_checks_only_apply_to_tracer_module(run_fixture):
-    # The legacy object tracer is the pinned decode reference; it is
-    # deliberately outside the record-hook scope.
+    # The record-hook checks scope to tracer.py: the same code in
+    # another observability module is outside them.
     result = run_fixture("perf001_tracer_fires.py",
-                         "src/repro/observability/legacy.py",
+                         "src/repro/observability/export.py",
                          rules=["PERF001"])
     assert result.clean
 

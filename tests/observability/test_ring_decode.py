@@ -1,15 +1,12 @@
-"""Ring-buffer decode equality and edge cases.
+"""Ring-buffer decode edge cases.
 
-The ring tracer's contract is that :meth:`SpanTracer.finish` decodes its
-flat columns into *exactly* the :class:`TraceData` the legacy
-object-per-span tracer (:mod:`repro.observability.legacy`) produced --
-span ids, parents, attributes, every timeline's header and interval
-sequence, degradation tracks, all of it.
-These tests pin that equality on a healthy characterization run, on a
-faulted run exercising every fault span opcode, and on a topology run
-with RPC hops, plus the ring-specific edge cases: growth across the
-preallocation boundary, the pure-vs-compiled sink agreement, and the
-two snapshot shapes (``array`` slices and lists) decoding alike.
+What :meth:`SpanTracer.finish` decodes on whole runs is pinned by the
+golden digests in ``test_trace_digests.py``.  These tests pin the
+ring-specific edge cases around it: growth across the preallocation
+boundary, the pure-vs-compiled sink agreement, the two snapshot shapes
+(``array`` slices and ``bytes``) decoding alike, content equality of
+timelines, one key table per pickled trace, and the cap on interned
+attribution keys.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from repro.observability import (
     SpanTracer,
     TraceContext,
 )
-from repro.observability.legacy import ObjectSpanTracer
 from repro.observability.ringbuffer import (
     CODE_BITS,
     PyIntervalSink,
@@ -35,41 +31,7 @@ from repro.observability.ringbuffer import (
 from repro.paperdata.categories import FunctionalityCategory, LeafCategory
 from repro.simulator.metrics import CycleKind, RequestRecord
 
-from .conftest import FAULTED, cache1_trace, topology_trace
-
-
-def test_ring_decode_equals_legacy_tracer_on_healthy_run():
-    ring = cache1_trace(SpanTracer(label="run"))
-    legacy = cache1_trace(ObjectSpanTracer(label="run"))
-    assert ring.spans, "expected a non-trivial trace"
-    assert ring.spans == legacy.spans
-    assert ring.timelines == legacy.timelines
-    assert ring.degradations == legacy.degradations
-    assert ring == legacy
-
-
-def test_ring_decode_equals_legacy_tracer_on_faulted_run():
-    """Every fault opcode (ATTEMPT/BACKOFF/FALLBACK) and fault-tagged
-    interval decodes identically to the eager object tracer."""
-    from repro.application.resilience import traced_resilience_run
-
-    ring = traced_resilience_run(**FAULTED).trace
-    with mock.patch("repro.observability.SpanTracer", ObjectSpanTracer):
-        legacy = traced_resilience_run(**FAULTED).trace
-    fault_tags = {
-        interval.tag
-        for timeline in ring.timelines
-        for interval in timeline.intervals
-    }
-    assert fault_tags - {None}, "faulted run recorded no fault-tagged work"
-    assert ring == legacy
-
-
-def test_ring_decode_equals_legacy_tracer_on_topology_run():
-    ring = topology_trace(SpanTracer(label="topology"))
-    legacy = topology_trace(ObjectSpanTracer(label="topology"))
-    assert ring.spans, "expected RPC spans"
-    assert ring == legacy
+from .conftest import cache1_trace
 
 
 def test_ring_growth_across_preallocation_boundary():
@@ -126,8 +88,8 @@ def test_pickled_trace_carries_one_key_table():
     assert len(keys) == 1
 
 
-class _ListSnapshotSink:
-    """A sink whose snapshot is three Python lists, the shape the
+class _BytesSnapshotSink:
+    """A sink whose snapshot is three ``bytes`` columns, the shape the
     compiled ``IntervalSink.snapshot()`` returns."""
 
     def __init__(self, sink: PyIntervalSink) -> None:
@@ -137,12 +99,12 @@ class _ListSnapshotSink:
         return self._sink.keys()
 
     def snapshot(self):
-        return tuple(list(column) for column in self._sink.snapshot())
+        return tuple(column.tobytes() for column in self._sink.snapshot())
 
 
-def test_array_and_list_snapshots_decode_alike():
+def test_array_and_bytes_snapshots_decode_alike():
     """The pure sink snapshots ``array`` slices and the compiled sink
-    Python lists; the decoded timelines must not depend on the shape."""
+    ``bytes``; the decoded timelines must not depend on the shape."""
     io, logic = FunctionalityCategory.IO, FunctionalityCategory.APPLICATION_LOGIC
     memory, zstd = LeafCategory.MEMORY, LeafCategory.ZSTD
     contexts = []
@@ -162,9 +124,9 @@ def test_array_and_list_snapshots_decode_alike():
     sink.record(contexts[1], 12.0, 13.5, logic, zstd, "hold-wait")
 
     from_arrays = decode_timelines(sink, contexts)
-    from_lists = decode_timelines(_ListSnapshotSink(sink), contexts)
-    assert from_arrays == from_lists
-    for ours, theirs in zip(from_arrays, from_lists):
+    from_bytes = decode_timelines(_BytesSnapshotSink(sink), contexts)
+    assert from_arrays == from_bytes
+    for ours, theirs in zip(from_arrays, from_bytes):
         for column in ("starts", "ends", "codes"):
             mine, other = getattr(ours, column), getattr(theirs, column)
             assert mine.dtype == other.dtype

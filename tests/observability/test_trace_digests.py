@@ -11,11 +11,13 @@ change, an ``int`` turning into a ``float`` or a ``None`` turning into
 ``inf`` all move the digest.  The span, timeline, interval and track
 counts sit next to each digest, so a failure says what moved.
 
-The scenarios are the runs the ring decoder was checked against the
-object-per-span tracer on -- cache1 on the bare runner, a faulted
-resilience cell (``faulted-sync``: ``FAULTED`` with the default design)
-and the two-service topology run -- plus the traces the OTLP goldens
-pin, and a run whose device degrades and then goes dark.
+These digests are the decode reference.  They were generated while an
+object-per-span tracer, which allocated every span and interval as it
+was recorded, still lived beside the ring tracer, and the ring decode
+equalled that tracer's output on every scenario: cache1 on the bare
+runner, a faulted resilience cell (``faulted-sync``: ``FAULTED`` with
+the default design), the two-service topology run, the traces the OTLP
+goldens pin, and a run whose device degrades and then goes dark.
 
 Regenerate ``tests/fixtures/trace_digests.json`` only for an intentional
 change of what a traced run records::
@@ -28,13 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import sys
-from unittest import mock
 
 import pytest
 
 from repro.observability import SpanTracer, TraceData
-from repro.observability.legacy import ObjectSpanTracer
 
 try:
     from . import test_otlp_golden
@@ -137,27 +136,6 @@ def digest_traces(healthy: TraceData, faulted: dict) -> dict:
     }
 
 
-def object_tracer_traces() -> dict:
-    """Every scenario again, recorded by the object-per-span tracer."""
-    with mock.patch("repro.observability.SpanTracer", ObjectSpanTracer), \
-            mock.patch("repro.characterization.pipeline.SpanTracer",
-                       ObjectSpanTracer), \
-            mock.patch.object(test_otlp_golden, "SpanTracer",
-                              ObjectSpanTracer):
-        traces = {
-            "cache1-run": cache1_trace(ObjectSpanTracer(label="run")),
-            "topology": topology_trace(ObjectSpanTracer(label="topology")),
-            "healthy-cache1": healthy_characterization().simulation.trace,
-            **{
-                f"faulted-{design.value}": result.trace
-                for design, result in faulted_cells().items()
-            },
-            "faulted-batched": test_otlp_golden.faulted_batched_trace(),
-            "degraded": degraded_trace(ObjectSpanTracer(label="degraded")),
-        }
-    return traces
-
-
 def _golden() -> dict:
     return json.loads(FIXTURE.read_text())
 
@@ -187,23 +165,10 @@ def test_faulted_run_records_fault_tagged_work(traces):
     assert tags - {None}, "faulted run recorded no fault-tagged work"
 
 
-def test_ring_equals_object_tracer_on_every_scenario(traces):
-    reference = object_tracer_traces()
-    for name in NAMES:
-        assert traces[name] == reference[name], name
-        assert trace_digest(traces[name]) == trace_digest(reference[name])
-
-
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     traces = digest_traces(
         healthy_characterization().simulation.trace, faulted_cells()
     )
-    reference = object_tracer_traces()
-    golden = {}
-    for name in NAMES:
-        if traces[name] != reference[name]:
-            sys.exit(f"{name}: the ring decode differs from the object tracer")
-        golden[name] = trace_digest(traces[name])
-        assert golden[name] == trace_digest(reference[name]), name
+    golden = {name: trace_digest(traces[name]) for name in NAMES}
     FIXTURE.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} traces to {FIXTURE}")

@@ -236,21 +236,23 @@ def test_compiled_traced_run_decodes_identical_trace(monkeypatch):
 
 
 @needs_compiled
-def test_compiled_engine_supports_generic_tracers(monkeypatch):
-    """The C Compute path must fall back to calling ``record_interval``
-    on tracers that do not expose the flat C sink -- pinned against the
-    legacy object tracer, whose decode equals the ring tracer's."""
+def test_compiled_engine_records_into_the_pure_sink(monkeypatch):
+    """The C Compute path calls ``record_interval`` on a tracer whose
+    sink is not the C one; recording into a forced pure sink decodes
+    the trace the C sink does."""
+    import repro.observability.tracer as tracer_module
     from repro.observability import SpanTracer
-    from repro.observability.legacy import ObjectSpanTracer
+    from repro.observability.ringbuffer import PyIntervalSink
 
-    ring = _run_cache1(
+    compiled_sink = _run_cache1(
         hotcore.HotEngine, monkeypatch, tracer=SpanTracer(label="x")
     )
-    legacy = _run_cache1(
-        hotcore.HotEngine, monkeypatch, tracer=ObjectSpanTracer(label="x")
-    )
-    assert legacy.fingerprint() == ring.fingerprint()
-    assert legacy.trace == ring.trace
+    monkeypatch.setattr(tracer_module, "_COMPILED_SINK", None)
+    tracer = SpanTracer(label="x")
+    assert isinstance(tracer._sink, PyIntervalSink)
+    pure_sink = _run_cache1(hotcore.HotEngine, monkeypatch, tracer=tracer)
+    assert pure_sink.fingerprint() == compiled_sink.fingerprint()
+    assert pure_sink.trace == compiled_sink.trace
 
 
 # -- REPRO_COMPILED artifact diff (the CI leg, in miniature) -----------------
