@@ -280,7 +280,8 @@ def decode_timelines(sink, contexts) -> Tuple[RequestTimeline, ...]:
     sort by context id keeps each request's rows in that order.  Every
     timeline shares the one decoded key table.  The sink's snapshot is
     three buffers of native float64/float64/int64 -- ``array`` slices
-    (pure sink) or ``bytes`` (compiled sink) -- read without a copy.
+    (pure sink) or ``bytes`` (compiled sink) -- that ``np.frombuffer``
+    reads in place.
     """
     t0s, t1s, metas = sink.snapshot()
     meta = np.frombuffer(metas, dtype=np.int64)
