@@ -27,10 +27,10 @@
  * tests/fixtures/trace_digests.json.
  *
  * Scheduler state (cores, threads, run queue) stays in Python objects;
- * the extension only caches references and reads attributes, so the
- * pure and compiled paths can be mixed per-process (a pure-engine run
- * can use the C sink, and HotEngine calls record_interval on a tracer
- * whose sink is the pure one).
+ * the extension only caches references and reads attributes.  A
+ * pure-engine run can record into the C sink, but HotEngine records only
+ * into it: the two come from this one module, so a tracer built while
+ * HotEngine is importable always holds an IntervalSink.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -679,45 +679,30 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
         }
         if (ctx != Py_None) {
             double end = self->now + cycles;
+            /* trace.record_interval is the sink's record; HotEngine
+             * calls the C sink's directly. */
             PyObject *sink = PyObject_GetAttr(trace, str_sink_attr);
+            if (sink != NULL && Py_TYPE(sink) != &SinkType) {
+                PyErr_Format(PyExc_TypeError,
+                             "%U: HotEngine records only into the compiled "
+                             "IntervalSink, not %.200s",
+                             str_record_interval, Py_TYPE(sink)->tp_name);
+                Py_CLEAR(sink);
+            }
             if (sink == NULL) {
-                PyErr_Clear();
+                Py_DECREF(ctx);
+                Py_DECREF(trace);
+                goto fail_flk;
             }
-            if (sink != NULL && Py_TYPE(sink) == &SinkType) {
-                /* C to C: the ring tracer's interval sink. */
-                if (sink_record_core((SinkObject *)sink, ctx, self->now, end,
-                                     f, l, k) < 0) {
-                    Py_DECREF(sink);
-                    Py_DECREF(ctx);
-                    Py_DECREF(trace);
-                    goto fail_flk;
-                }
+            /* C to C: the ring tracer's interval sink. */
+            if (sink_record_core((SinkObject *)sink, ctx, self->now, end,
+                                 f, l, k) < 0) {
                 Py_DECREF(sink);
+                Py_DECREF(ctx);
+                Py_DECREF(trace);
+                goto fail_flk;
             }
-            else {
-                /* Any other sink (e.g. a forced PyIntervalSink):
-                 * trace.record_interval(ctx, now, end, f, l, k), with
-                 * the CycleKind member itself, as cpu.py passes it. */
-                Py_XDECREF(sink);
-                PyObject *now_obj = PyFloat_FromDouble(self->now);
-                PyObject *end_obj = PyFloat_FromDouble(end);
-                PyObject *result = NULL;
-                if (now_obj != NULL && end_obj != NULL) {
-                    PyObject *args[7] = {trace, ctx, now_obj, end_obj,
-                                         f,     l,   k};
-                    result = PyObject_VectorcallMethod(
-                        str_record_interval, args,
-                        7 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-                }
-                Py_XDECREF(now_obj);
-                Py_XDECREF(end_obj);
-                if (result == NULL) {
-                    Py_DECREF(ctx);
-                    Py_DECREF(trace);
-                    goto fail_flk;
-                }
-                Py_DECREF(result);
-            }
+            Py_DECREF(sink);
         }
         Py_DECREF(ctx);
     }

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -134,9 +134,9 @@ class RequestTimeline:
     a pickled trace carries it once.  Consumers aggregate over the
     columns; :attr:`intervals` builds :class:`Interval` objects on demand.
 
-    Equality compares content -- the header and the interval sequence --
-    not the encoding, so two timelines with differently ordered key
-    tables but the same intervals are equal.
+    Equality compares the header, the key table and the three columns.
+    Both interval sinks intern keys in recording order, so two runs that
+    record the same intervals decode to the same table.
     """
 
     request_id: int
@@ -148,33 +148,6 @@ class RequestTimeline:
     ends: np.ndarray
     codes: np.ndarray
     keys: Tuple[Tuple[str, str, str, Optional[str]], ...]
-
-    @classmethod
-    def from_intervals(
-        cls,
-        request_id: int,
-        started_at: float,
-        body_end: Optional[float],
-        completed_at: Optional[float],
-        degraded: bool,
-        intervals: Sequence[Interval],
-    ) -> "RequestTimeline":
-        """A timeline from interval objects, with a key table of its own."""
-        table: Dict[Tuple[str, str, str, Optional[str]], int] = {}
-        codes = [
-            table.setdefault(
-                (item.functionality, item.leaf, item.kind, item.tag),
-                len(table),
-            )
-            for item in intervals
-        ]
-        return cls(
-            request_id, started_at, body_end, completed_at, degraded,
-            np.array([item.start for item in intervals], dtype=np.float64),
-            np.array([item.end for item in intervals], dtype=np.float64),
-            np.array(codes, dtype=np.int64),
-            tuple(table),
-        )
 
     @property
     def intervals(self) -> Tuple[Interval, ...]:
@@ -196,7 +169,10 @@ class RequestTimeline:
             and self.body_end == other.body_end
             and self.completed_at == other.completed_at
             and self.degraded == other.degraded
-            and self.intervals == other.intervals
+            and self.keys == other.keys
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.ends, other.ends)
+            and np.array_equal(self.codes, other.codes)
         )
 
     @property

@@ -102,6 +102,41 @@ def topology_trace(tracer):
     return simulate_application(graph, config, tracer=tracer).trace
 
 
+def busy_topology_trace(tracer):
+    """A five-service call graph under load: about a hundred span trees
+    three hops deep, with a scatter stage, a second stage, and one hop
+    the window cuts off (its span stays open)."""
+    from repro.topology import (
+        ApplicationSimConfig,
+        Call,
+        CallGraph,
+        ServiceNode,
+        simulate_application,
+    )
+
+    graph = CallGraph(
+        [
+            ServiceNode("front", 20_000.0),
+            ServiceNode("mid", 15_000.0),
+            ServiceNode("cache", 4_000.0),
+            ServiceNode("db", 30_000.0),
+            ServiceNode("leaf", 8_000.0),
+        ],
+        [
+            Call("front", "mid", network_cycles=2_000.0),
+            Call("front", "cache", network_cycles=1_000.0),
+            Call("front", "db", network_cycles=3_000.0, stage=1),
+            Call("mid", "leaf", network_cycles=1_500.0),
+        ],
+        root="front",
+    )
+    config = ApplicationSimConfig(
+        cores_per_service=2, arrivals_per_unit=5_000, window_cycles=2.0e7,
+        seed=1,
+    )
+    return simulate_application(graph, config, tracer=tracer).trace
+
+
 #: A 3x slowdown window, then a full outage, on the device and in the
 #: fault stream alike.
 DEGRADATION = DegradationSchedule((

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.observability import (
@@ -88,17 +89,19 @@ class TestFaultCosts:
 
 class TestEdgeCases:
     def test_incomplete_request_is_rejected(self):
-        timeline = RequestTimeline.from_intervals(
+        timeline = RequestTimeline(
             request_id=7, started_at=0.0, body_end=None,
-            completed_at=None, degraded=False, intervals=(),
+            completed_at=None, degraded=False, starts=np.empty(0),
+            ends=np.empty(0), codes=np.empty(0, dtype=np.int64), keys=(),
         )
         with pytest.raises(ValueError, match="did not complete"):
             attribute_timeline(timeline)
 
     def test_missing_body_end_is_rejected(self):
-        timeline = RequestTimeline.from_intervals(
+        timeline = RequestTimeline(
             request_id=7, started_at=0.0, body_end=None,
-            completed_at=10.0, degraded=False, intervals=(),
+            completed_at=10.0, degraded=False, starts=np.empty(0),
+            ends=np.empty(0), codes=np.empty(0, dtype=np.int64), keys=(),
         )
         with pytest.raises(ValueError, match="body end"):
             attribute_timeline(timeline)

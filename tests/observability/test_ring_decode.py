@@ -4,7 +4,7 @@ What :meth:`SpanTracer.finish` decodes on whole runs is pinned by the
 golden digests in ``test_trace_digests.py``.  These tests pin the
 ring-specific edge cases around it: growth across the preallocation
 boundary, the pure-vs-compiled sink agreement, the two snapshot shapes
-(``array`` slices and ``bytes``) decoding alike, content equality of
+(``array`` slices and ``bytes``) decoding alike, column equality of
 timelines, one key table per pickled trace, and the cap on interned
 attribution keys.
 """
@@ -19,7 +19,6 @@ import pytest
 
 from repro.observability import (
     Interval,
-    RequestTimeline,
     SpanTracer,
     TraceContext,
 )
@@ -50,34 +49,39 @@ def test_ring_growth_across_preallocation_boundary():
 
 def test_pure_sink_agrees_with_selected_sink():
     """Forcing the pure-Python interval sink must not change the decoded
-    trace.  On a checkout without the compiled extension both runs use
-    the pure sink and this degenerates to determinism."""
+    trace.  Both runs use the pure engine, the one engine that records
+    into either sink.  On a checkout without the compiled extension both
+    runs use the pure sink and this degenerates to determinism."""
     import repro.observability.tracer as tracer_module
+    import repro.simulator.runner as runner
+    from repro.simulator.engine import PyEngine
 
-    selected = cache1_trace(SpanTracer(label="run"))
-    with mock.patch.object(tracer_module, "_COMPILED_SINK", None):
-        tracer = SpanTracer(label="run")
-        assert isinstance(tracer._sink, PyIntervalSink)
-        pure = cache1_trace(tracer)
+    with mock.patch.object(runner, "Engine", PyEngine):
+        selected = cache1_trace(SpanTracer(label="run"))
+        with mock.patch.object(tracer_module, "_COMPILED_SINK", None):
+            tracer = SpanTracer(label="run")
+            assert isinstance(tracer._sink, PyIntervalSink)
+            pure = cache1_trace(tracer)
     assert selected == pure
 
 
-def test_timeline_equality_compares_content_not_encoding():
-    """A timeline re-encoded with a key table of its own equals the
-    decoded one; changing one interval breaks the equality."""
+def test_timeline_equality_compares_header_keys_and_columns():
+    """A timeline equals a copy of its columns; moving one interval end,
+    reordering the key table or changing the header breaks the equality."""
     trace = cache1_trace(SpanTracer(label="run"))
     decoded = max(trace.timelines, key=lambda timeline: len(timeline.codes))
-    header = (decoded.request_id, decoded.started_at, decoded.body_end,
-              decoded.completed_at, decoded.degraded)
-    intervals = decoded.intervals
-    reencoded = RequestTimeline.from_intervals(*header, intervals)
-    assert reencoded.keys != decoded.keys
-    assert reencoded == decoded
-    shifted = Interval(intervals[-1].start, intervals[-1].end + 1.0,
-                       *dataclasses.astuple(intervals[-1])[2:])
-    assert RequestTimeline.from_intervals(
-        *header, intervals[:-1] + (shifted,)
-    ) != decoded
+    assert len(decoded.keys) > 1
+    copied = dataclasses.replace(
+        decoded, starts=decoded.starts.copy(), ends=decoded.ends.copy(),
+        codes=decoded.codes.copy(), keys=tuple(decoded.keys),
+    )
+    assert copied == decoded
+    ends = decoded.ends.copy()
+    ends[-1] += 1.0
+    assert dataclasses.replace(decoded, ends=ends) != decoded
+    reordered = dataclasses.replace(decoded, keys=decoded.keys[::-1])
+    assert reordered != decoded
+    assert dataclasses.replace(decoded, degraded=not decoded.degraded) != decoded
 
 
 def test_pickled_trace_carries_one_key_table():

@@ -17,7 +17,11 @@ was recorded, still lived beside the ring tracer, and the ring decode
 equalled that tracer's output on every scenario: cache1 on the bare
 runner, a faulted resilience cell (``faulted-sync``: ``FAULTED`` with
 the default design), the two-service topology run, the traces the OTLP
-goldens pin, and a run whose device degrades and then goes dark.
+goldens pin, and a run whose device degrades and then goes dark.  The
+busier five-service topology run (``topology-busy``) was checked against
+that tracer the same way before it was added.  Topology runs record RPC
+spans only: the application simulator does not trace its CPUs, so they
+carry no timelines.
 
 Regenerate ``tests/fixtures/trace_digests.json`` only for an intentional
 change of what a traced run records::
@@ -39,6 +43,7 @@ try:
     from . import test_otlp_golden
     from .conftest import (
         DESIGNS,
+        busy_topology_trace,
         cache1_trace,
         degraded_trace,
         faulted_cells,
@@ -49,6 +54,7 @@ except ImportError:  # run as a script to regenerate the fixture
     import test_otlp_golden
     from conftest import (
         DESIGNS,
+        busy_topology_trace,
         cache1_trace,
         degraded_trace,
         faulted_cells,
@@ -65,6 +71,7 @@ FIXTURE = (
 NAMES = (
     "cache1-run",
     "topology",
+    "topology-busy",
     "healthy-cache1",
     *(f"faulted-{design.value}" for design in DESIGNS),
     "faulted-batched",
@@ -126,6 +133,9 @@ def digest_traces(healthy: TraceData, faulted: dict) -> dict:
     return {
         "cache1-run": cache1_trace(SpanTracer(label="run")),
         "topology": topology_trace(SpanTracer(label="topology")),
+        "topology-busy": busy_topology_trace(
+            SpanTracer(label="topology-busy")
+        ),
         "healthy-cache1": healthy,
         **{
             f"faulted-{design.value}": faulted[design].trace
@@ -163,6 +173,19 @@ def test_faulted_run_records_fault_tagged_work(traces):
         for interval in timeline.intervals
     }
     assert tags - {None}, "faulted run recorded no fault-tagged work"
+
+
+def test_busy_topology_pins_deep_and_open_rpc_trees(traces):
+    spans = traces["topology-busy"].spans
+    parents = {span.span_id: span.parent_id for span in spans}
+
+    def depth(span_id):
+        parent = parents[span_id]
+        return 1 if parent is None else 1 + depth(parent)
+
+    assert sum(span.parent_id is None for span in spans) > 50
+    assert max(depth(span.span_id) for span in spans) == 3
+    assert any(span.end is None for span in spans)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

@@ -236,23 +236,18 @@ def test_compiled_traced_run_decodes_identical_trace(monkeypatch):
 
 
 @needs_compiled
-def test_compiled_engine_records_into_the_pure_sink(monkeypatch):
-    """The C Compute path calls ``record_interval`` on a tracer whose
-    sink is not the C one; recording into a forced pure sink decodes
-    the trace the C sink does."""
+def test_compiled_engine_rejects_a_foreign_sink(monkeypatch):
+    """HotEngine records only into the C sink it ships with; a tracer
+    holding any other sink fails loudly instead of recording elsewhere."""
     import repro.observability.tracer as tracer_module
     from repro.observability import SpanTracer
     from repro.observability.ringbuffer import PyIntervalSink
 
-    compiled_sink = _run_cache1(
-        hotcore.HotEngine, monkeypatch, tracer=SpanTracer(label="x")
-    )
     monkeypatch.setattr(tracer_module, "_COMPILED_SINK", None)
     tracer = SpanTracer(label="x")
     assert isinstance(tracer._sink, PyIntervalSink)
-    pure_sink = _run_cache1(hotcore.HotEngine, monkeypatch, tracer=tracer)
-    assert pure_sink.fingerprint() == compiled_sink.fingerprint()
-    assert pure_sink.trace == compiled_sink.trace
+    with pytest.raises(TypeError, match="compiled IntervalSink"):
+        _run_cache1(hotcore.HotEngine, monkeypatch, tracer=tracer)
 
 
 # -- REPRO_COMPILED artifact diff (the CI leg, in miniature) -----------------
