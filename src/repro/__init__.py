@@ -34,7 +34,6 @@ from .core import (
     AcceleratorSpec,
     GranularityDistribution,
     KernelProfile,
-    LogCA,
     OffloadCosts,
     OffloadScenario,
     Placement,
@@ -42,6 +41,7 @@ from .core import (
     ThreadingDesign,
     project,
 )
+from .core.baselines import LogCA
 from .errors import (
     CalibrationError,
     ParameterError,

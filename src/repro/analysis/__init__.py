@@ -13,8 +13,7 @@ declare.  This package makes those promises mechanical:
 * :class:`Finding` / :class:`Severity` -- typed findings with
   ``path:line:column`` locations, fix hints, and (for whole-program
   findings) a supporting trace;
-* ``# repro: noqa[RULE]`` pragmas and :class:`Baseline` files for
-  deliberate exceptions and staged adoption;
+* ``# repro: noqa[RULE]`` pragmas for deliberate exceptions;
 * the whole-program layer behind ``--deep``: :class:`ProjectModel`
   (module graph + symbol table), :func:`build_call_graph`, the shared
   fixpoint dataflow framework (:class:`DataflowAnalysis`,
@@ -29,13 +28,6 @@ Run it as ``python -m repro lint`` (or ``make lint``); add ``--deep``
 for the whole-program passes.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    save_baseline,
-)
 from .cparse import CSourceFile
 from .dataflow import (
     CallStep,
@@ -65,7 +57,7 @@ from .incremental import changed_python_files
 from .project import ProjectModel, module_name_for
 from .registry import Rule, all_rules, register_rule, resolve_rules
 from .reporters import render_json, render_text
-from .sarif import render_sarif, sarif_findings
+from .sarif import render_sarif
 from .source import SourceFile, parse_suppressions
 from .taint import TaintPath, find_taint_paths
 from .unitflow import UnitFlowAnalyzer
@@ -73,12 +65,9 @@ from .unitflow import UnitFlowAnalyzer
 __all__ = [
     "AnalysisContext",
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
     "CSourceFile",
     "CallGraph",
     "CallStep",
-    "DEFAULT_BASELINE_NAME",
     "DataflowAnalysis",
     "EffectAnalysis",
     "Finding",
@@ -101,7 +90,6 @@ __all__ = [
     "find_taint_paths",
     "function_effects",
     "observer_class_names",
-    "load_baseline",
     "load_c_sources",
     "load_sources",
     "module_name_for",
@@ -111,6 +99,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "resolve_rules",
-    "sarif_findings",
-    "save_baseline",
 ]

@@ -6,7 +6,7 @@ module stays a thin dispatcher.
 
 Exit codes form a contract CI keys off:
 
-* ``0`` -- clean (no fresh findings, every rule completed);
+* ``0`` -- clean (no findings, every rule completed);
 * ``1`` -- findings: the *program* violates an invariant;
 * ``2`` -- internal analyzer error: a rule crashed, the report may be
   incomplete, and fixing the analyzer (not the program) is the action.
@@ -18,12 +18,6 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    load_baseline,
-    save_baseline,
-)
 from .engine import analyze_paths, load_sources
 from .incremental import DEFAULT_BASE, changed_python_files
 from .registry import all_rules
@@ -35,10 +29,11 @@ from .sarif import render_sarif
 #: invariants wherever the path-scoped rules apply).
 DEFAULT_LINT_PATHS = ("src/repro", "scripts")
 
-#: Consumer trees fed to the deep pass as reference-only sources: their
-#: imports count as usage for dead-export detection, but they are not
-#: part of the analyzed program.
-REFERENCE_PATHS = ("tests", "examples", "benchmarks")
+#: The program's users outside the analyzed tree, fed to the deep pass as
+#: reference-only sources: their imports count as usage for dead-export
+#: detection, but they are not part of the analyzed program.  Tests are
+#: deliberately not users: an export only a test imports is dead.
+REFERENCE_PATHS = ("examples", "benchmarks", "bench")
 
 #: Default on-disk cache location for deep runs (content-hash keyed, so
 #: stale entries are misses, never wrong answers).
@@ -80,19 +75,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "callgraph.dot under DIR (deterministic output)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE_NAME} at the project root when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="directory for on-disk analysis caches (summaries and "
         f"project findings; default: {DEFAULT_CACHE_DIR} under the "
@@ -110,19 +92,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--root", default=".",
         help="project root paths are resolved against (default: cwd)",
     )
-
-
-def _resolve_baseline(
-    args: argparse.Namespace, root: Path
-) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return load_baseline(args.baseline)
-    default = root / DEFAULT_BASELINE_NAME
-    if default.is_file():
-        return load_baseline(default)
-    return None
 
 
 def _reference_paths(root: Path) -> List[str]:
@@ -164,7 +133,6 @@ def run_lint(args: argparse.Namespace) -> int:
         path for path in DEFAULT_LINT_PATHS if (root / path).exists()
     ]
     rule_names = [name for name in args.rules.split(",") if name.strip()]
-    baseline = None if args.write_baseline else _resolve_baseline(args, root)
 
     restrict = None
     if args.changed is not None:
@@ -181,7 +149,6 @@ def run_lint(args: argparse.Namespace) -> int:
         paths,
         root=root,
         rules=rule_names or None,
-        baseline=baseline,
         deep=args.deep,
         restrict=restrict,
         reference_paths=_reference_paths(root) if args.deep else (),
@@ -191,14 +158,6 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.export_graph:
         for target in _export_graph(paths, root, Path(args.export_graph)):
             print(f"wrote {target}")
-
-    if args.write_baseline:
-        target = Path(args.baseline) if args.baseline else (
-            root / DEFAULT_BASELINE_NAME
-        )
-        save_baseline(Baseline.from_findings(result.findings), target)
-        print(f"wrote {len(result.findings)} entries to {target}")
-        return 0
 
     if args.sarif:
         sarif_text = render_sarif(result)

@@ -4,8 +4,8 @@
 share.  It walks the requested paths, reads every ``.py`` file (each is
 parsed at most once, on first use), hands the
 :class:`~repro.analysis.source.SourceFile`s to each selected rule (file
-rules per file, project rules once over the whole set), drops findings
-silenced by ``# repro: noqa`` pragmas, and applies the baseline.
+rules per file, project rules once over the whole set), and drops
+findings silenced by ``# repro: noqa`` pragmas.
 
 Two whole-program extensions ride on the same driver:
 
@@ -39,7 +39,6 @@ from typing import (
 )
 
 from ..errors import ParameterError
-from .baseline import Baseline
 from .findings import Finding, Severity
 from .registry import Rule, resolve_rules
 from .source import SourceFile
@@ -137,10 +136,10 @@ class AnalysisContext:
     root: Path
     sources: Tuple[SourceFile, ...]
 
-    #: Consumer-only sources (tests, examples, benchmarks): they feed
-    #: the project model's usage index so dead-export detection knows
-    #: its audience, but no rule reports findings against them and the
-    #: call-graph/taint/unit passes do not analyze them.
+    #: Consumer-only sources (the program's users: examples, benchmarks,
+    #: bench): they feed the project model's usage index so dead-export
+    #: detection knows its audience, but no rule reports findings against
+    #: them and the call-graph/taint/unit passes do not analyze them.
     reference_sources: Tuple[SourceFile, ...] = ()
 
     #: Scanned C files (:class:`~repro.analysis.cparse.CSourceFile`) for
@@ -199,11 +198,8 @@ class AnalysisContext:
 class AnalysisResult:
     """Outcome of one :func:`analyze_paths` run."""
 
-    #: Fresh findings (not suppressed, not baselined), sorted by location.
+    #: Fresh findings (not suppressed), sorted by location.
     findings: List[Finding]
-
-    #: Findings absorbed by the baseline.
-    grandfathered: List[Finding]
 
     #: Findings silenced by ``# repro: noqa`` pragmas.
     suppressed: List[Finding]
@@ -306,7 +302,6 @@ def analyze_sources(
     *,
     root: Union[str, Path] = ".",
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     deep: bool = False,
     restrict: Optional[Collection[str]] = None,
     reference_sources: Iterable[SourceFile] = (),
@@ -472,14 +467,8 @@ def analyze_sources(
         else:
             visible.append(finding)
 
-    if baseline is None:
-        fresh, grandfathered = visible, []
-    else:
-        fresh, grandfathered = baseline.filter(visible)
-
     return AnalysisResult(
-        findings=fresh,
-        grandfathered=grandfathered,
+        findings=visible,
         suppressed=suppressed,
         files=len(context.sources) + len(context.c_sources),
         rules=tuple(rule.name for rule in selected),
@@ -492,7 +481,6 @@ def analyze_paths(
     *,
     root: Union[str, Path] = ".",
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     deep: bool = False,
     restrict: Optional[Collection[str]] = None,
     reference_paths: Sequence[Union[str, Path]] = (),
@@ -514,7 +502,6 @@ def analyze_paths(
         sources,
         root=root_path,
         rules=rules,
-        baseline=baseline,
         deep=deep,
         restrict=restrict,
         reference_sources=reference_sources,

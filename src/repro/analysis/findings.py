@@ -3,9 +3,8 @@
 A :class:`Finding` is one rule violation pinned to a ``path:line:column``
 location, carrying the human-readable message and a *fix hint* -- the
 concrete edit that restores the invariant the rule protects.  Findings
-are plain frozen data so reporters, the baseline store, and tests can
-sort, compare, and serialize them without touching the rules that
-produced them.
+are plain frozen data so reporters and tests can sort, compare, and
+serialize them without touching the rules that produced them.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching.
-
-        Line/column are deliberately excluded so grandfathered findings
-        survive unrelated edits that shift them around a file.
-        """
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {

@@ -22,7 +22,7 @@ class Rule:
     Subclasses define:
 
     * ``name`` -- stable identifier (``DET001`` ...), used in reports,
-      suppressions, ``--rules`` selection, and baselines;
+      suppressions, and ``--rules`` selection;
     * ``severity`` -- default :class:`Severity` of findings;
     * ``description`` -- one-line summary for ``--list-rules``;
     * ``invariant`` -- what breaks when the rule is violated (docs);

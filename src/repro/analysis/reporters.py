@@ -45,8 +45,6 @@ def render_text(result: AnalysisResult, *, verbose: bool = False) -> str:
         f"in {result.files} files"
     )
     extras = []
-    if result.grandfathered:
-        extras.append(f"{len(result.grandfathered)} baselined")
     if result.suppressed:
         extras.append(f"{len(result.suppressed)} suppressed")
     if result.internal:
@@ -73,7 +71,6 @@ def render_json(result: AnalysisResult) -> str:
         "files": result.files,
         "rules": list(result.rules),
         "findings": _finding_rows(result.findings),
-        "grandfathered": _finding_rows(result.grandfathered),
         "suppressed": _finding_rows(result.suppressed),
         "internal": _finding_rows(result.internal),
         "exit_code": result.exit_code,

@@ -184,9 +184,10 @@ class DeadExport(Rule):
     severity = Severity.WARNING
     description = (
         "every subpackage facade export is transitively reachable from "
-        "some genuine use in the program (src, scripts, tests, "
-        "examples, benchmarks -- dynamic getattr-by-literal included) "
-        "and every re-export chain resolves to a real definition"
+        "some genuine use in the program or its users (src, scripts, "
+        "examples, benchmarks, bench -- dynamic getattr-by-literal "
+        "included; tests do not count) and every re-export chain "
+        "resolves to a real definition"
     )
     invariant = (
         "the facade surface stays honest: an export nothing references "
@@ -281,9 +282,9 @@ class DeepCoverage(Rule):
         }
         for relpath, reason in sorted(model.skipped):
             if relpath in reference_paths:
-                # Reference-only trees (tests, fixtures) may contain
-                # deliberately-broken files; they are consumers, not
-                # analyzed code.
+                # Reference-only trees (examples, benchmarks, bench) are
+                # consumers, not analyzed code: a file there that does
+                # not parse is no blind spot in the program.
                 continue
             yield Finding(
                 rule=self.name,

@@ -9,12 +9,6 @@ from .ablations import (
     selective_vs_offload_all,
     threading_design_comparison,
 )
-from .latency_study import (
-    LatencyStudyConfig,
-    LoadPoint,
-    latency_vs_load,
-    run_load_point,
-)
 from .oversubscription import (
     OversubscriptionPoint,
     OversubscriptionStudyConfig,
@@ -22,18 +16,8 @@ from .oversubscription import (
     run_point,
     saturation_level,
 )
-from .recommendations import (
-    Recommendation,
-    best_recommendation,
-    quantify_recommendations,
-    rank_recommendations,
-)
-from .slo import (
-    SloCheck,
-    check_slo,
-    max_thread_switch_for_slo,
-    remote_delay_budget,
-)
+from .recommendations import Recommendation, quantify_recommendations
+from .slo import SloCheck, check_slo
 from .resilience import (
     Ads1ResiliencePoint,
     ResilienceGrid,
@@ -44,15 +28,12 @@ from .resilience import (
 )
 from .shared_device import (
     ContentionRow,
-    SharedDeviceGrid,
     SharedDevicePoint,
     SharedDeviceRun,
     TenantRun,
     contention_case_study,
     contention_report,
     run_shared_device_point,
-    shared_device_grid,
-    shared_wait_profile,
 )
 from .projections import (
     OverheadProjection,
@@ -66,10 +47,8 @@ from .projections import (
 __all__ = [
     "Ads1ResiliencePoint",
     "ContentionRow",
-    "LatencyStudyConfig",
     "ResilienceGrid",
     "ResiliencePoint",
-    "SharedDeviceGrid",
     "SharedDevicePoint",
     "SharedDeviceRun",
     "TenantRun",
@@ -79,9 +58,6 @@ __all__ = [
     "resilience_grid",
     "run_resilience_point",
     "run_shared_device_point",
-    "shared_device_grid",
-    "shared_wait_profile",
-    "LoadPoint",
     "OverheadProjection",
     "OversubscriptionPoint",
     "OversubscriptionStudyConfig",
@@ -90,14 +66,8 @@ __all__ = [
     "saturation_level",
     "Recommendation",
     "SloCheck",
-    "best_recommendation",
     "quantify_recommendations",
-    "rank_recommendations",
-    "latency_vs_load",
-    "run_load_point",
     "check_slo",
-    "max_thread_switch_for_slo",
-    "remote_delay_budget",
     "SelectiveOffloadAblation",
     "complexity_sensitivity",
     "fig20_comparison",

@@ -23,7 +23,7 @@ accelerating) a fraction of the relevant cycles:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..core import (
     Accelerometer,
@@ -140,24 +140,3 @@ def quantify_recommendations(
         ),
     )
     return out
-
-
-def rank_recommendations(
-    services: Sequence[str] = ("web", "feed1", "feed2", "ads1", "ads2",
-                               "cache1", "cache2"),
-    **kwargs,
-) -> Dict[str, Dict[str, Recommendation]]:
-    """Quantified recommendations for several services, keyed by service
-    then recommendation."""
-    return {
-        service: quantify_recommendations(service, **kwargs)
-        for service in services
-    }
-
-
-def best_recommendation(service: str, **kwargs) -> Recommendation:
-    """The single highest-value recommendation for one service."""
-    options = quantify_recommendations(service, **kwargs)
-    if not options:
-        raise ParameterError(f"no applicable recommendations for {service}")
-    return max(options.values(), key=lambda r: r.projected_speedup_pct)

@@ -6,9 +6,9 @@ DPU offload of the data-center tax), so the operative questions become:
 
 * How much of a private-device speedup survives when several services
   contend for one device?  (:func:`contention_case_study`)
-* Do the weighted fair-queueing and doorbell-batching closed forms in
-  :mod:`repro.core.queueing` / :mod:`repro.core.resilience` describe the
-  simulated shared world to the repository's ≤2% contract?
+* Does the doorbell-batching closed form
+  (:func:`~repro.core.resilience.degraded_batched_async_speedup`)
+  describe the simulated shared world to the repository's ≤2% contract?
   (:func:`run_shared_device_point` / :func:`shared_device_grid`)
 * How do per-tenant waits move when tenants join or weights change?
   (:func:`shared_wait_profile` -- the instrument behind the metamorphic

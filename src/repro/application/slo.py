@@ -4,9 +4,8 @@ The paper: "service operators can use the ... latency reduction equation
 to ensure that the latency SLO is not violated" -- Sync-OS in particular
 can buy throughput at a per-request latency *slowdown*, and remote
 offloads add network traversal delay (Ads1 pays ~10 ms) that never shows
-in host cycles.  These helpers answer the operator questions directly:
-does this plan meet the SLO, and how much thread-switch or network
-overhead can we afford before it does not?
+in host cycles.  :func:`check_slo` answers the operator question
+directly: does this plan, plus any extra network delay, meet the SLO?
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Optional
 
 from ..core.model import Accelerometer
 from ..core.params import OffloadScenario
-from ..core.strategies import Placement, ThreadingDesign
 from ..errors import ParameterError
 
 
@@ -77,65 +75,3 @@ def check_slo(
         projected_latency_cycles=projected,
         extra_delay_cycles=extra_delay_cycles,
     )
-
-
-def max_thread_switch_for_slo(
-    scenario: OffloadScenario,
-    baseline_latency_cycles: float,
-    slo_cycles: float,
-) -> float:
-    """Largest ``o1`` a Sync-OS (or distinct-thread) plan can afford while
-    meeting the SLO.
-
-    The latency denominator (eqn. 5) is linear in ``o1``:
-    ``1/CL' = (1 - a) + a/A + (n/C)(o0 + L + Q) + (n/C) o1``, and the SLO
-    requires ``baseline / reduction <= slo``, i.e.
-    ``denominator <= slo / baseline``.  Returns ``inf`` when the SLO is
-    satisfied for any ``o1`` magnitude the equation permits and 0 when it
-    cannot be met even at ``o1 = 0``.
-    """
-    if scenario.design not in (
-        ThreadingDesign.SYNC_OS,
-        ThreadingDesign.ASYNC_DISTINCT_THREAD,
-    ):
-        raise ParameterError(
-            "o1 bound is only meaningful for sync-os or "
-            "async-distinct-thread designs"
-        )
-    if baseline_latency_cycles <= 0 or slo_cycles <= 0:
-        raise ParameterError("latency quantities must be positive")
-    kernel = scenario.kernel
-    costs = scenario.costs
-    c = kernel.total_cycles
-    n = kernel.offloads_per_unit
-    alpha = kernel.kernel_fraction
-    base_denominator = (
-        (1.0 - alpha)
-        + alpha / scenario.accelerator.peak_speedup
-        + n / c * costs.dispatch_total
-    )
-    # baseline * denominator <= slo  =>  denominator <= slo / baseline
-    budget = slo_cycles / baseline_latency_cycles - base_denominator
-    if budget < 0:
-        return 0.0
-    if n == 0:
-        return float("inf")
-    return budget * c / n
-
-
-def remote_delay_budget(
-    scenario: OffloadScenario,
-    baseline_latency_cycles: float,
-    slo_cycles: float,
-    model: Optional[Accelerometer] = None,
-) -> float:
-    """How much network traversal delay (in cycles) a remote offload can
-    add before violating the SLO.  Negative values mean the plan already
-    violates the SLO with zero network delay."""
-    if scenario.accelerator.placement is not Placement.REMOTE:
-        raise ParameterError("delay budget applies to remote placements")
-    model = model or Accelerometer()
-    check = check_slo(
-        scenario, baseline_latency_cycles, slo_cycles, 0.0, model
-    )
-    return check.headroom_cycles

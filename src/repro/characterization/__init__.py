@@ -10,7 +10,6 @@ from .cdf import (
 )
 from .compare import (
     BreakdownComparison,
-    characterization_report,
     compare_breakdown,
 )
 from .findings import DerivedFinding, derive_findings, findings_report
@@ -45,7 +44,6 @@ __all__ = [
     "FIG10_CATEGORIES",
     "FIG8_CATEGORIES",
     "GENERATIONS",
-    "characterization_report",
     "characterize",
     "characterize_across_generations",
     "characterize_all",

@@ -3,14 +3,13 @@
 The reproduction's acceptance criterion is *shape preservation*: dominant
 categories, orderings, and magnitudes should match the paper's published
 breakdowns within sampling tolerance.  :func:`compare_breakdown` packages
-the shape metrics for one service; :func:`characterization_report` renders
-a full paper-vs-measured table for EXPERIMENTS.md.
+the shape metrics for one service.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Mapping
+from typing import Dict, Hashable, Mapping
 
 from ..profiling.reports import l1_distance, normalize, rank_agreement, same_dominant
 
@@ -63,19 +62,3 @@ def compare_breakdown(
         measured={k: round(v * 100, 2) for k, v in measured_normalized.items()},
         published={k: round(v * 100, 2) for k, v in published_normalized.items()},
     )
-
-
-def characterization_report(comparisons: List[BreakdownComparison]) -> str:
-    """Render comparisons as a fixed-width text table."""
-    lines = [
-        f"{'figure':8s} {'service':10s} {'L1':>6s} {'top-1':>6s} {'tau':>6s}",
-        "-" * 40,
-    ]
-    for comparison in comparisons:
-        lines.append(
-            f"{comparison.figure:8s} {comparison.service:10s} "
-            f"{comparison.l1:6.3f} "
-            f"{'yes' if comparison.dominant_match else 'NO':>6s} "
-            f"{comparison.rank_tau:6.2f}"
-        )
-    return "\n".join(lines)

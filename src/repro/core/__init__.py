@@ -8,7 +8,7 @@ Public API::
     )
 """
 
-from .baselines import LogCA, amdahl_ceiling, amdahl_speedup
+from .baselines import amdahl_ceiling
 from .batching import (
     BatchedProjection,
     BatchingPolicy,
@@ -25,81 +25,29 @@ from .bounds import (
     decompose,
     granularity_landmarks,
 )
-from .breakeven import (
-    aggregate_offload_margin,
-    min_profitable_granularity,
-    offload_is_profitable,
-    speedup_breakeven_table,
-)
-from .complexity import (
-    ComplexityClass,
-    KernelComplexity,
-    classify,
-    fit_power_law,
-    fit_quality,
-)
+from .breakeven import min_profitable_granularity
 from .granularity import (
     GranularityDistribution,
     lucrative_subset,
     selective_profile,
 )
 from .model import Accelerometer, ProjectionResult, project
-from .multikernel import (
-    FusedPlan,
-    KernelPlan,
-    combined_speedup,
-    fused_speedup,
-    fusion_benefit,
-)
 from .params import AcceleratorSpec, KernelProfile, OffloadCosts, OffloadScenario
 from .resilience import (
     degraded_async_distinct_thread_speedup,
     degraded_async_speedup,
     degraded_batched_async_speedup,
-    degraded_batched_min_profitable_granularity,
-    degraded_min_profitable_granularity,
-    degraded_offload_margin,
     degraded_speedup,
     degraded_sync_os_speedup,
     degraded_sync_speedup,
     doorbell_drop_probability,
-    effective_offload_cost,
     expected_backoff_cycles,
     expected_failures,
     fallback_probability,
 )
-from .queueing import (
-    QueueModel,
-    amortized_dispatch_cycles,
-    empirical_mean_wait,
-    md1_wait_cycles,
-    mg1_wait_cycles,
-    mm1_wait_cycles,
-    mmk_wait_cycles,
-    shared_device_utilization,
-    utilization,
-    weighted_tenant_waits,
-)
-from .sensitivity import (
-    SENSITIVITY_PARAMETERS,
-    SensitivityReport,
-    sensitivity,
-    verify_elasticity_numerically,
-)
-from .uncertainty import (
-    ParameterRange,
-    SpeedupInterval,
-    monte_carlo_speedup,
-    speedup_interval,
-)
-from .strategies import (
-    BLOCKING_DESIGNS,
-    NONBLOCKING_DESIGNS,
-    Placement,
-    ResponseHandling,
-    ThreadingDesign,
-    design_for_response,
-)
+from .queueing import mmk_wait_cycles, utilization
+from .sensitivity import SENSITIVITY_PARAMETERS, SensitivityReport, sensitivity
+from .strategies import Placement, ThreadingDesign
 from .sweep import (
     SWEEPABLE_PARAMETERS,
     SweepPoint,
@@ -112,85 +60,49 @@ from .sweep import (
 __all__ = [
     "Accelerometer",
     "AcceleratorSpec",
-    "BLOCKING_DESIGNS",
     "BatchedProjection",
     "BatchingPolicy",
     "BindingConstraint",
     "CycleDecomposition",
-    "FusedPlan",
     "GranularityLandmarks",
-    "KernelPlan",
-    "ParameterRange",
-    "SpeedupInterval",
-    "monte_carlo_speedup",
-    "speedup_interval",
     "SENSITIVITY_PARAMETERS",
     "SensitivityReport",
     "batch_size_sweep",
     "batched_scenario",
     "bound_report",
-    "combined_speedup",
     "decompose",
-    "fused_speedup",
-    "fusion_benefit",
     "granularity_landmarks",
     "min_profitable_batch_size",
     "project_batched",
     "sensitivity",
-    "verify_elasticity_numerically",
-    "ComplexityClass",
     "GranularityDistribution",
-    "KernelComplexity",
     "KernelProfile",
-    "LogCA",
-    "NONBLOCKING_DESIGNS",
     "OffloadCosts",
     "OffloadScenario",
     "Placement",
     "ProjectionResult",
-    "QueueModel",
-    "ResponseHandling",
     "SWEEPABLE_PARAMETERS",
     "SweepPoint",
     "SweepResult",
     "ThreadingDesign",
-    "aggregate_offload_margin",
     "amdahl_ceiling",
-    "amdahl_speedup",
-    "classify",
     "compare_designs",
     "crossover",
-    "amortized_dispatch_cycles",
     "degraded_async_distinct_thread_speedup",
     "degraded_async_speedup",
     "degraded_batched_async_speedup",
-    "degraded_batched_min_profitable_granularity",
-    "degraded_min_profitable_granularity",
     "doorbell_drop_probability",
-    "mg1_wait_cycles",
-    "shared_device_utilization",
-    "weighted_tenant_waits",
-    "degraded_offload_margin",
     "degraded_speedup",
     "degraded_sync_os_speedup",
     "degraded_sync_speedup",
-    "design_for_response",
-    "effective_offload_cost",
     "expected_backoff_cycles",
     "expected_failures",
     "fallback_probability",
-    "empirical_mean_wait",
-    "fit_power_law",
-    "fit_quality",
     "lucrative_subset",
-    "md1_wait_cycles",
     "min_profitable_granularity",
-    "mm1_wait_cycles",
     "mmk_wait_cycles",
-    "offload_is_profitable",
     "project",
     "selective_profile",
-    "speedup_breakeven_table",
     "sweep",
     "utilization",
 ]

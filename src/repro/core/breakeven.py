@@ -120,20 +120,3 @@ def aggregate_offload_margin(
     elif design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
         overhead += n * costs.thread_switch_cycles
     return saved - overhead
-
-
-def speedup_breakeven_table(
-    cycles_per_byte: float,
-    accelerator: AcceleratorSpec,
-    costs: OffloadCosts,
-    beta: float = 1.0,
-) -> dict:
-    """Break-even granularity for every threading design, as a dict keyed
-    by :class:`ThreadingDesign` -- convenient for annotating CDFs the way
-    the paper marks Fig. 19."""
-    return {
-        design: min_profitable_granularity(
-            design, cycles_per_byte, accelerator, costs, beta
-        )
-        for design in ThreadingDesign
-    }

@@ -3,8 +3,8 @@
 The paper treats ``Q`` as "avg. cycles spent in queuing between host and
 accelerator for a single offload" and notes that ``Q`` lets the model
 project speedup *based on accelerator load*.  This module provides the
-standard single-server estimators plus an empirical option, so a designer
-can derive ``Q`` from an offered offload rate rather than guessing.
+M/M/1 and M/M/k (Erlang-C) estimators, so a designer can derive ``Q`` from
+an offered offload rate rather than guessing.
 
 All quantities are in host cycles; rates are offloads per time unit
 (matching ``n``), converted internally.
@@ -12,9 +12,7 @@ All quantities are in host cycles; rates are offloads per time unit
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Sequence
 
 from ..errors import ParameterError
 
@@ -57,22 +55,6 @@ def mm1_wait_cycles(
     return rho / (1.0 - rho) * service_cycles
 
 
-def md1_wait_cycles(
-    offload_rate: float, service_cycles: float, total_cycles: float
-) -> float:
-    """Mean M/D/1 queueing delay: deterministic service halves M/M/1 waiting.
-
-    ``Wq = rho / (2 * (1 - rho)) * S`` -- appropriate for fixed-function
-    accelerators whose per-offload service time varies little.
-    """
-    rho = utilization(offload_rate, service_cycles, total_cycles)
-    if rho >= 1.0:
-        raise ParameterError(
-            f"accelerator overloaded (rho = {rho:.3f} >= 1); queue is unstable"
-        )
-    return rho / (2.0 * (1.0 - rho)) * service_cycles
-
-
 def mmk_wait_cycles(
     offload_rate: float,
     service_cycles: float,
@@ -99,187 +81,3 @@ def mmk_wait_cycles(
     top = offered_load**servers / (math.factorial(servers) * (1.0 - rho))
     p_wait = top / (summation + top)
     return p_wait * service_cycles / (servers * (1.0 - rho))
-
-
-def mg1_wait_cycles(
-    offload_rate: float,
-    service_cycles: float,
-    total_cycles: float,
-    scv: float = 1.0,
-) -> float:
-    """Mean M/G/1 queueing delay (Pollaczek-Khinchine).
-
-    ``Wq = rho / (1 - rho) * S * (1 + scv) / 2`` where *scv* is the
-    squared coefficient of variation of service time.  ``scv = 1``
-    (exponential) reduces bit-identically to :func:`mm1_wait_cycles`
-    (the trailing factor is exactly 1.0); ``scv = 0`` (deterministic)
-    reduces bit-identically to :func:`md1_wait_cycles` (halving is exact
-    in binary floating point).
-    """
-    if scv < 0:
-        raise ParameterError("scv must be >= 0")
-    rho = utilization(offload_rate, service_cycles, total_cycles)
-    if rho >= 1.0:
-        raise ParameterError(
-            f"accelerator overloaded (rho = {rho:.3f} >= 1); queue is unstable"
-        )
-    return rho / (1.0 - rho) * service_cycles * ((1.0 + scv) / 2.0)
-
-
-def shared_device_utilization(
-    offload_rates: Sequence[float],
-    service_cycles: Sequence[float],
-    total_cycles: float,
-    servers: int = 1,
-) -> float:
-    """Aggregate utilization of a device shared by several tenants.
-
-    Work conservation: the shared device's load is the sum of per-tenant
-    loads, ``rho = sum_i (n_i * S_i) / (k * C)``.  A single tenant
-    reduces bit-identically to :func:`utilization`.
-    """
-    rates = list(offload_rates)
-    services = list(service_cycles)
-    if not rates:
-        raise ParameterError("need at least one tenant")
-    if len(rates) != len(services):
-        raise ParameterError("offload_rates and service_cycles must pair up")
-    if len(rates) == 1:
-        return utilization(rates[0], services[0], total_cycles, servers)
-    total = 0.0
-    for rate, service in zip(rates, services):
-        total += utilization(rate, service, total_cycles, servers)
-    return total
-
-
-def weighted_tenant_waits(
-    offload_rates: Sequence[float],
-    service_cycles: Sequence[float],
-    total_cycles: float,
-    weights: Sequence[float] = (),
-    scv: float = 1.0,
-) -> tuple:
-    """Per-tenant mean queueing delay on a weight-shared M/G/1 device.
-
-    The aggregate queue (all tenants' arrivals merged) obeys
-    Pollaczek-Khinchine; fair queueing then apportions the aggregate
-    waiting *work* across tenants in inverse proportion to their
-    weights, conserving the total::
-
-        W_i = rho * W_agg / (w_i * sum_j rho_j / w_j)
-
-    so ``sum_i rho_i * W_i == rho * W_agg`` exactly (the conservation law
-    for work-conserving disciplines; Kleinrock, vol. 2).  Equal weights
-    collapse every ``W_i`` to ``W_agg``; raising one tenant's weight
-    strictly lowers its own wait.  A single tenant returns exactly
-    ``(mg1_wait_cycles(...),)``, bit-identical to the private-device
-    closed form.
-    """
-    rates = list(offload_rates)
-    services = list(service_cycles)
-    if not rates:
-        raise ParameterError("need at least one tenant")
-    if len(rates) != len(services):
-        raise ParameterError("offload_rates and service_cycles must pair up")
-    tenant_weights = list(weights) if weights else [1.0] * len(rates)
-    if len(tenant_weights) != len(rates):
-        raise ParameterError("weights must pair up with offload_rates")
-    if any(w <= 0 for w in tenant_weights):
-        raise ParameterError("tenant weights must be > 0")
-    if len(rates) == 1:
-        return (mg1_wait_cycles(rates[0], services[0], total_cycles, scv),)
-    rhos = [
-        utilization(rate, service, total_cycles)
-        for rate, service in zip(rates, services)
-    ]
-    rho = sum(rhos)
-    if rho >= 1.0:
-        raise ParameterError(
-            f"accelerator overloaded (rho = {rho:.3f} >= 1); queue is unstable"
-        )
-    # Aggregate P-K wait with the load-weighted mean service time.
-    mean_service = sum(
-        rho_i * service for rho_i, service in zip(rhos, services)
-    ) / rho if rho > 0 else 0.0
-    if rho == 0.0:
-        return tuple(0.0 for _ in rates)
-    aggregate_wait = rho / (1.0 - rho) * mean_service * ((1.0 + scv) / 2.0)
-    inverse_share = sum(
-        rho_i / weight for rho_i, weight in zip(rhos, tenant_weights)
-    )
-    return tuple(
-        rho * aggregate_wait / (weight * inverse_share)
-        for weight in tenant_weights
-    )
-
-
-def amortized_dispatch_cycles(dispatch_cycles: float, batch_size: int) -> float:
-    """Per-invocation dispatch overhead under doorbell batching.
-
-    One doorbell covers *batch_size* invocations, so each pays
-    ``o0 / B``.  ``batch_size = 1`` returns *dispatch_cycles* exactly
-    (division by integer 1 is exact in binary floating point).
-    """
-    if dispatch_cycles < 0:
-        raise ParameterError("dispatch_cycles must be >= 0")
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
-    return dispatch_cycles / batch_size
-
-
-def empirical_mean_wait(queue_delays: Sequence[float]) -> float:
-    """Mean of measured per-offload queue delays (the paper's
-    ``sum_i Q_i / n`` substitution)."""
-    delays = list(queue_delays)
-    if not delays:
-        raise ParameterError("need at least one measured delay")
-    if any(d < 0 for d in delays):
-        raise ParameterError("delays must be non-negative")
-    return float(sum(delays)) / len(delays)
-
-
-@dataclasses.dataclass(frozen=True)
-class QueueModel:
-    """A reusable Q estimator bound to an accelerator's service time.
-
-    ``discipline`` is one of ``"mm1"``, ``"md1"``, ``"mmk"`` or ``"none"``
-    (Q = 0, the paper's default for on-chip instructions where the issuing
-    thread *is* the queue).
-    """
-
-    service_cycles: float
-    total_cycles: float
-    discipline: str = "mm1"
-    servers: int = 1
-
-    _DISCIPLINES = ("mm1", "md1", "mmk", "none")
-
-    def __post_init__(self) -> None:
-        if self.discipline not in self._DISCIPLINES:
-            raise ParameterError(
-                f"discipline must be one of {self._DISCIPLINES}, got {self.discipline!r}"
-            )
-        if self.service_cycles < 0:
-            raise ParameterError("service_cycles must be >= 0")
-        if self.total_cycles <= 0:
-            raise ParameterError("total_cycles must be > 0")
-        if self.servers < 1:
-            raise ParameterError("servers must be >= 1")
-
-    def wait_cycles(self, offload_rate: float) -> float:
-        """Mean queueing delay ``Q`` for the given offered rate ``n``."""
-        if self.discipline == "none":
-            return 0.0
-        if self.discipline == "mm1":
-            return mm1_wait_cycles(offload_rate, self.service_cycles, self.total_cycles)
-        if self.discipline == "md1":
-            return md1_wait_cycles(offload_rate, self.service_cycles, self.total_cycles)
-        return mmk_wait_cycles(
-            offload_rate, self.service_cycles, self.total_cycles, self.servers
-        )
-
-    def saturation_rate(self) -> float:
-        """The offload rate at which the accelerator saturates (rho = 1)."""
-        if self.service_cycles == 0:
-            return math.inf
-        return self.servers * self.total_cycles / self.service_cycles

@@ -2,11 +2,11 @@
 
 The paper's equations (Sec. 3) assume every offload succeeds.  Production
 accelerators do not: dispatches get dropped, remote links time out,
-devices degrade.  This module extends each design's speedup and
-profitability condition with a seeded-failure regime described by a
-:class:`~repro.faults.FaultPolicy` -- per-attempt drop probability ``p``,
-bounded retries ``r`` with exponential backoff, and fallback to the host
-CPU once retries are exhausted.
+devices degrade.  This module extends each design's speedup with a
+seeded-failure regime described by a :class:`~repro.faults.FaultPolicy`
+-- per-attempt drop probability ``p``, bounded retries ``r`` with
+exponential backoff, and fallback to the host CPU once retries are
+exhausted.
 
 Closed forms (geometric attempt process, attempts independent)::
 
@@ -44,8 +44,6 @@ Latency spikes add blocked core time only for Sync (the caller waits).
 
 from __future__ import annotations
 
-import math
-
 from ..errors import ParameterError
 from ..faults.policy import FaultPolicy
 from .strategies import ThreadingDesign
@@ -55,14 +53,10 @@ __all__ = [
     "degraded_async_distinct_thread_speedup",
     "degraded_async_speedup",
     "degraded_batched_async_speedup",
-    "degraded_batched_min_profitable_granularity",
-    "degraded_min_profitable_granularity",
-    "degraded_offload_margin",
     "degraded_speedup",
     "degraded_sync_os_speedup",
     "degraded_sync_speedup",
     "doorbell_drop_probability",
-    "effective_offload_cost",
     "expected_backoff_cycles",
     "expected_failures",
     "fallback_probability",
@@ -126,38 +120,6 @@ def expected_backoff_cycles(
     for k in range(max_retries):
         total += backoff_base_cycles * backoff_multiplier**k * p ** (k + 1)
     return total
-
-
-def effective_offload_cost(
-    policy: FaultPolicy,
-    success_cost: float,
-    failure_cost: float,
-    fallback_cost: float,
-) -> float:
-    """The expected per-offload cost ``C_off'`` under *policy*.
-
-    ``E[F] * C_fail + E[B] + (1 - p_fb) * C_success + p_fb * C_fallback``.
-    The caller chooses what the three costs mean (host cycles, core
-    occupancy, latency); this function only does the probability algebra.
-    """
-    _validate_overheads(
-        success_cost=success_cost,
-        failure_cost=failure_cost,
-        fallback_cost=fallback_cost,
-    )
-    p_fb = fallback_probability(policy.drop_probability, policy.max_retries)
-    return (
-        expected_failures(policy.drop_probability, policy.max_retries)
-        * failure_cost
-        + expected_backoff_cycles(
-            policy.drop_probability,
-            policy.max_retries,
-            policy.backoff_base_cycles,
-            policy.backoff_multiplier,
-        )
-        + (1.0 - p_fb) * success_cost
-        + p_fb * fallback_cost
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,161 +390,3 @@ def degraded_batched_async_speedup(
         denominator += (n / c) * delta
     return 1.0 / denominator
 
-
-def degraded_batched_min_profitable_granularity(
-    policy: FaultPolicy,
-    cycles_per_byte: float,
-    *,
-    o0: float,
-    l: float,
-    q: float,
-    batch_size: int = 1,
-    beta: float = 1.0,
-) -> float:
-    """Smallest profitable granularity for batched async under *policy*.
-
-    The async margin coefficients generalize to doorbell level::
-
-        K_B = 1 - p_fb(p_B) * fallback
-        D_B = E[F_B] * (o0/B + L) + E[B_B]/B + (1 - p_fb(p_B)) * (o0/B + L + Q/B)
-
-    and the break-even solves ``K_B * Cb * g**beta >= D_B``.
-    ``batch_size = 1`` reduces bit-identically to
-    :func:`degraded_min_profitable_granularity` for the async design;
-    larger batches pull the break-even left (dispatch amortizes) until
-    the rising doorbell drop rate pushes it back right.
-    """
-    if cycles_per_byte <= 0:
-        raise ParameterError(f"Cb must be > 0, got {cycles_per_byte}")
-    if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    _validate_overheads(o0=o0, L=l, Q=q)
-    _validate_batch_size(batch_size)
-    b = float(batch_size)
-    failures, backoff, p_fb = _fault_terms(policy, batch_size)
-    fallback = 1.0 if policy.fallback_to_cpu else 0.0
-    k = 1.0 - p_fb * fallback
-    d = (
-        failures * (o0 / b + l)
-        + backoff / b
-        + (1.0 - p_fb) * (o0 / b + l + q / b)
-    )
-    if d <= 0:
-        return 0.0
-    if k <= 0:
-        return math.inf
-    return ((d / k) / cycles_per_byte) ** (1.0 / beta)
-
-
-# ---------------------------------------------------------------------------
-# Degraded per-offload profitability (eqns. 2, 4, 7 under failures)
-# ---------------------------------------------------------------------------
-
-
-def _margin_coefficients(
-    design: ThreadingDesign,
-    policy: FaultPolicy,
-    a: float,
-    o0: float,
-    l: float,
-    q: float,
-    o1: float,
-):
-    """``(K, D)`` with degraded margin ``K * Cb * g**beta - D``.
-
-    ``K`` scales the host cycles the offload saves (shrunk by the
-    accelerator's share on the Sync critical path and by fallback
-    re-execution); ``D`` collects the granularity-independent expected
-    overheads.
-    """
-    failures, backoff, p_fb = _fault_terms(policy)
-    fallback = 1.0 if policy.fallback_to_cpu else 0.0
-    if design is ThreadingDesign.SYNC:
-        k = 1.0 - (1.0 - p_fb) / a - p_fb * fallback
-        d = (
-            failures * (o0 + policy.timeout_cycles)
-            + backoff
-            + (1.0 - p_fb) * (o0 + l + q + _conditional_spike_cycles(policy))
-        )
-    elif design is ThreadingDesign.SYNC_OS:
-        k = 1.0 - p_fb * fallback
-        d = (
-            failures * (o0 + 2.0 * o1)
-            + backoff
-            + (1.0 - p_fb) * (o0 + l + q + 2.0 * o1)
-        )
-    elif design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
-        k = 1.0 - p_fb * fallback
-        d = (
-            failures * (o0 + l)
-            + backoff
-            + (1.0 - p_fb) * (o0 + l + q + o1)
-        )
-    else:
-        k = 1.0 - p_fb * fallback
-        d = failures * (o0 + l) + backoff + (1.0 - p_fb) * (o0 + l + q)
-    return k, d
-
-
-def degraded_offload_margin(
-    design: ThreadingDesign,
-    policy: FaultPolicy,
-    cb: float,
-    g: float,
-    *,
-    o0: float,
-    l: float,
-    q: float,
-    a: float = 1.0,
-    o1: float = 0.0,
-    beta: float = 1.0,
-) -> float:
-    """Expected host cycles one g-byte offload saves under *policy*.
-
-    The fault-free margins (eqns. 2, 4, 7) generalize to
-    ``K * Cb * g**beta - D``; with a null policy this reproduces them
-    exactly.  Positive means the offload still helps despite failures.
-    """
-    if cb <= 0:
-        raise ParameterError(f"Cb must be > 0, got {cb}")
-    if g < 0:
-        raise ParameterError(f"g must be >= 0, got {g}")
-    if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    _validate_accel(a)
-    _validate_overheads(o0=o0, L=l, Q=q, o1=o1)
-    k, d = _margin_coefficients(design, policy, a, o0, l, q, o1)
-    return k * cb * g**beta - d
-
-
-def degraded_min_profitable_granularity(
-    design: ThreadingDesign,
-    policy: FaultPolicy,
-    cycles_per_byte: float,
-    *,
-    o0: float,
-    l: float,
-    q: float,
-    a: float = 1.0,
-    o1: float = 0.0,
-    beta: float = 1.0,
-) -> float:
-    """Smallest granularity (bytes) still profitable under *policy*.
-
-    Solves ``K * Cb * g**beta >= D`` analytically: the break-even
-    granularity shifts right as failures grow, and becomes ``inf`` once
-    ``K <= 0`` -- e.g. a Sync offload whose fallback re-execution plus
-    accelerator share eats the entire saving.
-    """
-    if cycles_per_byte <= 0:
-        raise ParameterError(f"Cb must be > 0, got {cycles_per_byte}")
-    if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    _validate_accel(a)
-    _validate_overheads(o0=o0, L=l, Q=q, o1=o1)
-    k, d = _margin_coefficients(design, policy, a, o0, l, q, o1)
-    if d <= 0:
-        return 0.0
-    if k <= 0:
-        return math.inf
-    return ((d / k) / cycles_per_byte) ** (1.0 / beta)

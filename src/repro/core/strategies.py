@@ -56,33 +56,3 @@ class ThreadingDesign(enum.Enum):
     #: microservice).  Speedup is eqn. (6); latency reduction is eqn. (8)
     #: off-chip and eqn. (6) for remote placement.
     ASYNC_NO_RESPONSE = "async-no-response"
-
-
-class ResponseHandling(enum.Enum):
-    """Who picks up an asynchronous accelerator response."""
-
-    SAME_THREAD = "same-thread"
-    DISTINCT_THREAD = "distinct-thread"
-    NO_RESPONSE = "no-response"
-
-
-#: Threading designs in which the offloading thread blocks.
-BLOCKING_DESIGNS = frozenset({ThreadingDesign.SYNC, ThreadingDesign.SYNC_OS})
-
-#: Threading designs in which the offloading thread continues running.
-NONBLOCKING_DESIGNS = frozenset(
-    {
-        ThreadingDesign.ASYNC,
-        ThreadingDesign.ASYNC_DISTINCT_THREAD,
-        ThreadingDesign.ASYNC_NO_RESPONSE,
-    }
-)
-
-
-def design_for_response(handling: ResponseHandling) -> ThreadingDesign:
-    """Map an async response-handling choice onto its threading design."""
-    return {
-        ResponseHandling.SAME_THREAD: ThreadingDesign.ASYNC,
-        ResponseHandling.DISTINCT_THREAD: ThreadingDesign.ASYNC_DISTINCT_THREAD,
-        ResponseHandling.NO_RESPONSE: ThreadingDesign.ASYNC_NO_RESPONSE,
-    }[handling]

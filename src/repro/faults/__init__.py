@@ -5,7 +5,6 @@ Public API::
     from repro.faults import (
         FaultPolicy, FaultInjector, AttemptOutcome,
         DegradationWindow, DegradationSchedule,
-        NO_FAULTS, ALWAYS_HEALTHY,
     )
 
 Attach a policy to an offload via
@@ -15,16 +14,14 @@ whose expected costs are mirrored in closed form by
 :mod:`repro.core.resilience`.
 """
 
-from .degradation import ALWAYS_HEALTHY, DegradationSchedule, DegradationWindow
+from .degradation import DegradationSchedule, DegradationWindow
 from .injector import FaultInjector
-from .policy import NO_FAULTS, AttemptOutcome, FaultPolicy
+from .policy import AttemptOutcome, FaultPolicy
 
 __all__ = [
-    "ALWAYS_HEALTHY",
     "AttemptOutcome",
     "DegradationSchedule",
     "DegradationWindow",
     "FaultInjector",
     "FaultPolicy",
-    "NO_FAULTS",
 ]

@@ -15,7 +15,6 @@ from .capacity import (
     CapacityPlan,
     engines_for_queue_budget,
     engines_for_utilization,
-    fleet_device_count,
     plan_capacity,
 )
 from .projection import (
@@ -39,7 +38,6 @@ __all__ = [
     "default_fleet",
     "engines_for_queue_budget",
     "engines_for_utilization",
-    "fleet_device_count",
     "fleet_projection",
     "plan_capacity",
 ]

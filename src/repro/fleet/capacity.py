@@ -119,14 +119,3 @@ def plan_capacity(
         total_cycles=total_cycles,
         engines=engines,
     )
-
-
-def fleet_device_count(
-    servers: float, engines_per_host: int, engines_per_device: int = 1
-) -> float:
-    """Devices to purchase across *servers* hosts."""
-    if servers <= 0:
-        raise ParameterError("servers must be positive")
-    if engines_per_host < 1 or engines_per_device < 1:
-        raise ParameterError("engine counts must be >= 1")
-    return servers * math.ceil(engines_per_host / engines_per_device)

@@ -28,7 +28,6 @@ from .critical_path import (
 )
 from .export import (
     folded_stack_samples,
-    otlp_payload,
     write_folded_stacks,
     write_otlp_spans,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "folded_stack_samples",
     "load_runtime_telemetry",
     "metrics_payload",
-    "otlp_payload",
     "span_id_from_sequence",
     "summarize_runtime_telemetry",
     "trace_data_from_payload",

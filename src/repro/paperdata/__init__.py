@@ -23,7 +23,6 @@ from .case_studies import (
     TABLE6_CASE_STUDIES,
 )
 from .categories import (
-    FUNCTIONALITY_CATEGORIES,
     LEAF_CATEGORIES,
     FunctionalityCategory,
     LeafCategory,
@@ -44,12 +43,10 @@ from .breakdowns import (
     COPY_ORIGINS,
     FB_SERVICES,
     FUNCTIONALITY_BREAKDOWN,
-    GOOGLE_FLEET,
     KERNEL_BREAKDOWN,
     LEAF_BREAKDOWN,
     MEMORY_BREAKDOWN,
     ORCHESTRATION_SPLIT,
-    SPEC_BENCHMARKS,
     SYNC_BREAKDOWN,
 )
 from .ipc import FIG10_FUNCTIONALITY_IPC, FIG8_LEAF_IPC
@@ -81,13 +78,11 @@ __all__ = [
     "FIG8_LEAF_IPC",
     "FINDINGS",
     "FUNCTIONALITY_BREAKDOWN",
-    "FUNCTIONALITY_CATEGORIES",
     "Finding",
     "FunctionalityCategory",
     "GENA",
     "GENB",
     "GENC",
-    "GOOGLE_FLEET",
     "KERNEL_BREAKDOWN",
     "LEAF_BREAKDOWN",
     "LEAF_CATEGORIES",
@@ -98,7 +93,6 @@ __all__ = [
     "PROJECTION_PARAMETERS",
     "PlatformSpec",
     "ProjectionParameters",
-    "SPEC_BENCHMARKS",
     "SYNC_BREAKDOWN",
     "TABLE6_CASE_STUDIES",
 ]

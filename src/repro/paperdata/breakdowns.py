@@ -25,10 +25,6 @@ FB_SERVICES = ("web", "feed1", "feed2", "ads1", "ads2", "cache1", "cache2")
 #: SPEC CPU2006 reference rows shown in Figs. 2-3.
 SPEC_BENCHMARKS = ("473.astar", "471.omnetpp", "403.gcc", "400.perlbench")
 
-#: The Google fleet reference row [Kanev'15].
-GOOGLE_FLEET = "google"
-
-
 # ---------------------------------------------------------------------------
 # Fig. 2: % of total cycles per leaf category.
 #

@@ -95,20 +95,6 @@ class FunctionalityCategory(enum.Enum):
     MISCELLANEOUS = "miscellaneous"
 
 
-#: Example service operations per functionality, straight from Table 3.
-FUNCTIONALITY_CATEGORIES = {
-    FunctionalityCategory.IO: "Encrypted/plain-text I/O sends & receives",
-    FunctionalityCategory.IO_PROCESSING: "Allocations, copies, etc before/after I/O",
-    FunctionalityCategory.COMPRESSION: "Compression/decompression logic",
-    FunctionalityCategory.SERIALIZATION: "RPC serialization/deserialization",
-    FunctionalityCategory.FEATURE_EXTRACTION: "Feature vector creation in ML services",
-    FunctionalityCategory.PREDICTION_RANKING: "ML inference algorithms",
-    FunctionalityCategory.APPLICATION_LOGIC: "Core business logic",
-    FunctionalityCategory.LOGGING: "Creating, reading, updating logs",
-    FunctionalityCategory.THREAD_POOL: "Creating, deleting, synchronizing threads",
-    FunctionalityCategory.MISCELLANEOUS: "Other assorted operations",
-}
-
 #: Functionalities the paper counts as "orchestration" (work that
 #: facilitates, but is not, the core application logic).  Fig. 1 splits
 #: cycles into application logic vs orchestration; the paper's 42%-67%

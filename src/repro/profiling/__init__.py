@@ -9,13 +9,12 @@ figures.
 """
 
 from .bucketer import TraceBucketer
-from .folded import fold_traces, to_folded_text, write_folded
-from .ipc import IPCModel, generation_models
+from .folded import fold_traces, to_folded_text
+from .ipc import IPCModel
 from .profiler import (
     CategoryCounters,
     ExecutionProfile,
     capture_trace_profile,
-    profile_from_metrics,
     profile_from_traces,
 )
 from .reports import (
@@ -44,12 +43,9 @@ __all__ = [
     "capture_trace_profile",
     "dominant",
     "fold_traces",
-    "generation_models",
     "to_folded_text",
-    "write_folded",
     "l1_distance",
     "normalize",
-    "profile_from_metrics",
     "profile_from_traces",
     "rank_agreement",
     "render_bars",

@@ -8,8 +8,7 @@ speedscope, and most profiling UIs ingest directly.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Tuple
 
 from ..errors import ProfileError
 from .stacks import SampledTrace
@@ -48,14 +47,3 @@ def to_folded_text(
         for frames, weight in sorted(folded.items())
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_folded(
-    samples: Iterable[SampledTrace],
-    path: Union[str, Path],
-    scale: float = 1.0,
-) -> Path:
-    """Write the folded profile to *path*."""
-    path = Path(path)
-    path.write_text(to_folded_text(samples, scale))
-    return path

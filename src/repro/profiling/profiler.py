@@ -80,39 +80,6 @@ class ExecutionProfile:
         return self.functionality[category].ipc
 
 
-def profile_from_metrics(
-    metrics: MetricSink,
-    ipc_model: IPCModel,
-    service: str,
-    kinds: tuple = (CycleKind.USEFUL,),
-) -> ExecutionProfile:
-    """Build a profile straight from simulator cycle attribution.
-
-    Instruction counts are synthesized as ``cycles * IPC(functionality,
-    leaf)`` -- see :mod:`repro.profiling.ipc` for why this direction is the
-    right substitution for hardware counters.
-    """
-    leaf: Dict[LeafCategory, CategoryCounters] = {}
-    functionality: Dict[FunctionalityCategory, CategoryCounters] = {}
-    for (func_cat, leaf_cat, kind), cycles in metrics.cycles.items():
-        if kind not in kinds or cycles <= 0:
-            continue
-        ipc = ipc_model.lookup(func_cat, leaf_cat)
-        instructions = cycles * ipc
-        leaf.setdefault(leaf_cat, CategoryCounters()).add(cycles, instructions)
-        functionality.setdefault(func_cat, CategoryCounters()).add(
-            cycles, instructions
-        )
-    if not leaf:
-        raise ProfileError("metrics contained no matching cycles")
-    return ExecutionProfile(
-        service=service,
-        platform=ipc_model.platform,
-        leaf=leaf,
-        functionality=functionality,
-    )
-
-
 def profile_from_traces(
     samples: Iterable[SampledTrace],
     service: str,

@@ -17,7 +17,7 @@ choosing ``--workers``.
 
 from .batch import BatchReport, execute_batch, execute_run
 from .cache import ResultCache, default_cache_root, resolve_cache
-from .runners import register_runner, registered_kinds, run_spec
+from .runners import registered_kinds, run_spec
 from .spec import SCHEMA_VERSION, RunSpec
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "default_cache_root",
     "execute_batch",
     "execute_run",
-    "register_runner",
     "registered_kinds",
     "resolve_cache",
     "run_spec",

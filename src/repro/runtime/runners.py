@@ -126,16 +126,3 @@ def _run_shared_device_point(spec: RunSpec) -> Any:
     if spec.seed is not None:
         kwargs["seed"] = spec.seed
     return run_shared_device_point(**kwargs)
-
-
-@register_runner("application_topology")
-def _run_application_topology(spec: RunSpec) -> Any:
-    """One whole-application call-graph simulation."""
-    from ..topology.simulate import simulate_application
-
-    kwargs = spec.params_dict()
-    if "latency_scale" in kwargs:
-        kwargs["latency_scale"] = dict(kwargs["latency_scale"])
-    if "extra_delay" in kwargs:
-        kwargs["extra_delay"] = dict(kwargs["extra_delay"])
-    return simulate_application(**kwargs)

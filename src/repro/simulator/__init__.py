@@ -26,9 +26,6 @@ from .cpu import (
 from .engine import Engine
 from .interface import (
     InterfaceModel,
-    network_interface,
-    on_chip_interface,
-    pcie_interface,
 )
 from .guards import require_positive_window
 from .metrics import (
@@ -55,7 +52,7 @@ from .service import (
     SegmentWork,
 )
 from .trace_export import export_chrome_trace, trace_events
-from .workload import BlockSampler, OpenLoopDriver, request_stream
+from .workload import BlockSampler, request_stream
 
 __all__ = [
     "AcceleratorDevice",
@@ -76,7 +73,6 @@ __all__ = [
     "Microservice",
     "OffloadConfig",
     "OffloadRecord",
-    "OpenLoopDriver",
     "ReleaseCore",
     "RequestRecord",
     "RequestSpec",
@@ -93,9 +89,6 @@ __all__ = [
     "measured_latency_reduction",
     "measured_speedup",
     "trace_events",
-    "network_interface",
-    "on_chip_interface",
-    "pcie_interface",
     "request_stream",
     "run_simulation",
 ]

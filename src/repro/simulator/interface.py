@@ -53,49 +53,3 @@ class InterfaceModel:
         """Average ``L`` under a granularity distribution with the given
         mean (exact for unpipelined transfers since L is linear in g)."""
         return self.transfer_cycles(mean_granularity_bytes)
-
-
-def on_chip_interface(dispatch_cycles: float = 0.0) -> InterfaceModel:
-    """ns-scale on-die offload: negligible transfer latency."""
-    return InterfaceModel(
-        placement=Placement.ON_CHIP,
-        dispatch_cycles=dispatch_cycles,
-        transfer_base_cycles=0.0,
-        transfer_cycles_per_byte=0.0,
-    )
-
-
-def pcie_interface(
-    dispatch_cycles: float = 0.0,
-    base_cycles: float = 2_000.0,
-    cycles_per_byte: float = 0.5,
-) -> InterfaceModel:
-    """us-scale PCIe offload: fixed DMA setup plus per-byte transfer.
-
-    Defaults give ~1 us base latency at 2 GHz, the order of magnitude the
-    paper cites for off-chip accelerators.
-    """
-    return InterfaceModel(
-        placement=Placement.OFF_CHIP,
-        dispatch_cycles=dispatch_cycles,
-        transfer_base_cycles=base_cycles,
-        transfer_cycles_per_byte=cycles_per_byte,
-    )
-
-
-def network_interface(
-    dispatch_cycles: float = 0.0,
-    base_cycles: float = 2_000_000.0,
-    cycles_per_byte: float = 2.0,
-) -> InterfaceModel:
-    """ms-scale remote offload over commodity ethernet.
-
-    Defaults give ~1 ms base latency at 2 GHz, the order of magnitude the
-    paper cites for remote accelerators.
-    """
-    return InterfaceModel(
-        placement=Placement.REMOTE,
-        dispatch_cycles=dispatch_cycles,
-        transfer_base_cycles=base_cycles,
-        transfer_cycles_per_byte=cycles_per_byte,
-    )

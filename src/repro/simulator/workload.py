@@ -1,23 +1,18 @@
-"""Request generators and load drivers.
+"""Request generators.
 
 The paper characterizes services at peak load in a closed-loop fashion
 (every worker always has a request to serve); :func:`request_stream` feeds
-workers that way.  :class:`OpenLoopDriver` additionally offers Poisson
-arrivals for latency-versus-load studies.
+workers that way.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
-from ..errors import ParameterError
-from .engine import Engine
 from .hotcore import BlockSampler
-from .service import Microservice, RequestSpec
+from .service import RequestSpec
 
-__all__ = ["BlockSampler", "OpenLoopDriver", "request_stream"]
+__all__ = ["BlockSampler", "request_stream"]
 
 
 def request_stream(
@@ -32,63 +27,3 @@ def request_stream(
     while limit is None or produced < limit:
         yield factory()
         produced += 1
-
-
-class OpenLoopDriver:
-    """Poisson open-loop load: spawns one worker thread per arrival.
-
-    Use for latency-under-load experiments (e.g. measuring how accelerator
-    queueing delays inflate tail latency as the offered rate approaches
-    device saturation).
-    """
-
-    __slots__ = ("_engine", "_service", "_factory", "_mean_gap", "_rng",
-                 "_gaps", "_stopped", "arrivals")
-
-    def __init__(
-        self,
-        engine: Engine,
-        service: Microservice,
-        factory: Callable[[], RequestSpec],
-        arrivals_per_unit: float,
-        rng: np.random.Generator,
-        unit_cycles: float = 1.0e9,
-    ) -> None:
-        if arrivals_per_unit <= 0:
-            raise ParameterError("arrivals_per_unit must be > 0")
-        if unit_cycles <= 0:
-            raise ParameterError("unit_cycles must be > 0")
-        self._engine = engine
-        self._service = service
-        self._factory = factory
-        mean_gap = unit_cycles / arrivals_per_unit
-        self._mean_gap = mean_gap
-        self._rng = rng
-        # Stream-identical to per-arrival rng.exponential(mean_gap) calls:
-        # the driver owns every exponential draw on this generator.
-        self._gaps = BlockSampler(
-            lambda n: rng.exponential(mean_gap, size=n), block_size=256
-        )
-        self._stopped = False
-        self.arrivals = 0
-
-    def start(self) -> None:
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        self._engine.after(self._gaps.next(), self._arrive)
-
-    def _arrive(self) -> None:
-        if self._stopped:
-            return
-        self.arrivals += 1
-        spec = self._factory()
-        self._service.spawn_worker(
-            iter([spec]),
-            name=f"open-{self.arrivals}",
-            arrival_time=self._engine.now,
-        )
-        self._schedule_next()

@@ -13,7 +13,6 @@ from .simulate import (
     ApplicationSimResult,
     ApplicationSimulation,
     simulate_application,
-    simulate_applications,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "ApplicationSimResult",
     "ApplicationSimulation",
     "simulate_application",
-    "simulate_applications",
     "Call",
     "CallGraph",
     "ServiceAcceleration",

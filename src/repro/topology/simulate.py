@@ -240,44 +240,3 @@ def simulate_application(
     return ApplicationSimulation(
         graph, config, latency_scale, extra_delay, tracer=tracer
     ).run()
-
-
-def _spec_mapping(mapping: Optional[Dict[str, float]]):
-    """Dicts are unhashable inside a RunSpec; encode as sorted pairs."""
-    if not mapping:
-        return None
-    return tuple(sorted(mapping.items()))
-
-
-def simulate_applications(
-    scenarios,
-    *,
-    workers: int = 1,
-    cache=None,
-) -> List[ApplicationSimResult]:
-    """Run several application scenarios through the batch executor.
-
-    *scenarios* is a sequence of ``(graph, config, latency_scale,
-    extra_delay)`` tuples (trailing elements optional, as in
-    :func:`simulate_application`).  Scenarios are independent, so
-    *workers* > 1 simulates them in parallel processes; *cache* replays
-    previously simulated (graph, config, overrides) combinations.
-    """
-    from ..runtime import RunSpec, execute_batch
-
-    specs = []
-    for scenario in scenarios:
-        graph, *rest = scenario if isinstance(scenario, tuple) else (scenario,)
-        config = rest[0] if len(rest) > 0 else None
-        latency_scale = rest[1] if len(rest) > 1 else None
-        extra_delay = rest[2] if len(rest) > 2 else None
-        specs.append(
-            RunSpec.create(
-                "application_topology",
-                graph=graph,
-                config=config,
-                latency_scale=_spec_mapping(latency_scale),
-                extra_delay=_spec_mapping(extra_delay),
-            )
-        )
-    return list(execute_batch(specs, workers=workers, cache=cache))

@@ -1,7 +1,7 @@
 """Validation of the Accelerometer model (Sec. 4): A/B harness, the three
 retrospective case studies, and the Fig. 16-18 breakdown shifts."""
 
-from .abtest import ABTestResult, ab_test, model_error_percentage_points
+from .abtest import ABTestResult, ab_test
 from .matrix import (
     MatrixCell,
     MatrixSummary,
@@ -14,13 +14,11 @@ from .case_studies import (
     CaseStudyOutcome,
     model_estimate,
     run_all_case_studies,
-    run_case_study,
     scenario_for,
     simulate_aes_ni,
     simulate_all_case_studies,
     simulate_cache3_encryption,
     simulate_remote_inference,
-    validation_error_pct,
 )
 
 __all__ = [
@@ -34,14 +32,11 @@ __all__ = [
     "validate_cell",
     "validation_matrix",
     "functionality_shift",
-    "model_error_percentage_points",
     "model_estimate",
     "run_all_case_studies",
-    "run_case_study",
     "scenario_for",
     "simulate_aes_ni",
     "simulate_all_case_studies",
     "simulate_cache3_encryption",
     "simulate_remote_inference",
-    "validation_error_pct",
 ]

@@ -70,11 +70,3 @@ def ab_test(
         baseline=run_simulation(build_baseline, config),
         accelerated=run_simulation(build_accelerated, config),
     )
-
-
-def model_error_percentage_points(
-    estimated_speedup: float, measured_speedup_value: float
-) -> float:
-    """The paper's validation metric: |estimated - real| in percentage
-    points of speedup (e.g. 15.7% estimated vs 14% real -> 1.7)."""
-    return abs(estimated_speedup - measured_speedup_value) * 100.0

@@ -40,7 +40,6 @@ from ..core import (
     ProjectionResult,
 )
 from ..core.strategies import ThreadingDesign
-from ..errors import ParameterError
 from ..paperdata.case_studies import (
     ADS1_INFERENCE_STUDY,
     CACHE1_AES_NI_STUDY,
@@ -95,13 +94,6 @@ def model_estimate(record: CaseStudyRecord) -> ProjectionResult:
     """Accelerometer's projection for one case study (Table 6's
     "Est. Speedup" column)."""
     return Accelerometer().evaluate(scenario_for(record))
-
-
-def validation_error_pct(record: CaseStudyRecord) -> float:
-    """|model-estimated - production-measured| speedup, in percentage
-    points, using the paper's printed production numbers."""
-    estimated = model_estimate(record).speedup_percent
-    return abs(estimated - record.real_speedup_pct)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +352,6 @@ CASE_STUDY_SIMULATORS = {
     "inference": simulate_remote_inference,
 }
 
-# Backwards-compatible alias.
-_SIMULATORS = CASE_STUDY_SIMULATORS
-
-
 def simulate_all_case_studies(
     workers: int = 1, cache=None, **kwargs
 ) -> Dict[str, ABTestResult]:
@@ -377,25 +365,6 @@ def simulate_all_case_studies(
     ]
     results = execute_batch(specs, workers=workers, cache=cache)
     return dict(zip(names, results))
-
-
-def run_case_study(name: str, **kwargs) -> CaseStudyOutcome:
-    """Run one named case study end to end (model + simulation)."""
-    records = {record.name: record for record in TABLE6_CASE_STUDIES}
-    if name not in records:
-        raise ParameterError(
-            f"unknown case study {name!r}; choose from {sorted(records)}"
-        )
-    record = records[name]
-    estimate = model_estimate(record)
-    simulated = CASE_STUDY_SIMULATORS[name](**kwargs)
-    return CaseStudyOutcome(
-        record=record,
-        model_speedup_pct=estimate.speedup_percent,
-        simulated_speedup_pct=simulated.speedup_percent,
-        paper_estimated_pct=record.estimated_speedup_pct,
-        paper_real_pct=record.real_speedup_pct,
-    )
 
 
 def run_all_case_studies(

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths, analyze_sources
+from repro.analysis.cli import REFERENCE_PATHS
 from repro.analysis.dataflow import CACHE_SCHEMA, SummaryCache
 from repro.analysis.engine import load_sources
 from repro.analysis.source import SourceFile
@@ -26,7 +27,7 @@ def _deep_lint(cache_dir):
         ["src/repro", "scripts"],
         root=REPO_ROOT,
         deep=True,
-        reference_paths=["tests", "examples", "benchmarks"],
+        reference_paths=REFERENCE_PATHS,
         cache_dir=cache_dir,
     )
 

@@ -69,23 +69,28 @@ def test_lint_rejects_retired_rule_ids(retired, capsys):
     assert f"unknown rule {retired!r}" in err
 
 
-def test_lint_baseline_workflow(project, capsys):
-    # Record the pre-existing violation ...
-    assert _lint(project, "--write-baseline") == 0
-    baseline = project / "lint-baseline.json"
-    assert baseline.is_file()
-    capsys.readouterr()
+def test_lint_deep_counts_users_not_tests(tmp_path, capsys):
+    # A facade export only a test imports is dead: tests are not users.
+    package = tmp_path / "src" / "repro" / "widgets"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        'from .shapes import square\n\n__all__ = ["square"]\n'
+    )
+    (package / "shapes.py").write_text(
+        "def square(x):\n    return x * x\n"
+    )
+    importer = "from repro.widgets import square\n\nassert square(3) == 9\n"
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_shapes.py").write_text(importer)
+    assert _lint(tmp_path, "--deep", "--no-cache") == 1
+    out = capsys.readouterr().out
+    assert "API002" in out and "'square'" in out
 
-    # ... the default run now picks the baseline up and passes ...
-    assert _lint(project) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # ... --no-baseline still exposes it ...
-    assert _lint(project, "--no-baseline") == 1
-
-    # ... and a *new* violation fails even with the baseline active.
-    (project / "src" / "repro" / "runtime" / "fine.py").write_text(VIOLATION)
-    assert _lint(project) == 1
+    # An example is a user: the same import keeps the export alive.
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "shapes_demo.py").write_text(importer)
+    assert _lint(tmp_path, "--deep", "--no-cache") == 0
+    assert "0 findings" in capsys.readouterr().out
 
 
 @pytest.fixture

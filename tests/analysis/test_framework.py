@@ -1,22 +1,18 @@
-"""Framework plumbing: suppressions, baselines, rule selection, parse
-errors, and reporters."""
+"""Framework plumbing: suppressions, rule selection, parse errors, and
+reporters."""
 
 import json
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     Finding,
     SourceFile,
     analyze_sources,
-    load_baseline,
     parse_suppressions,
     render_json,
     render_text,
     resolve_rules,
-    save_baseline,
 )
 from repro.errors import ParameterError
 
@@ -25,9 +21,9 @@ RUNTIME = "src/repro/runtime/fixture.py"
 VIOLATION = "import time\n\n\ndef stamp():\n    return time.time()\n"
 
 
-def _analyze(text, relpath=RUNTIME, rules=("DET001",), baseline=None):
+def _analyze(text, relpath=RUNTIME, rules=("DET001",)):
     source = SourceFile.from_text(text, relpath=relpath)
-    return analyze_sources([source], rules=list(rules), baseline=baseline)
+    return analyze_sources([source], rules=list(rules))
 
 
 # -- suppressions -----------------------------------------------------------
@@ -133,44 +129,6 @@ def test_unparsable_file_keeps_exact_line_pragmas():
     assert source.parse_error is not None
     assert source.is_suppressed("PARSE", 1)
     assert not source.is_suppressed("PARSE", 2)
-
-
-# -- baseline ---------------------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    result = _analyze(VIOLATION)
-    baseline = Baseline.from_findings(result.findings)
-    path = tmp_path / "lint-baseline.json"
-    save_baseline(baseline, path)
-    assert load_baseline(path) == baseline
-
-    rerun = _analyze(VIOLATION, baseline=load_baseline(path))
-    assert rerun.clean
-    assert len(rerun.grandfathered) == 1
-
-
-def test_baseline_matching_is_count_aware():
-    doubled = VIOLATION + "\n\ndef stamp_again():\n    return time.time()\n"
-    one_entry = Baseline.from_findings(_analyze(VIOLATION).findings)
-    result = _analyze(doubled, baseline=one_entry)
-    # One occurrence is absorbed; the second still fails the build.
-    assert len(result.grandfathered) == 1
-    assert len(result.findings) == 1
-
-
-def test_baseline_reports_stale_entries():
-    baseline = Baseline(
-        entries=(BaselineEntry("DET001", "src/gone.py", "old message"),)
-    )
-    assert baseline.stale_entries([]) == list(baseline.entries)
-
-
-def test_load_baseline_rejects_unknown_format(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ParameterError):
-        load_baseline(path)
 
 
 # -- rule selection and parse errors ---------------------------------------

@@ -9,8 +9,8 @@ from repro.analysis import (
     CSourceFile,
     analyze_sources,
     render_sarif,
-    sarif_findings,
 )
+from repro.analysis.sarif import sarif_findings
 
 from .conftest import PARITY_RULES, load_parity_tree
 
@@ -158,7 +158,6 @@ class TestSarifRoundTrip:
         assert sorted({f.rule for f in findings}) == PARITY_RULES
         result = AnalysisResult(
             findings=findings,
-            grandfathered=[],
             suppressed=[],
             files=4,
             rules=tuple(PARITY_RULES),

@@ -5,10 +5,10 @@ an unseeded RNG on a simulated path, a slotless simulator class, or a
 facade/__all__ mismatch fails here with the exact location and fix hint.
 """
 
-import json
 from pathlib import Path
 
-from repro.analysis import DEFAULT_BASELINE_NAME, analyze_paths
+from repro.analysis import analyze_paths
+from repro.analysis.cli import REFERENCE_PATHS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,12 +24,14 @@ def test_repository_is_lint_clean():
 def test_repository_is_deep_lint_clean():
     # The whole-program pass has the same teeth as the per-file rules:
     # no taint path into a cache key, no cross-module unit mixing, no
-    # dead facade exports, and every module inside the model.
+    # dead facade exports, and every module inside the model.  The
+    # reference set is the CLI's, so this audits exactly what
+    # `repro lint --deep` audits: an export only tests import is dead.
     result = analyze_paths(
         ["src/repro", "scripts"],
         root=REPO_ROOT,
         deep=True,
-        reference_paths=["tests", "examples", "benchmarks"],
+        reference_paths=REFERENCE_PATHS,
     )
     details = "\n".join(
         f"{f.location}: {f.rule} {f.message}" for f in result.findings
@@ -41,11 +43,3 @@ def test_repository_is_deep_lint_clean():
     # cache-closure contracts were checked, not skipped.
     for rule in ("OBS001", "DET001", "EFF001", "EFF003", "EFF004"):
         assert rule in result.rules, f"{rule} did not run in the deep pass"
-
-
-def test_shipped_baseline_is_empty():
-    # Real violations get fixed, not grandfathered: the checked-in
-    # baseline must stay empty so the previous test has teeth.
-    baseline = REPO_ROOT / DEFAULT_BASELINE_NAME
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["entries"] == []

@@ -10,8 +10,8 @@ from repro.analysis import (
     Finding,
     Severity,
     render_sarif,
-    sarif_findings,
 )
+from repro.analysis.sarif import sarif_findings
 
 from .conftest import load_deep_sources
 
@@ -53,7 +53,6 @@ FINDINGS = [
 def _result(findings):
     return AnalysisResult(
         findings=list(findings),
-        grandfathered=[],
         suppressed=[],
         files=len({f.path for f in findings}),
         rules=tuple(sorted({f.rule for f in findings})),

@@ -1,16 +1,9 @@
 """Unit tests for latency-SLO admission checks."""
 
-import math
-
 import pytest
 
-from repro.application import (
-    check_slo,
-    max_thread_switch_for_slo,
-    remote_delay_budget,
-)
+from repro.application import check_slo
 from repro.core import (
-    Accelerometer,
     AcceleratorSpec,
     KernelProfile,
     OffloadCosts,
@@ -55,54 +48,6 @@ class TestCheckSlo:
             without.projected_latency_cycles + 5_000
         )
 
-    def test_rejects_bad_inputs(self):
-        s = scenario()
-        with pytest.raises(ParameterError):
-            check_slo(s, 0, 100)
-        with pytest.raises(ParameterError):
-            check_slo(s, 100, 0)
-        with pytest.raises(ParameterError):
-            check_slo(s, 100, 100, extra_delay_cycles=-1)
-
-
-class TestMaxThreadSwitch:
-    def test_bound_is_exactly_marginal(self):
-        import dataclasses
-
-        s = scenario(o1=0.0)
-        baseline, slo = 10_000.0, 9_500.0
-        bound = max_thread_switch_for_slo(s, baseline, slo)
-        assert math.isfinite(bound) and bound > 0
-        at_bound = dataclasses.replace(
-            s, costs=s.costs.replace(thread_switch_cycles=bound)
-        )
-        check = check_slo(at_bound, baseline, slo)
-        assert check.projected_latency_cycles == pytest.approx(slo, rel=1e-9)
-
-    def test_zero_when_slo_unreachable(self):
-        s = scenario(o1=0.0, alpha=0.01)
-        assert max_thread_switch_for_slo(s, 10_000, 5_000) == 0.0
-
-    def test_infinite_when_no_offloads(self):
-        s = scenario(o1=0.0, n=0.0)
-        assert math.isinf(max_thread_switch_for_slo(s, 10_000, 10_000))
-
-    def test_rejected_for_sync_design(self):
-        with pytest.raises(ParameterError):
-            max_thread_switch_for_slo(scenario(ThreadingDesign.SYNC),
-                                      10_000, 10_000)
-
-
-class TestRemoteDelayBudget:
-    def test_budget_matches_headroom(self):
-        s = scenario(
-            ThreadingDesign.ASYNC_DISTINCT_THREAD,
-            placement=Placement.REMOTE, o1=100.0,
-        )
-        budget = remote_delay_budget(s, 10_000, 12_000)
-        check = check_slo(s, 10_000, 12_000)
-        assert budget == pytest.approx(check.headroom_cycles)
-
     def test_ads1_style_tradeoff(self):
         """Remote inference with A = 1: latency headroom must absorb the
         ~10 ms network hop, so the SLO needs slack."""
@@ -122,6 +67,11 @@ class TestRemoteDelayBudget:
                              extra_delay_cycles=network_delay)
         assert generous.admissible
 
-    def test_rejected_for_local_placement(self):
+    def test_rejects_bad_inputs(self):
+        s = scenario()
         with pytest.raises(ParameterError):
-            remote_delay_budget(scenario(), 10_000, 10_000)
+            check_slo(s, 0, 100)
+        with pytest.raises(ParameterError):
+            check_slo(s, 100, 0)
+        with pytest.raises(ParameterError):
+            check_slo(s, 100, 100, extra_delay_cycles=-1)

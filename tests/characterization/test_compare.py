@@ -1,12 +1,6 @@
 """Tests for the measured-vs-published comparison helpers."""
 
-import pytest
-
-from repro.characterization import (
-    characterization_report,
-    compare_breakdown,
-    fig9_functionality_breakdown,
-)
+from repro.characterization import compare_breakdown, fig9_functionality_breakdown
 from repro.paperdata.breakdowns import FUNCTIONALITY_BREAKDOWN
 
 
@@ -41,15 +35,3 @@ class TestCompareBreakdown:
         )
         assert comparison.acceptable()
         assert comparison.rank_tau > 0.8
-
-
-class TestReport:
-    def test_renders_rows(self, cache1_run):
-        measured = fig9_functionality_breakdown(cache1_run)
-        comparison = compare_breakdown(
-            "cache1", "fig9", measured, FUNCTIONALITY_BREAKDOWN["cache1"]
-        )
-        text = characterization_report([comparison])
-        assert "fig9" in text
-        assert "cache1" in text
-        assert "yes" in text

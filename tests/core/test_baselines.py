@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import LogCA, amdahl_ceiling, amdahl_speedup
+from repro.core import amdahl_ceiling
+from repro.core.baselines import LogCA, amdahl_speedup
 from repro.core import equations as eq
 from repro.errors import ParameterError
 

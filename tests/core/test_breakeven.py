@@ -10,11 +10,9 @@ from repro.core import (
     OffloadCosts,
     Placement,
     ThreadingDesign,
-    aggregate_offload_margin,
     min_profitable_granularity,
-    offload_is_profitable,
-    speedup_breakeven_table,
 )
+from repro.core.breakeven import aggregate_offload_margin, offload_is_profitable
 from repro.errors import ParameterError
 
 ONCHIP = AcceleratorSpec(4.0, Placement.ON_CHIP)
@@ -135,12 +133,11 @@ class TestAggregateMargin:
 
 
 class TestBreakevenTable:
-    def test_covers_every_design(self):
-        table = speedup_breakeven_table(10.0, OFFCHIP, COSTS)
-        assert set(table) == set(ThreadingDesign)
-
     def test_ordering_async_cheapest(self):
-        table = speedup_breakeven_table(10.0, OFFCHIP, COSTS)
+        table = {
+            design: min_profitable_granularity(design, 10.0, OFFCHIP, COSTS)
+            for design in ThreadingDesign
+        }
         assert table[ThreadingDesign.ASYNC] <= table[ThreadingDesign.SYNC]
         assert (
             table[ThreadingDesign.ASYNC]

@@ -16,8 +16,8 @@ from repro.core import (
     Placement,
     ThreadingDesign,
     min_profitable_granularity,
-    offload_is_profitable,
 )
+from repro.core.breakeven import offload_is_profitable
 from repro.errors import ParameterError
 
 COSTS = OffloadCosts(

@@ -16,18 +16,16 @@ from repro.core import equations as eq
 from repro.core.resilience import (
     degraded_async_distinct_thread_speedup,
     degraded_async_speedup,
-    degraded_min_profitable_granularity,
-    degraded_offload_margin,
     degraded_speedup,
     degraded_sync_os_speedup,
     degraded_sync_speedup,
-    effective_offload_cost,
     expected_backoff_cycles,
     expected_failures,
     fallback_probability,
 )
 from repro.core.strategies import ThreadingDesign
-from repro.faults import NO_FAULTS, FaultPolicy
+from repro.faults import FaultPolicy
+from repro.faults.policy import NO_FAULTS
 
 # A representative healthy scenario (Cache1-like magnitudes).
 C, ALPHA, A, N = 2.0e9, 0.3, 8.0, 1.0e5
@@ -129,19 +127,6 @@ class TestMonotonicity:
             assert speedup <= previous + 1e-15
             previous = speedup
 
-    @pytest.mark.parametrize("design", DESIGNS)
-    def test_breakeven_granularity_non_decreasing_in_failure_rate(self, design):
-        """Failures shift the break-even right: a kernel profitable at a
-        given granularity can only become unprofitable as drops grow."""
-        previous = 0.0
-        for p in (0.0, 0.05, 0.2, 0.5, 0.9):
-            g = degraded_min_profitable_granularity(
-                design, _policy(p), 5.0, o0=O0, l=L, q=Q, a=A, o1=O1
-            )
-            assert g >= previous - 1e-12
-            previous = g
-
-
 class TestLimits:
     def test_sync_approaches_overhead_bound_as_a_grows(self):
         """As A -> inf, the Sync speedup climbs toward the overhead-only
@@ -153,27 +138,6 @@ class TestLimits:
             assert previous <= speedup <= bound
             previous = speedup
         assert speedup == pytest.approx(bound, rel=1e-6)
-
-    def test_margin_fraction_approaches_k_as_g_grows(self):
-        """The saved fraction margin / (Cb * g) of a Sync offload
-        approaches the granularity-independent coefficient K as
-        g -> inf."""
-        policy = _policy(0.3)
-        design = ThreadingDesign.SYNC
-        cb = 5.0
-        previous = -math.inf
-        fractions = []
-        for g in (1.0e3, 1.0e5, 1.0e7, 1.0e9, 1.0e12):
-            margin = degraded_offload_margin(
-                design, policy, cb, g, o0=O0, l=L, q=Q, a=A, o1=O1
-            )
-            fraction = margin / (cb * g)
-            assert fraction >= previous - 1e-15  # overheads amortize away
-            previous = fraction
-            fractions.append(fraction)
-        p_fb = fallback_probability(0.3, 3)
-        k = 1.0 - (1.0 - p_fb) / A - p_fb
-        assert fractions[-1] == pytest.approx(k, rel=1e-9)
 
     def test_certain_failure_with_fallback_gives_pure_overhead_loss(self):
         """p = 1 with fallback: every offload pays all retries and then
@@ -207,25 +171,3 @@ class TestClosedForms:
                 )
                 got = expected_backoff_cycles(p, r, 150.0, 3.0)
                 assert abs(got - direct) < 1e-9
-
-    def test_effective_cost_interpolates_between_extremes(self):
-        """C_off' equals the success cost at p = 0 and the full
-        retry-plus-fallback cost at p = 1."""
-        success, failure, fallback = 1_000.0, 300.0, 5_000.0
-        healthy = effective_offload_cost(NO_FAULTS, success, failure, fallback)
-        assert healthy == success
-        dead = effective_offload_cost(
-            FaultPolicy(drop_probability=1.0, max_retries=2),
-            success, failure, fallback,
-        )
-        assert dead == pytest.approx(3 * failure + fallback)
-
-    def test_effective_cost_monotone_in_p(self):
-        previous = 0.0
-        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
-            cost = effective_offload_cost(
-                FaultPolicy(drop_probability=p, max_retries=2),
-                1_000.0, 1_500.0, 9_000.0,
-            )
-            assert cost >= previous
-            previous = cost

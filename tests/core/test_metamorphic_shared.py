@@ -1,50 +1,28 @@
 """Metamorphic & reduction contracts for the shared-device closed forms.
 
-The shared-device algebra (weighted M/G/1 fair queueing, doorbell
-batching under faults) must collapse onto the validated private-device
-equations *bit-identically* -- `==`, not `approx` -- at ``tenants = 1``,
-``batch_size = 1`` and ``NO_FAULTS``, and must respect the monotonicity
-and conservation laws that make the formulas physically meaningful.
+The doorbell-batching algebra under faults must collapse onto the
+validated private-device equations *bit-identically* -- `==`, not
+`approx` -- at ``batch_size = 1`` and ``NO_FAULTS``, and must respect
+the monotonicity laws that make the formulas physically meaningful.
 Boundary behaviour of the underlying queueing estimators (divergence at
 saturation, degeneracy at zero load) is pinned here too.
 """
 
-import math
-
 import pytest
 
-from repro.core.queueing import (
-    amortized_dispatch_cycles,
-    md1_wait_cycles,
-    mg1_wait_cycles,
-    mm1_wait_cycles,
-    mmk_wait_cycles,
-    shared_device_utilization,
-    utilization,
-    weighted_tenant_waits,
-)
+from repro.core.queueing import mm1_wait_cycles, mmk_wait_cycles
 from repro.core.resilience import (
     degraded_async_speedup,
     degraded_batched_async_speedup,
-    degraded_batched_min_profitable_granularity,
-    degraded_min_profitable_granularity,
     doorbell_drop_probability,
 )
-from repro.core.strategies import ThreadingDesign
 from repro.errors import ParameterError
-from repro.faults import NO_FAULTS, FaultPolicy
+from repro.faults import FaultPolicy
+from repro.faults.policy import NO_FAULTS
 
 # A Cache1-like healthy operating point.
 C, ALPHA, N = 2.0e9, 0.3, 1.0e5
 O0, L, Q = 500.0, 1_000.0, 200.0
-
-# (rate, service, total) triples spanning light to heavy load.
-LOADS = [
-    (10.0, 400.0, 1.0e5),
-    (50.0, 900.0, 1.0e5),
-    (200.0, 450.0, 1.0e5),
-    (1.0, 7.0, 1.0e3),
-]
 
 POLICIES = [
     NO_FAULTS,
@@ -63,30 +41,6 @@ POLICIES = [
 
 
 class TestBitIdenticalReductions:
-    @pytest.mark.parametrize("rate,service,total", LOADS)
-    def test_mg1_at_scv_one_is_mm1(self, rate, service, total):
-        assert (mg1_wait_cycles(rate, service, total, scv=1.0)
-                == mm1_wait_cycles(rate, service, total))
-
-    @pytest.mark.parametrize("rate,service,total", LOADS)
-    def test_mg1_at_scv_zero_is_md1(self, rate, service, total):
-        assert (mg1_wait_cycles(rate, service, total, scv=0.0)
-                == md1_wait_cycles(rate, service, total))
-
-    @pytest.mark.parametrize("rate,service,total", LOADS)
-    def test_single_tenant_waits_are_private_mg1(self, rate, service, total):
-        assert (weighted_tenant_waits([rate], [service], total, scv=1.4)
-                == (mg1_wait_cycles(rate, service, total, scv=1.4),))
-
-    @pytest.mark.parametrize("rate,service,total", LOADS)
-    def test_single_tenant_utilization_is_private(self, rate, service, total):
-        assert (shared_device_utilization([rate], [service], total, servers=2)
-                == utilization(rate, service, total, servers=2))
-
-    @pytest.mark.parametrize("o0", [0.0, 30.0, 500.0, 1.0 / 3.0])
-    def test_unit_batch_dispatch_is_exact(self, o0):
-        assert amortized_dispatch_cycles(o0, 1) == o0
-
     @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-9, 0.1, 0.5, 1.0])
     def test_unit_batch_doorbell_drop_is_exact(self, p):
         assert doorbell_drop_probability(p, 1) == p
@@ -96,13 +50,6 @@ class TestBitIdenticalReductions:
         assert (degraded_batched_async_speedup(
                     C, ALPHA, N, O0, L, Q, policy, batch_size=1)
                 == degraded_async_speedup(C, ALPHA, N, O0, L, Q, policy))
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_unit_batch_breakeven_is_unbatched_equation(self, policy):
-        assert (degraded_batched_min_profitable_granularity(
-                    policy, 5.0, o0=O0, l=L, q=Q, batch_size=1)
-                == degraded_min_profitable_granularity(
-                    ThreadingDesign.ASYNC, policy, 5.0, o0=O0, l=L, q=Q))
 
     @pytest.mark.parametrize("batch", [1, 2, 8, 64])
     def test_fault_free_batched_speedup_is_amortized_async(self, batch):
@@ -116,96 +63,11 @@ class TestBitIdenticalReductions:
 
 
 # ---------------------------------------------------------------------------
-# Weighted fair-queueing laws
-# ---------------------------------------------------------------------------
-
-
-class TestWeightedWaitLaws:
-    RATES = [40.0, 25.0, 10.0]
-    SERVICES = [400.0, 600.0, 900.0]
-    TOTAL = 1.0e5
-
-    def test_conservation_of_waiting_work(self):
-        """Work-conserving disciplines redistribute waiting, never create
-        or destroy it: sum_i rho_i W_i == rho * W_agg."""
-        for weights in ([1.0, 1.0, 1.0], [0.5, 1.0, 4.0], [2.0, 3.0, 1.0]):
-            waits = weighted_tenant_waits(
-                self.RATES, self.SERVICES, self.TOTAL, weights=weights)
-            rhos = [utilization(rate, service, self.TOTAL)
-                    for rate, service in zip(self.RATES, self.SERVICES)]
-            rho = sum(rhos)
-            mean_service = sum(
-                rho_i * s for rho_i, s in zip(rhos, self.SERVICES)) / rho
-            aggregate = rho / (1.0 - rho) * mean_service
-            assert math.isclose(
-                sum(rho_i * w for rho_i, w in zip(rhos, waits)),
-                rho * aggregate, rel_tol=1e-12)
-
-    def test_equal_weights_collapse_to_aggregate(self):
-        waits = weighted_tenant_waits(self.RATES, self.SERVICES, self.TOTAL)
-        assert len(set(waits)) == 1
-
-    def test_raising_own_weight_lowers_own_wait(self):
-        previous = math.inf
-        for weight in (0.5, 1.0, 2.0, 4.0):
-            waits = weighted_tenant_waits(
-                self.RATES, self.SERVICES, self.TOTAL,
-                weights=[weight, 1.0, 1.0])
-            assert waits[0] < previous
-            previous = waits[0]
-
-    def test_raising_own_weight_raises_the_others(self):
-        light = weighted_tenant_waits(
-            self.RATES, self.SERVICES, self.TOTAL, weights=[1.0, 1.0, 1.0])
-        heavy = weighted_tenant_waits(
-            self.RATES, self.SERVICES, self.TOTAL, weights=[4.0, 1.0, 1.0])
-        assert heavy[1] > light[1]
-        assert heavy[2] > light[2]
-
-    def test_adding_a_tenant_never_lowers_waits(self):
-        two = weighted_tenant_waits(
-            self.RATES[:2], self.SERVICES[:2], self.TOTAL)
-        three = weighted_tenant_waits(self.RATES, self.SERVICES, self.TOTAL)
-        assert three[0] >= two[0]
-        assert three[1] >= two[1]
-
-    def test_zero_load_means_zero_wait(self):
-        waits = weighted_tenant_waits([0.0, 0.0], [400.0, 600.0], self.TOTAL)
-        assert waits == (0.0, 0.0)
-
-    def test_overload_is_rejected(self):
-        with pytest.raises(ParameterError, match="overloaded"):
-            weighted_tenant_waits([200.0, 200.0], [400.0, 400.0], 1.0e5)
-
-    def test_mismatched_axes_rejected(self):
-        with pytest.raises(ParameterError, match="pair up"):
-            weighted_tenant_waits([1.0, 2.0], [400.0], self.TOTAL)
-        with pytest.raises(ParameterError, match="pair up"):
-            weighted_tenant_waits([1.0], [400.0], self.TOTAL,
-                                  weights=[1.0, 2.0])
-        with pytest.raises(ParameterError, match="at least one"):
-            weighted_tenant_waits([], [], self.TOTAL)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ParameterError, match="weights must be > 0"):
-            weighted_tenant_waits([1.0, 1.0], [400.0, 400.0], self.TOTAL,
-                                  weights=[1.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
 # Doorbell-batching laws
 # ---------------------------------------------------------------------------
 
 
 class TestBatchingLaws:
-    def test_amortized_dispatch_is_o0_over_b(self):
-        for batch in (1, 2, 4, 8, 32):
-            assert amortized_dispatch_cycles(O0, batch) == O0 / batch
-
-    def test_amortized_dispatch_decreases_in_batch(self):
-        values = [amortized_dispatch_cycles(O0, b) for b in (1, 2, 4, 8)]
-        assert values == sorted(values, reverse=True)
-
     def test_doorbell_drop_grows_with_batch_but_stays_a_probability(self):
         previous = 0.0
         for batch in (1, 2, 4, 16, 256):
@@ -230,13 +92,6 @@ class TestBatchingLaws:
         assert s == pytest.approx(limit, rel=1e-6)
         assert s < limit
 
-    def test_batching_cuts_the_breakeven_granularity(self):
-        unbatched = degraded_batched_min_profitable_granularity(
-            NO_FAULTS, 5.0, o0=O0, l=0.0, q=Q, batch_size=1)
-        batched = degraded_batched_min_profitable_granularity(
-            NO_FAULTS, 5.0, o0=O0, l=0.0, q=Q, batch_size=8)
-        assert batched < unbatched
-
     def test_batching_under_faults_can_backfire(self):
         """A bigger doorbell amortizes dispatch but couples failures: with
         a harsh policy the net speedup degrades as B grows."""
@@ -252,8 +107,6 @@ class TestBatchingLaws:
         with pytest.raises(ParameterError, match="batch_size"):
             doorbell_drop_probability(0.1, 0)
         with pytest.raises(ParameterError, match="batch_size"):
-            amortized_dispatch_cycles(O0, 0)
-        with pytest.raises(ParameterError, match="batch_size"):
             degraded_batched_async_speedup(
                 C, ALPHA, N, O0, L, Q, NO_FAULTS, batch_size=-1)
 
@@ -265,8 +118,6 @@ class TestBatchingLaws:
 
 WAIT_FORMS = [
     ("mm1", lambda r, s, t: mm1_wait_cycles(r, s, t)),
-    ("md1", lambda r, s, t: md1_wait_cycles(r, s, t)),
-    ("mg1", lambda r, s, t: mg1_wait_cycles(r, s, t, scv=2.0)),
     ("mmk", lambda r, s, t: mmk_wait_cycles(r, s, t, servers=1)),
 ]
 
@@ -293,13 +144,3 @@ class TestQueueingBoundaries:
     @pytest.mark.parametrize("name,wait", WAIT_FORMS)
     def test_zero_rate_waits_nothing(self, name, wait):
         assert wait(0.0, 100.0, 1.0e5) == 0.0
-
-    def test_mg1_rejects_negative_scv(self):
-        with pytest.raises(ParameterError, match="scv"):
-            mg1_wait_cycles(10.0, 100.0, 1.0e5, scv=-0.1)
-
-    def test_mg1_wait_grows_with_service_variability(self):
-        waits = [mg1_wait_cycles(400.0, 100.0, 1.0e5, scv=scv)
-                 for scv in (0.0, 0.5, 1.0, 2.0)]
-        assert waits == sorted(waits)
-        assert waits[0] < waits[-1]

@@ -1,17 +1,9 @@
 """Unit tests for the queueing-delay estimators behind Q."""
 
-import math
-
 import pytest
 
-from repro.core import (
-    QueueModel,
-    empirical_mean_wait,
-    md1_wait_cycles,
-    mm1_wait_cycles,
-    mmk_wait_cycles,
-    utilization,
-)
+from repro.core import mmk_wait_cycles, utilization
+from repro.core.queueing import mm1_wait_cycles
 from repro.errors import ParameterError
 
 
@@ -47,14 +39,6 @@ class TestMM1:
             mm1_wait_cycles(1000, 1e6, 1e9)
 
 
-class TestMD1:
-    def test_half_of_mm1(self):
-        rate = 250
-        assert md1_wait_cycles(rate, 1e6, 1e9) == pytest.approx(
-            mm1_wait_cycles(rate, 1e6, 1e9) / 2
-        )
-
-
 class TestMMK:
     def test_reduces_to_mm1_for_one_server(self):
         rate = 400
@@ -74,46 +58,3 @@ class TestMMK:
     def test_unstable_raises(self):
         with pytest.raises(ParameterError):
             mmk_wait_cycles(4000, 1e6, 1e9, servers=2)
-
-
-class TestEmpirical:
-    def test_mean(self):
-        assert empirical_mean_wait([1, 2, 3]) == 2.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            empirical_mean_wait([])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            empirical_mean_wait([1, -1])
-
-
-class TestQueueModel:
-    def test_none_discipline_is_zero(self):
-        model = QueueModel(1e6, 1e9, discipline="none")
-        assert model.wait_cycles(500) == 0.0
-
-    def test_mm1_discipline(self):
-        model = QueueModel(1e6, 1e9, discipline="mm1")
-        assert model.wait_cycles(500) == pytest.approx(
-            mm1_wait_cycles(500, 1e6, 1e9)
-        )
-
-    def test_mmk_discipline(self):
-        model = QueueModel(1e6, 1e9, discipline="mmk", servers=3)
-        assert model.wait_cycles(500) == pytest.approx(
-            mmk_wait_cycles(500, 1e6, 1e9, servers=3)
-        )
-
-    def test_saturation_rate(self):
-        model = QueueModel(1e6, 1e9, servers=2)
-        assert model.saturation_rate() == pytest.approx(2000)
-
-    def test_zero_service_never_saturates(self):
-        model = QueueModel(0.0, 1e9)
-        assert math.isinf(model.saturation_rate())
-
-    def test_rejects_unknown_discipline(self):
-        with pytest.raises(ParameterError):
-            QueueModel(1e6, 1e9, discipline="gg1")

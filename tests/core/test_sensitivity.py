@@ -12,8 +12,8 @@ from repro.core import (
     Placement,
     ThreadingDesign,
     sensitivity,
-    verify_elasticity_numerically,
 )
+from repro.core.sensitivity import verify_elasticity_numerically
 from repro.errors import ParameterError
 
 

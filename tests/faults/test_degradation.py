@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.errors import ParameterError
-from repro.faults import (
-    ALWAYS_HEALTHY,
-    DegradationSchedule,
-    DegradationWindow,
-)
+from repro.faults import DegradationSchedule, DegradationWindow
+from repro.faults.degradation import ALWAYS_HEALTHY
 from repro.simulator import AcceleratorDevice, Engine
 
 

@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.faults import (
-    ALWAYS_HEALTHY,
     AttemptOutcome,
     DegradationSchedule,
     DegradationWindow,
     FaultInjector,
     FaultPolicy,
-    NO_FAULTS,
 )
+from repro.faults.degradation import ALWAYS_HEALTHY
+from repro.faults.policy import NO_FAULTS
 
 
 def _outcomes(injector, count, now=0.0):

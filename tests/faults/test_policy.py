@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ParameterError
-from repro.faults import NO_FAULTS, FaultPolicy
+from repro.faults import FaultPolicy
+from repro.faults.policy import NO_FAULTS
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ from repro.fleet import (
     CapacityPlan,
     engines_for_queue_budget,
     engines_for_utilization,
-    fleet_device_count,
     plan_capacity,
 )
 
@@ -66,17 +65,3 @@ class TestPlanCapacity:
         strict = plan_capacity(1500, 1e6, 1e9, queue_budget_cycles=100.0)
         assert strict.engines >= loose.engines
         assert strict.expected_queue_cycles <= 100.0
-
-
-class TestFleetDeviceCount:
-    def test_one_engine_per_device(self):
-        assert fleet_device_count(1000, engines_per_host=3) == 3000
-
-    def test_multi_engine_devices(self):
-        assert fleet_device_count(1000, 3, engines_per_device=2) == 2000
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            fleet_device_count(0, 1)
-        with pytest.raises(ParameterError):
-            fleet_device_count(10, 0)

@@ -13,11 +13,10 @@ from repro.observability import (
     SpanKind,
     TraceData,
     folded_stack_samples,
-    otlp_payload,
     write_folded_stacks,
     write_otlp_spans,
 )
-from repro.observability.export import OTLP_SCOPE, otlp_json
+from repro.observability.export import OTLP_SCOPE, otlp_json, otlp_payload
 from repro.simulator import MetricSink
 from repro.simulator.trace_export import export_chrome_trace, trace_events
 

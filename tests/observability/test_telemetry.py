@@ -27,7 +27,8 @@ from repro.observability import (
     write_otlp_spans,
     write_runtime_telemetry,
 )
-from repro.runtime import ResultCache, RunSpec, execute_batch, register_runner
+from repro.runtime import ResultCache, RunSpec, execute_batch
+from repro.runtime.runners import register_runner
 
 
 @register_runner("test_telemetry_probe")

@@ -16,9 +16,9 @@ from repro.paperdata import (
     LEAF_BREAKDOWN,
     MEMORY_BREAKDOWN,
     ORCHESTRATION_SPLIT,
-    SPEC_BENCHMARKS,
     SYNC_BREAKDOWN,
 )
+from repro.paperdata.breakdowns import SPEC_BENCHMARKS
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProfileError
-from repro.profiling import SampledTrace, fold_traces, to_folded_text, write_folded
+from repro.profiling import SampledTrace, fold_traces, to_folded_text
 
 SAMPLES = [
     SampledTrace(("main", "io_loop", "memcpy"), cycles=300.0, instructions=200.0),
@@ -44,10 +44,6 @@ class TestFoldedText:
 
     def test_deterministic_order(self):
         assert to_folded_text(SAMPLES) == to_folded_text(list(SAMPLES))
-
-    def test_write(self, tmp_path):
-        path = write_folded(SAMPLES, tmp_path / "profile.folded")
-        assert path.read_text().endswith("\n")
 
     def test_round_trip_from_characterization(self, cache1_run):
         """A real characterized profile folds into a flamegraph-ready

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ParameterError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.paperdata.ipc import FIG10_FUNCTIONALITY_IPC, FIG8_LEAF_IPC
-from repro.profiling import IPCModel, generation_models
+from repro.profiling import IPCModel
+from repro.profiling.ipc import generation_models
 
 
 class TestConstruction:

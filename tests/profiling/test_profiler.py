@@ -10,7 +10,6 @@ from repro.profiling import (
     StackSampler,
     TraceTemplate,
     capture_trace_profile,
-    profile_from_metrics,
     profile_from_traces,
 )
 from repro.simulator import CycleKind, MetricSink
@@ -23,43 +22,6 @@ def make_metrics():
     sink.charge(200, F.COMPRESSION, L.ZSTD)
     sink.charge(999, F.IO, L.SSL, CycleKind.BLOCKED)  # ignored by default
     return sink
-
-
-class TestProfileFromMetrics:
-    def test_shares(self):
-        profile = profile_from_metrics(make_metrics(), IPCModel("GenC"), "svc")
-        leaf_shares = profile.leaf_shares()
-        assert leaf_shares[L.KERNEL] == pytest.approx(0.6)
-        functionality_shares = profile.functionality_shares()
-        assert functionality_shares[F.IO] == pytest.approx(0.8)
-
-    def test_blocked_cycles_excluded_by_default(self):
-        profile = profile_from_metrics(make_metrics(), IPCModel("GenC"), "svc")
-        assert profile.total_cycles == pytest.approx(1000)
-
-    def test_instructions_synthesized_from_ipc(self):
-        ipc_model = IPCModel("GenC")
-        profile = profile_from_metrics(make_metrics(), ipc_model, "svc")
-        assert profile.leaf_ipc(L.KERNEL) == pytest.approx(
-            ipc_model.leaf_ipc(L.KERNEL)
-        )
-
-    def test_functionality_ipc_is_cycle_weighted_leaf_mix(self):
-        ipc_model = IPCModel("GenC")
-        profile = profile_from_metrics(make_metrics(), ipc_model, "svc")
-        expected = (
-            600 * ipc_model.leaf_ipc(L.KERNEL) + 200 * ipc_model.leaf_ipc(L.MEMORY)
-        ) / 800
-        assert profile.functionality_ipc(F.IO) == pytest.approx(expected)
-
-    def test_empty_metrics_rejected(self):
-        with pytest.raises(ProfileError):
-            profile_from_metrics(MetricSink(), IPCModel("GenC"), "svc")
-
-    def test_missing_category_ipc_raises(self):
-        profile = profile_from_metrics(make_metrics(), IPCModel("GenC"), "svc")
-        with pytest.raises(ProfileError):
-            profile.leaf_ipc(L.MATH)
 
 
 class TestProfileFromTraces:

@@ -10,8 +10,8 @@ from repro.runtime import (
     ResultCache,
     RunSpec,
     execute_batch,
-    register_runner,
 )
+from repro.runtime.runners import register_runner
 
 # A tiny deterministic runner so executor tests never pay for a real
 # simulation.  Registered at import time; keys include the kind, so these

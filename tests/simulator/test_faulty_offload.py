@@ -15,8 +15,8 @@ from repro.faults import (
     DegradationWindow,
     FaultInjector,
     FaultPolicy,
-    NO_FAULTS,
 )
+from repro.faults.policy import NO_FAULTS
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     AcceleratorDevice,

@@ -4,12 +4,7 @@ import pytest
 
 from repro.core import Placement
 from repro.errors import ParameterError
-from repro.simulator import (
-    InterfaceModel,
-    network_interface,
-    on_chip_interface,
-    pcie_interface,
-)
+from repro.simulator import InterfaceModel
 
 
 class TestTransferCycles:
@@ -35,30 +30,3 @@ class TestTransferCycles:
     def test_rejects_negative_costs(self):
         with pytest.raises(ParameterError):
             InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=-1)
-
-
-class TestPresets:
-    def test_on_chip_is_free_transfer(self):
-        interface = on_chip_interface(dispatch_cycles=10)
-        assert interface.placement is Placement.ON_CHIP
-        assert interface.transfer_cycles(10_000) == 0
-        assert interface.dispatch_cycles == 10
-
-    def test_pcie_is_us_scale(self):
-        interface = pcie_interface()
-        assert interface.placement is Placement.OFF_CHIP
-        # ~1 us at 2 GHz for a small transfer.
-        assert 1_000 <= interface.transfer_cycles(64) <= 10_000
-
-    def test_network_is_ms_scale(self):
-        interface = network_interface()
-        assert interface.placement is Placement.REMOTE
-        assert interface.transfer_cycles(64) >= 1_000_000
-
-    def test_ordering_of_scales(self):
-        g = 1024
-        assert (
-            on_chip_interface().transfer_cycles(g)
-            < pcie_interface().transfer_cycles(g)
-            < network_interface().transfer_cycles(g)
-        )

@@ -1,21 +1,11 @@
-"""Unit tests for request streams and the open-loop driver."""
+"""Unit tests for request streams and the block sampler."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
-from repro.simulator import (
-    CPU,
-    BlockSampler,
-    Engine,
-    MetricSink,
-    Microservice,
-    OpenLoopDriver,
-    RequestSpec,
-    SegmentWork,
-    request_stream,
-)
+from repro.simulator import BlockSampler, RequestSpec, SegmentWork, request_stream
 
 
 def spec(cycles=100.0):
@@ -36,64 +26,6 @@ class TestRequestStream:
         stream = request_stream(lambda: spec())
         for _ in range(1000):
             next(stream)
-
-
-class TestOpenLoopDriver:
-    def _run(self, rate, horizon=1e6, unit=1e6):
-        engine = Engine()
-        metrics = MetricSink()
-        cpu = CPU(engine, metrics, 4)
-        service = Microservice(engine, cpu, metrics)
-        driver = OpenLoopDriver(
-            engine, service, lambda: spec(100.0), arrivals_per_unit=rate,
-            rng=np.random.default_rng(1), unit_cycles=unit,
-        )
-        driver.start()
-        engine.run_until(horizon)
-        cpu.finalize(horizon)
-        return driver, metrics
-
-    def test_arrival_count_near_rate(self):
-        driver, metrics = self._run(rate=200)
-        assert driver.arrivals == pytest.approx(200, abs=50)
-
-    def test_requests_complete(self):
-        driver, metrics = self._run(rate=100)
-        assert len(metrics.completed_requests()) > 50
-
-    def test_latency_grows_under_overload(self):
-        _, light = self._run(rate=100)
-        # 4 cores x 1e6 cycles / 100-cycle requests = capacity 4e4; drive
-        # near it with much higher arrival rate to see queueing delay.
-        _, heavy = self._run(rate=39_000)
-        assert heavy.mean_latency() > light.mean_latency()
-
-    def test_stop_halts_arrivals(self):
-        engine = Engine()
-        metrics = MetricSink()
-        cpu = CPU(engine, metrics, 1)
-        service = Microservice(engine, cpu, metrics)
-        driver = OpenLoopDriver(
-            engine, service, lambda: spec(), arrivals_per_unit=1000,
-            rng=np.random.default_rng(2), unit_cycles=1e6,
-        )
-        driver.start()
-        engine.run_until(1e5)
-        driver.stop()
-        count = driver.arrivals
-        engine.run_until(2e5)
-        assert driver.arrivals == count
-
-    def test_rejects_bad_rate(self):
-        engine = Engine()
-        metrics = MetricSink()
-        cpu = CPU(engine, metrics, 1)
-        service = Microservice(engine, cpu, metrics)
-        with pytest.raises(ParameterError):
-            OpenLoopDriver(
-                engine, service, lambda: spec(), arrivals_per_unit=0,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestBlockSamplerTake:

@@ -4,51 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.core import (
-    BLOCKING_DESIGNS,
-    NONBLOCKING_DESIGNS,
-    ResponseHandling,
-    ThreadingDesign,
-    design_for_response,
-)
-from repro.paperdata import FUNCTIONALITY_CATEGORIES, GOOGLE_FLEET
 from repro.paperdata.categories import FunctionalityCategory
 from repro.viz import FUNCTIONALITY_COLORS, GENERATION_COLORS, LEAF_COLORS
-
-
-class TestDesignSets:
-    def test_blocking_and_nonblocking_partition_designs(self):
-        assert BLOCKING_DESIGNS | NONBLOCKING_DESIGNS == set(ThreadingDesign)
-        assert not BLOCKING_DESIGNS & NONBLOCKING_DESIGNS
-
-    def test_sync_designs_block(self):
-        assert ThreadingDesign.SYNC in BLOCKING_DESIGNS
-        assert ThreadingDesign.SYNC_OS in BLOCKING_DESIGNS
-
-    @pytest.mark.parametrize(
-        "handling,expected",
-        [
-            (ResponseHandling.SAME_THREAD, ThreadingDesign.ASYNC),
-            (ResponseHandling.DISTINCT_THREAD,
-             ThreadingDesign.ASYNC_DISTINCT_THREAD),
-            (ResponseHandling.NO_RESPONSE,
-             ThreadingDesign.ASYNC_NO_RESPONSE),
-        ],
-    )
-    def test_design_for_response(self, handling, expected):
-        assert design_for_response(handling) is expected
-
-
-class TestPaperdataSurface:
-    def test_functionality_glossary_covers_all_categories(self):
-        assert set(FUNCTIONALITY_CATEGORIES) == set(FunctionalityCategory)
-        assert all(isinstance(v, str) and v
-                   for v in FUNCTIONALITY_CATEGORIES.values())
-
-    def test_google_fleet_key(self):
-        from repro.paperdata import LEAF_BREAKDOWN
-
-        assert GOOGLE_FLEET in LEAF_BREAKDOWN
 
 
 class TestVizColorTables:

@@ -137,29 +137,3 @@ class TestValidation:
     def test_bad_config_rejected(self):
         with pytest.raises(ParameterError):
             ApplicationSimConfig(cores_per_service=0)
-
-
-class TestBatchSimulation:
-    def test_matches_individual_runs(self):
-        from repro.topology import simulate_applications
-
-        graph = small_graph()
-        results = simulate_applications(
-            [(graph, LOW_LOAD), (graph, LOW_LOAD, {"mid": 2.0})]
-        )
-        assert len(results) == 2
-        plain = simulate_application(graph, LOW_LOAD)
-        scaled = simulate_application(graph, LOW_LOAD, {"mid": 2.0})
-        assert results[0].mean_latency_cycles == pytest.approx(
-            plain.mean_latency_cycles
-        )
-        assert results[1].mean_latency_cycles == pytest.approx(
-            scaled.mean_latency_cycles
-        )
-
-    def test_bare_graph_scenario_uses_defaults(self):
-        from repro.topology import simulate_applications
-
-        graph = default_application_graph()
-        [batched] = simulate_applications([(graph, LOW_LOAD)])
-        assert batched.completed_requests > 0

@@ -9,7 +9,7 @@ from repro.simulator import (
     SegmentWork,
     SimulationConfig,
 )
-from repro.validation import ABTestResult, ab_test, model_error_percentage_points
+from repro.validation import ab_test
 
 
 def build_with_cost(cycles):
@@ -45,11 +45,3 @@ class TestAbTest:
     def test_identical_builds_give_unity(self):
         result = ab_test(build_with_cost(1000), build_with_cost(1000), self.CONFIG)
         assert result.speedup == pytest.approx(1.0)
-
-
-class TestErrorMetric:
-    def test_percentage_points(self):
-        assert model_error_percentage_points(1.157, 1.14) == pytest.approx(1.7)
-
-    def test_symmetric(self):
-        assert model_error_percentage_points(1.1, 1.2) == pytest.approx(10.0)
