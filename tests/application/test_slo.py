@@ -4,6 +4,7 @@ import pytest
 
 from repro.application import check_slo
 from repro.core import (
+    Accelerometer,
     AcceleratorSpec,
     KernelProfile,
     OffloadCosts,
@@ -75,3 +76,52 @@ class TestCheckSlo:
             check_slo(s, 100, 0)
         with pytest.raises(ParameterError):
             check_slo(s, 100, 100, extra_delay_cycles=-1)
+
+
+DESIGNS = list(ThreadingDesign)
+
+
+class TestCheckSloAcrossDesigns:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_projection_is_baseline_over_model_latency_reduction(self, design):
+        s = scenario(design)
+        check = check_slo(s, 10_000, 10_000, extra_delay_cycles=700)
+        reduction = Accelerometer().latency_reduction(s)
+        assert check.projected_latency_cycles == 10_000 / reduction + 700
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_slo_equal_to_projection_is_admissible(self, design):
+        projected = check_slo(scenario(design), 10_000, 10_000)\
+            .projected_latency_cycles
+        exact = check_slo(scenario(design), 10_000, slo_cycles=projected)
+        assert exact.admissible
+        assert exact.headroom_cycles == 0.0
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_slo_just_below_projection_is_violated(self, design):
+        projected = check_slo(scenario(design), 10_000, 10_000)\
+            .projected_latency_cycles
+        tight = check_slo(scenario(design), 10_000,
+                          slo_cycles=projected * (1 - 1e-9))
+        assert not tight.admissible
+        assert tight.headroom_cycles < 0
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_latency_change_sign_follows_latency_reduction(self, design):
+        s = scenario(design)
+        check = check_slo(s, 10_000, 10_000)
+        faster = Accelerometer().latency_reduction(s) > 1.0
+        assert (check.latency_change_pct < 0) == faster
+        assert check.latency_change_pct == pytest.approx(
+            (check.projected_latency_cycles / 10_000 - 1.0) * 100.0)
+
+    @pytest.mark.parametrize("args, kwargs, needle", [
+        ((0, 100), {}, "baseline"),
+        ((-1, 100), {}, "baseline"),
+        ((100, 0), {}, "SLO"),
+        ((100, -1), {}, "SLO"),
+        ((100, 100), {"extra_delay_cycles": -1}, "extra delay"),
+    ])
+    def test_rejects_each_bad_input(self, args, kwargs, needle):
+        with pytest.raises(ParameterError, match=needle):
+            check_slo(scenario(), *args, **kwargs)

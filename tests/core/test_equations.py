@@ -174,3 +174,52 @@ class TestPaperHeadlineNumbers:
             2.5e9, 0.52, 10, 25_000_000, 0, 0, 12_500
         )
         assert (value - 1) * 100 == pytest.approx(72.39, abs=0.01)
+
+
+# (name, margin(cb, g, beta), host-savings factor with free overheads)
+MARGINS = [
+    ("sync", lambda cb, g, beta=1.0: eq.sync_offload_margin(
+        cb, g, 4.0, 0, 0, 0, beta=beta), 0.75),
+    ("sync-os", lambda cb, g, beta=1.0: eq.sync_os_offload_margin(
+        cb, g, 0, 0, 0, 0, beta=beta), 1.0),
+    ("async", lambda cb, g, beta=1.0: eq.async_offload_margin(
+        cb, g, 0, 0, 0, beta=beta), 1.0),
+    ("sync-os-latency", lambda cb, g, beta=1.0: eq.sync_os_latency_margin(
+        cb, g, 4.0, 0, 0, 0, 0, beta=beta), 0.75),
+    ("async-latency", lambda cb, g, beta=1.0: eq.async_latency_margin(
+        cb, g, 4.0, 0, 0, 0, beta=beta), 0.75),
+]
+
+
+class TestMarginHostCost:
+    @pytest.mark.parametrize("name,margin,factor", MARGINS)
+    def test_free_offload_keeps_the_host_savings(self, name, margin, factor):
+        assert margin(10.0, 64.0, beta=1.5) == pytest.approx(
+            factor * 10.0 * 64.0**1.5)
+
+    @pytest.mark.parametrize("name,margin,factor", MARGINS)
+    def test_rejects_nonpositive_cb(self, name, margin, factor):
+        with pytest.raises(ParameterError, match="Cb"):
+            margin(0.0, 64.0)
+
+    @pytest.mark.parametrize("name,margin,factor", MARGINS)
+    def test_rejects_negative_granularity(self, name, margin, factor):
+        with pytest.raises(ParameterError, match="g must"):
+            margin(10.0, -1.0)
+
+    @pytest.mark.parametrize("name,margin,factor", MARGINS)
+    def test_rejects_nonpositive_beta(self, name, margin, factor):
+        with pytest.raises(ParameterError, match="beta"):
+            margin(10.0, 64.0, beta=0.0)
+
+    def test_async_latency_margin_threshold(self):
+        # Cb*g*(1 - 1/A) > o0+L+Q  <=>  10*g*0.9 > 90  <=>  g > 10
+        assert eq.async_latency_margin(10, 11, 10, 30, 30, 30) > 0
+        assert eq.async_latency_margin(10, 9, 10, 30, 30, 30) < 0
+        assert eq.async_latency_margin(10, 10, 10, 30, 30, 30) == (
+            pytest.approx(0.0))
+
+    def test_async_latency_margin_below_throughput_margin(self):
+        """The latency condition also waits for the accelerator."""
+        assert (eq.async_latency_margin(10, 100, 2.0, 5, 5, 5)
+                < eq.async_offload_margin(10, 100, 5, 5, 5))

@@ -168,3 +168,33 @@ class TestSelectiveOffload:
                 kernel, simple_dist, ThreadingDesign.SYNC, self.OFFCHIP,
                 self.COSTS, weight_alpha_by="mass",
             )
+
+
+class TestValidation:
+    @pytest.mark.parametrize("sizes, counts, needle", [
+        ((1.0, 2.0), (1.0,), "equal length"),
+        ((), (), "at least one size"),
+        ((-1.0, 2.0), (1.0, 1.0), "non-negative"),
+        ((1.0, 1.0), (1.0, 1.0), "strictly increasing"),
+        ((1.0, 2.0), (0.0, 0.0), "positive total count"),
+    ])
+    def test_rejects_each_malformed_distribution(self, sizes, counts, needle):
+        with pytest.raises(ParameterError, match=needle):
+            GranularityDistribution(sizes=sizes, counts=counts)
+
+    @pytest.mark.parametrize("edges, counts, needle", [
+        ((64, 64, 256), (1, 1), "increasing"),
+        ((64, 256, 1024), (1, -1), "non-negative"),
+    ])
+    def test_rejects_each_malformed_histogram(self, edges, counts, needle):
+        with pytest.raises(ParameterError, match=needle):
+            GranularityDistribution.from_histogram(edges, counts)
+
+    @pytest.mark.parametrize("total", [0.0, -5.0])
+    def test_scaling_rejects_nonpositive_total(self, simple_dist, total):
+        with pytest.raises(ParameterError, match="total_count"):
+            simple_dist.scaled_to(total)
+
+    def test_sub_byte_bin_is_clamped_to_one_byte(self):
+        dist = GranularityDistribution.from_histogram([0, 1, 4], [3, 1])
+        assert dist.sizes == (1.0, 2.0)

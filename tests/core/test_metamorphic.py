@@ -8,6 +8,7 @@ individual values plausible but bends a monotonicity or a limit is
 caught here.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -19,11 +20,13 @@ from repro.core.resilience import (
     degraded_speedup,
     degraded_sync_os_speedup,
     degraded_sync_speedup,
+    doorbell_drop_probability,
     expected_backoff_cycles,
     expected_failures,
     fallback_probability,
 )
 from repro.core.strategies import ThreadingDesign
+from repro.errors import ParameterError
 from repro.faults import FaultPolicy
 from repro.faults.policy import NO_FAULTS
 
@@ -171,3 +174,91 @@ class TestClosedForms:
                 )
                 got = expected_backoff_cycles(p, r, 150.0, 3.0)
                 assert abs(got - direct) < 1e-9
+
+
+PROBABILITIES = (0.1, 0.5, 0.9, 1.0)
+CLOSED_FORMS = (
+    ("expected_failures", lambda p, r: expected_failures(p, r)),
+    ("fallback_probability", lambda p, r: fallback_probability(p, r)),
+    ("expected_backoff_cycles",
+     lambda p, r: expected_backoff_cycles(p, r, 100.0)),
+)
+
+
+class TestClosedFormLaws:
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_expected_failures_grow_with_retries_up_to_attempt_count(self, p):
+        values = [expected_failures(p, r) for r in range(6)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert all(v <= r + 1 for r, v in enumerate(values))
+
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_fallback_probability_shrinks_with_retries(self, p):
+        values = [fallback_probability(p, r) for r in range(6)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[0] == p
+
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_no_retries_means_no_backoff(self, p):
+        assert expected_backoff_cycles(p, 0, 1_000.0, 4.0) == 0.0
+
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_backoff_is_linear_in_base(self, p):
+        assert expected_backoff_cycles(p, 4, 300.0) == pytest.approx(
+            3.0 * expected_backoff_cycles(p, 4, 100.0), rel=1e-12)
+
+    @pytest.mark.parametrize("name,form", CLOSED_FORMS)
+    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    def test_rejects_probability_outside_unit_interval(self, name, form, p):
+        with pytest.raises(ParameterError, match="drop_probability"):
+            form(p, 1)
+
+    @pytest.mark.parametrize("name,form", CLOSED_FORMS)
+    def test_rejects_negative_retries(self, name, form):
+        with pytest.raises(ParameterError, match="max_retries"):
+            form(0.5, -1)
+
+    @pytest.mark.parametrize("multiplier", [0.0, -2.0])
+    def test_backoff_rejects_nonpositive_multiplier(self, multiplier):
+        with pytest.raises(ParameterError, match="backoff_multiplier"):
+            expected_backoff_cycles(0.5, 2, 100.0, multiplier)
+
+    def test_backoff_rejects_negative_base(self):
+        with pytest.raises(ParameterError, match="backoff_base_cycles"):
+            expected_backoff_cycles(0.5, 2, -1.0)
+
+
+class TestDesignLaws:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_zero_drop_policy_is_bit_identical_to_no_faults(self, design):
+        """Retries, timeouts and backoff cost nothing when no attempt
+        ever drops."""
+        assert (_speedup(design, _policy(0.0, timeout=9_000.0, retries=5,
+                                         backoff=700.0))
+                == _speedup(design, NO_FAULTS))
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_cpu_fallback_never_beats_dropping_the_work(self, design):
+        """Re-running the kernel on the host costs host cycles; dropping
+        it does not, so the fallback policy is never the faster one."""
+        rerun = FaultPolicy(drop_probability=0.4, timeout_cycles=2_000.0,
+                            max_retries=1, fallback_to_cpu=True)
+        dropped = dataclasses.replace(rerun, fallback_to_cpu=False)
+        assert _speedup(design, rerun) < _speedup(design, dropped)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_certain_drop_worsens_with_every_retry(self, design):
+        values = [_speedup(design, _policy(1.0, retries=r)) for r in range(5)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestDoorbellFixedPoints:
+    @pytest.mark.parametrize("batch", [1, 2, 8, 64])
+    def test_null_and_certain_drops_are_fixed_points(self, batch):
+        assert doorbell_drop_probability(0.0, batch) == 0.0
+        assert doorbell_drop_probability(1.0, batch) == 1.0
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_rejects_empty_doorbell(self, batch):
+        with pytest.raises(ParameterError, match="batch_size"):
+            doorbell_drop_probability(0.1, batch)

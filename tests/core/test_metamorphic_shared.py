@@ -119,6 +119,10 @@ class TestBatchingLaws:
 WAIT_FORMS = [
     ("mm1", lambda r, s, t: mm1_wait_cycles(r, s, t)),
     ("mmk", lambda r, s, t: mmk_wait_cycles(r, s, t, servers=1)),
+    # Same total capacity spread over k engines: rho is unchanged.
+    ("mmk2", lambda r, s, t: mmk_wait_cycles(r, 2.0 * s, t, servers=2)),
+    ("mmk4", lambda r, s, t: mmk_wait_cycles(r, 4.0 * s, t, servers=4)),
+    ("mmk8", lambda r, s, t: mmk_wait_cycles(r, 8.0 * s, t, servers=8)),
 ]
 
 

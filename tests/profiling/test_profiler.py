@@ -5,6 +5,8 @@ import pytest
 from repro.errors import ProfileError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.profiling import (
+    CategoryCounters,
+    ExecutionProfile,
     IPCModel,
     SampledTrace,
     StackSampler,
@@ -63,3 +65,42 @@ class TestEndToEndCapture:
         assert profile.total_cycles == pytest.approx(1000)
         assert profile.functionality_shares()[F.IO] == pytest.approx(0.8)
         assert profile.leaf_shares()[L.ZSTD] == pytest.approx(0.2)
+
+
+SAMPLES = [
+    SampledTrace(("w", "rpc_send_loop", "memcpy"), 100, 60),
+    SampledTrace(("w", "zstd_compress_block", "zstd_compress"), 300, 270),
+]
+
+
+class TestProfileAccounting:
+    @pytest.mark.parametrize("cycles, instructions", [(-1, 0), (0, -1)])
+    def test_counters_reject_negative_counts(self, cycles, instructions):
+        with pytest.raises(ProfileError, match="non-negative"):
+            CategoryCounters().add(cycles, instructions)
+
+    def test_counters_without_cycles_have_no_ipc(self):
+        with pytest.raises(ProfileError, match="zero cycles"):
+            CategoryCounters().ipc
+
+    def test_shares_of_an_empty_profile_are_undefined(self):
+        empty = ExecutionProfile("svc", "GenC", leaf={}, functionality={})
+        with pytest.raises(ProfileError, match="no cycles"):
+            empty.leaf_shares()
+        with pytest.raises(ProfileError, match="no cycles"):
+            empty.functionality_shares()
+
+    def test_ipc_of_an_unrecorded_category_is_an_error(self):
+        profile = profile_from_traces(SAMPLES, "svc", "GenC")
+        with pytest.raises(ProfileError, match="no cycles recorded"):
+            profile.leaf_ipc(L.SSL)
+        with pytest.raises(ProfileError, match="no cycles recorded"):
+            profile.functionality_ipc(F.LOGGING)
+
+    def test_leaf_and_functionality_views_account_for_the_same_cycles(self):
+        profile = profile_from_traces(SAMPLES, "svc", "GenC")
+        assert sum(profile.leaf_shares().values()) == pytest.approx(1.0)
+        assert sum(profile.functionality_shares().values()) == (
+            pytest.approx(1.0))
+        assert profile.total_cycles == sum(
+            c.cycles for c in profile.functionality.values())
