@@ -46,6 +46,14 @@ class Compute:
     functionality: FunctionalityCategory
     leaf: LeafCategory = LeafCategory.MISCELLANEOUS
     kind: CycleKind = CycleKind.USEFUL
+    #: ``(functionality, leaf, kind)``: the :attr:`MetricSink.cycles`
+    #: key, built once here so a shared op costs no tuple per event.
+    key: tuple = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "key", (self.functionality, self.leaf, self.kind)
+        )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -339,10 +347,17 @@ class CPU:
         *chained* is bound only into the continuation the engine invokes
         (:attr:`SimThread.advance_callback`).  Such a call returns straight
         to the drain loop, so a Compute that is provably the engine's next
-        event runs in place (:meth:`PyEngine.run_or_after`) and the loop
-        resumes the thread again.  Direct calls (:meth:`resume`,
-        :meth:`_assign`) have work left after them at the current time
-        and never chain.
+        event runs in place: the clock moves to its end and the loop
+        resumes the thread again, with no heap round trip.  That is exact
+        because the heap pops in ``(time, sequence)`` order and a new
+        event's sequence is the largest yet: an event strictly earlier
+        than the heap head (ties go to the queued event) and than the
+        :meth:`PyEngine.run_until` horizon is what the drain loop would
+        pop next.  It counts toward ``events_processed`` and the
+        ``max_events`` budget like a popped one.  Outside ``run_until``
+        the horizon is -inf, so :meth:`PyEngine.step` never chains.
+        Direct calls (:meth:`resume`, :meth:`_assign`) have work left
+        after them at the current time and never chain.
         """
         fast = self._advance_fast
         if fast is not None:
@@ -366,7 +381,7 @@ class CPU:
             cycles = op.cycles
             if cycles < 0:
                 raise SimulationError(f"cannot compute negative cycles: {cycles}")
-            cycles_by_key[(op.functionality, op.leaf, op.kind)] += cycles
+            cycles_by_key[op.key] += cycles
             if trace is not None:
                 context = thread.trace_ctx
                 if context is not None:
@@ -378,16 +393,24 @@ class CPU:
                         context, now, now + cycles,
                         op.functionality, op.leaf, op.kind,
                     )
+            if chained:
+                time = engine._now + cycles
+                queue = engine._queue
+                if (
+                    time < engine._horizon
+                    and (not queue or time < queue[0][0])
+                    and engine._budget
+                ):
+                    engine._now = time
+                    engine._budget -= 1
+                    continue
             callback = thread.advance_callback
             if callback is None:  # direct _advance without _assign (tests)
                 callback = thread.advance_callback = functools.partial(
                     self._advance, core, thread, True
                 )
-            if not chained:
-                engine.after(cycles, callback)
-                return
-            if not engine.run_or_after(cycles, callback):
-                return
+            engine.after(cycles, callback)
+            return
 
     def _handle_slow_op(self, core: Core, thread: SimThread, op) -> None:
         """Advance past a non-Compute op: the blocking primitives.

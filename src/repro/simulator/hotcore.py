@@ -57,8 +57,9 @@ class PyEngine:
     code in the repository, so it inlines the pop instead of delegating
     to :meth:`step` and hoists the heap and heappop into locals.
 
-    Inside :meth:`run_until`, an event that is provably the next one the
-    loop would pop can run in place instead (:meth:`run_or_after`), so a
+    Inside :meth:`run_until`, a compute that is provably the next event
+    the loop would pop runs in place instead: ``CPU._advance`` checks it
+    against the queue head, :attr:`_horizon` and :attr:`_budget`, so a
     thread's chain of short computes costs no heap round trip per step.
     """
 
@@ -106,36 +107,6 @@ class PyEngine:
         heapq.heappush(
             self._queue, (self._now + delay, next(self._sequence), callback)
         )
-
-    def run_or_after(self, delay: float, callback: Callback) -> bool:
-        """Advance the clock by *delay* in place when that event would be
-        popped next; otherwise schedule *callback* as :meth:`after` does.
-
-        Returns True when the event ran in place: the caller then does
-        the callback's work itself, at the new :attr:`now`.  That is
-        exact because the heap pops in ``(time, sequence)`` order and a
-        new event's sequence is the largest yet: an event strictly
-        earlier than the heap head (ties go to the queued event) and
-        than the :meth:`run_until` horizon is what the drain loop would
-        pop next.  It counts toward :attr:`events_processed` and the
-        ``max_events`` budget like a popped one.  Only a callback the
-        engine itself invoked may call this, as its last action: work
-        left after the call would run at the wrong time.
-        """
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        time = self._now + delay
-        queue = self._queue
-        if (
-            time < self._horizon
-            and (not queue or time < queue[0][0])
-            and self._budget
-        ):
-            self._now = time
-            self._budget -= 1
-            return True
-        heapq.heappush(queue, (time, next(self._sequence), callback))
-        return False
 
     def step(self) -> bool:
         """Process the next event.  Returns False when the queue is empty."""

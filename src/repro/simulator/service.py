@@ -504,95 +504,84 @@ class Microservice:
     # -- workers --------------------------------------------------------------
 
     def spawn_worker(
-        self,
-        requests: Iterator[RequestSpec],
-        name: str = "",
-        arrival_time: Optional[float] = None,
+        self, requests: Iterator[RequestSpec], name: str = ""
     ) -> SimThread:
-        """Start a closed-loop worker thread consuming *requests*.
-
-        *arrival_time* timestamps the first request's arrival (open-loop
-        drivers pass the arrival instant so measured latency includes any
-        run-queue wait before a core picks the work up).
-        """
+        """Start a closed-loop worker thread consuming *requests*."""
 
         def factory(thread: SimThread):
-            return self._worker_body(thread, requests, arrival_time)
+            return self._worker_body(thread, requests)
 
         return self.cpu.spawn(factory, name=name or f"{self.name}-worker")
 
-    def _worker_body(
-        self,
-        thread: SimThread,
-        requests: Iterator[RequestSpec],
-        arrival_time: Optional[float] = None,
-    ):
+    def _worker_body(self, thread: SimThread, requests: Iterator[RequestSpec]):
+        """Run each request's segments in order, then yield the core.
+
+        Segments run inline, not in a nested generator: every host
+        Compute costs the CPU one resume of this frame.
+        """
+        engine = self.engine
+        metrics = self.metrics
+        tracer = self.tracer
+        offloads = self.offloads
+        offload_ops = self._offload_ops
+        invocation_counts = metrics.kernel_invocations
+        kernel_cycles = metrics.kernel_cycles
+        kernel_cycles_by_origin = metrics.kernel_cycles_by_origin
         for spec in requests:
             self._request_counter += 1
-            opened_at = self.engine.now if arrival_time is None else arrival_time
-            arrival_time = None  # only the first request pre-dates scheduling
-            record = self.metrics.open_request(self._request_counter, opened_at)
-            context = _RequestContext(self.engine, record)
-            tracer = self.tracer
+            record = metrics.open_request(self._request_counter, engine.now)
+            context = _RequestContext(engine, record)
             if tracer is not None:
                 context.trace = tracer.begin_request(self.name, record)
                 thread.trace_ctx = context.trace
             for segment in spec.segments:
-                yield from self._run_segment(thread, segment, context)
+                span = None
+                if tracer is not None and context.trace is not None:
+                    span = tracer.begin_segment(
+                        context.trace, segment.functionality, engine.now
+                    )
+                plain_ops = segment.plain_ops
+                if plain_ops is None:
+                    raise SimulationError(
+                        "segment leaf_mix must have positive mass"
+                    )
+                yield from plain_ops
+                for invocation in segment.invocations:
+                    kernel = invocation.kernel
+                    if offloads:
+                        config = offloads.get(kernel.name)
+                        if (
+                            config is not None
+                            and invocation.granularity >= config.min_granularity
+                        ):
+                            ops = offload_ops.get(id(kernel))
+                            if ops is None or ops.config is not config:
+                                ops = offload_ops[id(kernel)] = _OffloadOps(
+                                    kernel, config
+                                )
+                            yield from config._handler(
+                                self, thread, invocation, config, ops, context
+                            )
+                            continue
+                    # Run on the host: MetricSink.charge_kernel, inlined.
+                    name = kernel.name
+                    host_cycles = invocation.host_cycles
+                    invocation_counts[name] += 1
+                    kernel_cycles[name] += host_cycles
+                    kernel_cycles_by_origin[
+                        (name, kernel.functionality)
+                    ] += host_cycles
+                    if invocation.host_op is not None:
+                        yield invocation.host_op
+                if tracer is not None and span is not None:
+                    tracer.end_segment(context.trace, span, engine.now)
             context.body_finished()
             if tracer is not None:
-                tracer.end_body(context.trace, self.engine.now)
+                tracer.end_body(context.trace, engine.now)
                 thread.trace_ctx = None
             # Hand the core to any waiting thread (e.g. a response
             # handler) before starting the next request.
             yield _YIELD
-
-    # -- segment execution ------------------------------------------------------
-
-    def _run_segment(self, thread: SimThread, segment: SegmentWork, context):
-        tracer = self.tracer
-        span = None
-        if tracer is not None and context.trace is not None:
-            span = tracer.begin_segment(
-                context.trace, segment.functionality, self.engine.now
-            )
-        plain_ops = segment.plain_ops
-        if plain_ops is None:
-            raise SimulationError("segment leaf_mix must have positive mass")
-        yield from plain_ops
-        offloads = self.offloads
-        offload_ops = self._offload_ops
-        metrics = self.metrics
-        invocation_counts = metrics.kernel_invocations
-        kernel_cycles = metrics.kernel_cycles
-        kernel_cycles_by_origin = metrics.kernel_cycles_by_origin
-        for invocation in segment.invocations:
-            kernel = invocation.kernel
-            if offloads:
-                config = offloads.get(kernel.name)
-                if (
-                    config is not None
-                    and invocation.granularity >= config.min_granularity
-                ):
-                    ops = offload_ops.get(id(kernel))
-                    if ops is None or ops.config is not config:
-                        ops = offload_ops[id(kernel)] = _OffloadOps(
-                            kernel, config
-                        )
-                    yield from config._handler(
-                        self, thread, invocation, config, ops, context
-                    )
-                    continue
-            # Run on the host: MetricSink.charge_kernel, inlined.
-            name = kernel.name
-            host_cycles = invocation.host_cycles
-            invocation_counts[name] += 1
-            kernel_cycles[name] += host_cycles
-            kernel_cycles_by_origin[(name, kernel.functionality)] += host_cycles
-            if invocation.host_op is not None:
-                yield invocation.host_op
-        if tracer is not None and span is not None:
-            tracer.end_segment(context.trace, span, self.engine.now)
 
     # -- offload state machines ---------------------------------------------------
 

@@ -150,28 +150,33 @@ def _encryption_study_builds(
             )
         return shared
 
+    # Segments without kernel calls are shared by every request too.
+    logic_segment = SegmentWork(
+        functionality=F.APPLICATION_LOGIC,
+        plain_cycles=plain_cycles,
+        leaf_mix={L.MISCELLANEOUS: 1.0},
+    )
+    plain_io_segment = SegmentWork(
+        functionality=F.IO,
+        plain_cycles=io_plain_cycles,
+        leaf_mix={L.KERNEL: 1.0},
+    )
+
     def make_factory(rng: np.random.Generator):
         def factory() -> RequestSpec:
             count = int(rng.poisson(invocations_per_request))
-            sizes = distribution.sample(rng, count) if count else []
-            invocations = tuple(
-                invocation(float(s)) for s in np.atleast_1d(sizes)
-            ) if count else ()
-            return RequestSpec(
-                segments=(
-                    SegmentWork(
-                        functionality=F.APPLICATION_LOGIC,
-                        plain_cycles=plain_cycles,
-                        leaf_mix={L.MISCELLANEOUS: 1.0},
-                    ),
-                    SegmentWork(
-                        functionality=F.IO,
-                        plain_cycles=io_plain_cycles,
-                        leaf_mix={L.KERNEL: 1.0},
-                        invocations=invocations,
-                    ),
-                )
+            if not count:
+                return RequestSpec(segments=(logic_segment, plain_io_segment))
+            sizes = distribution.sample(rng, count)
+            io_segment = SegmentWork(
+                functionality=F.IO,
+                plain_cycles=io_plain_cycles,
+                leaf_mix={L.KERNEL: 1.0},
+                invocations=tuple(
+                    invocation(float(s)) for s in np.atleast_1d(sizes)
+                ),
             )
+            return RequestSpec(segments=(logic_segment, io_segment))
 
         return factory
 
@@ -275,47 +280,50 @@ def simulate_remote_inference(
         record.offloads_per_unit * record.thread_switch_cycles / requests_per_unit
     )
 
-    def make_factory(accelerated: bool):
-        def factory() -> RequestSpec:
-            segments = [
-                SegmentWork(
-                    functionality=F.APPLICATION_LOGIC,
-                    plain_cycles=plain_cycles,
-                    leaf_mix={L.MISCELLANEOUS: 1.0},
-                )
-            ]
-            if accelerated:
-                segments.append(
-                    SegmentWork(
-                        functionality=F.IO,
-                        plain_cycles=extra_io_per_request,
-                        leaf_mix={L.KERNEL: 1.0},
-                    )
-                )
-                segments.append(
-                    SegmentWork(
-                        functionality=F.THREAD_POOL,
-                        plain_cycles=switch_per_request,
-                        leaf_mix={L.KERNEL: 1.0},
-                    )
-                )
-            else:
-                segments.append(
-                    SegmentWork(
-                        functionality=F.PREDICTION_RANKING,
-                        plain_cycles=inference_cycles,
-                        leaf_mix={L.MATH: 1.0},
-                    )
-                )
-            return RequestSpec(segments=tuple(segments))
-
-        return factory
+    # No segment carries kernel calls, so each variant's request is
+    # built once and shared by every request.
+    logic_segment = SegmentWork(
+        functionality=F.APPLICATION_LOGIC,
+        plain_cycles=plain_cycles,
+        leaf_mix={L.MISCELLANEOUS: 1.0},
+    )
+    accelerated_request = RequestSpec(
+        segments=(
+            logic_segment,
+            SegmentWork(
+                functionality=F.IO,
+                plain_cycles=extra_io_per_request,
+                leaf_mix={L.KERNEL: 1.0},
+            ),
+            SegmentWork(
+                functionality=F.THREAD_POOL,
+                plain_cycles=switch_per_request,
+                leaf_mix={L.KERNEL: 1.0},
+            ),
+        )
+    )
+    baseline_request = RequestSpec(
+        segments=(
+            logic_segment,
+            SegmentWork(
+                functionality=F.PREDICTION_RANKING,
+                plain_cycles=inference_cycles,
+                leaf_mix={L.MATH: 1.0},
+            ),
+        )
+    )
 
     def build_baseline(engine, cpu, metrics):
-        return Microservice(engine, cpu, metrics, name="ads1"), make_factory(False)
+        return (
+            Microservice(engine, cpu, metrics, name="ads1"),
+            lambda: baseline_request,
+        )
 
     def build_accelerated(engine, cpu, metrics):
-        return Microservice(engine, cpu, metrics, name="ads1"), make_factory(True)
+        return (
+            Microservice(engine, cpu, metrics, name="ads1"),
+            lambda: accelerated_request,
+        )
 
     config = SimulationConfig(
         num_cores=num_cores,

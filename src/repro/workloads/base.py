@@ -263,7 +263,7 @@ class ServiceWorkload:
     # -- request generation -------------------------------------------------------
 
     def request_factory(
-        self, rng: np.random.Generator, jitter_cv: float = 0.0
+        self, rng: np.random.Generator
     ) -> Callable[[], RequestSpec]:
         """A factory of request specs whose expected cycle composition
         matches the published breakdowns.
@@ -273,17 +273,11 @@ class ServiceWorkload:
         with the calibrated per-request rate, and granularities are drawn
         from the kernel's distribution.
 
-        *jitter_cv* adds per-request size variability: each request's
-        plain cycles are scaled by a gamma-distributed factor with mean 1
-        and the given coefficient of variation (0 = deterministic).
-        Breakdown *shares* are unaffected; latency distributions widen.
+        A segment without kernel calls is the same every request, so it
+        is built once and every request shares that one
+        :class:`SegmentWork` (and its pre-split plain ops); only a
+        segment that draws kernel calls is built per request.
         """
-        if jitter_cv < 0:
-            raise CalibrationError("jitter_cv must be >= 0")
-        if jitter_cv > 0:
-            shape = 1.0 / (jitter_cv * jitter_cv)
-        else:
-            shape = None
         plain = {
             functionality: self.joint.functionality_share(functionality)
             * self.request_cycles
@@ -291,18 +285,27 @@ class ServiceWorkload:
         }
         leaf_mixes = {
             functionality: self.joint.leaf_mix(functionality)
+            or {LeafCategory.MISCELLANEOUS: 1.0}
+            for functionality in FUNCTIONALITIES
+        }
+        #: functionality -> its shared invocation-free segment, or None
+        #: when it has no plain cycles.
+        plain_segments = {
+            functionality: SegmentWork(
+                functionality=functionality,
+                plain_cycles=plain[functionality],
+                leaf_mix=leaf_mixes[functionality],
+            )
+            if plain[functionality] > 0
+            else None
             for functionality in FUNCTIONALITIES
         }
 
         # Pre-sampled draws: vectorized numpy calls amortized over many
-        # requests replace three-plus scalar RNG calls per request on the
-        # simulator hot path.  Distributions are identical; only the order
-        # of draws on the shared generator changes.
-        scale_sampler = (
-            BlockSampler(lambda n: rng.gamma(shape, 1.0 / shape, size=n))
-            if shape is not None
-            else None
-        )
+        # requests replace scalar RNG calls per request on the simulator
+        # hot path.  Distributions are identical; only the order of draws
+        # on the shared generator changes.
+        #
         # Each (kernel, origin) lowers to a table of shared invocations,
         # one per distinct size, and requests draw indices into it.
         # ``rng.choice(len(sizes), p=...)`` consumes the same uniforms and
@@ -336,7 +339,6 @@ class ServiceWorkload:
                 )
 
         def factory() -> RequestSpec:
-            scale = scale_sampler.next() if scale_sampler is not None else 1.0
             invocations_by_origin: Dict[FunctionalityCategory, list] = {}
             for origin, table, count_sampler, index_sampler in kernel_samplers:
                 count = int(count_sampler.next())
@@ -347,17 +349,18 @@ class ServiceWorkload:
                 )
             segments = []
             for functionality in FUNCTIONALITIES:
-                cycles = plain[functionality] * scale
-                invocations = tuple(invocations_by_origin.get(functionality, ()))
-                if cycles <= 0 and not invocations:
+                invocations = invocations_by_origin.get(functionality)
+                if invocations is None:
+                    segment = plain_segments[functionality]
+                    if segment is not None:
+                        segments.append(segment)
                     continue
                 segments.append(
                     SegmentWork(
                         functionality=functionality,
-                        plain_cycles=cycles,
-                        leaf_mix=leaf_mixes[functionality]
-                        or {LeafCategory.MISCELLANEOUS: 1.0},
-                        invocations=invocations,
+                        plain_cycles=plain[functionality],
+                        leaf_mix=leaf_mixes[functionality],
+                        invocations=tuple(invocations),
                     )
                 )
             return RequestSpec(segments=tuple(segments))

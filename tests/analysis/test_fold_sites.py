@@ -1,11 +1,18 @@
 """Every gate and entropy site is reported by exactly one rule.
 
-``fixtures/fold_sites.json`` records each ``(path, line, column)`` that
-the gate rules (OBS001, OBS002, EFF001) and the entropy rules (DET001,
-EFF002) reported when OBS002 and EFF002 still existed, next to the
-rules that reported it.  Several sites were then reported twice.  The
-corpus is the OBS/DET fire fixtures, the EFF001/EFF002 deep trees, and
-every case of the tracer-gate deletion sweep in ``test_effects.py``.
+``fixtures/fold_sites.json`` records each site that the gate rules
+(OBS001, OBS002, EFF001) and the entropy rules (DET001, EFF002)
+reported when OBS002 and EFF002 still existed; several sites were then
+reported twice.  Next to each site it records the rule that reports it
+now.  The corpus is the OBS/DET fire fixtures, the EFF001/EFF002 deep
+trees, and every case of the tracer-gate deletion sweep in
+``test_effects.py``.
+
+A site is keyed by its path, its enclosing function's qualified name
+(empty at module level), its line offset from that function's ``def``
+(the absolute line at module level) and its column.  The gate cases
+analyze live simulator files, so an edit elsewhere in ``cpu.py`` or
+``service.py`` moves a gate's absolute line but not its key.
 
 Each recorded site must still be reported, and by exactly one of the
 rules that survive.  Regenerate the fixture only when the corpus
@@ -77,15 +84,46 @@ def case_sources():
     return cases
 
 
+def _functions(tree, prefix=""):
+    """``(first line, last line, qualified name)`` of every function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield node.lineno, node.end_lineno, name
+            yield from _functions(node, name + ".")
+
+
+def site_key(functions, path, line, column):
+    """``(path, function, offset, column)`` of one reported line.
+
+    The innermost function whose span holds *line* encloses it.
+    """
+    enclosing = [
+        (start, name) for start, end, name in functions if start <= line <= end
+    ]
+    if not enclosing:
+        return path, "", line, column
+    start, name = max(enclosing)
+    return path, name, line - start, column
+
+
 def reported_sites(sources):
-    """``(path, line, column)`` -> the fold rules that report it."""
+    """``(path, function, offset, column)`` -> the fold rules that
+    report it."""
     registered = {rule.name for rule in all_rules()}
     rules = [name for name in FOLD_RULES if name in registered]
     result = analyze_sources(sources, deep=True, rules=rules)
     assert not result.internal
+    functions = {
+        source.relpath: tuple(_functions(source.tree)) for source in sources
+    }
     sites = defaultdict(set)
     for finding in result.findings:
-        sites[(finding.path, finding.line, finding.column)].add(finding.rule)
+        key = site_key(
+            functions[finding.path], finding.path, finding.line, finding.column
+        )
+        sites[key].add(finding.rule)
     return sites
 
 
@@ -104,7 +142,9 @@ def test_fixture_covers_the_whole_corpus():
 def test_each_site_is_reported_by_exactly_one_rule(case):
     sites = reported_sites(case_sources()[case]())
     for entry in _load()[case]:
-        site = (entry["path"], entry["line"], entry["column"])
+        site = (
+            entry["path"], entry["function"], entry["offset"], entry["column"]
+        )
         rules = sorted(sites.get(site, ()))
         assert len(rules) == 1, f"{case}: {site} reported by {rules}"
 
@@ -113,9 +153,9 @@ if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     pinned = {}
     for name, build in sorted(case_sources().items()):
         pinned[name] = [
-            {"path": path, "line": line, "column": column,
-             "rules": sorted(rules)}
-            for (path, line, column), rules in sorted(
+            {"path": path, "function": function, "offset": offset,
+             "column": column, "rules": sorted(rules)}
+            for (path, function, offset, column), rules in sorted(
                 reported_sites(build()).items()
             )
         ]

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import Engine
-from repro.simulator.engine import PyEngine
+from repro.paperdata.categories import FunctionalityCategory as F
+from repro.simulator import CPU, Compute, Engine, MetricSink
+
+from .test_inplace_exactness import CountingEngine
 
 
 class TestScheduling:
@@ -103,76 +105,90 @@ class TestRunUntil:
         assert Engine().step() is False
 
 
-class TestRunOrAfter:
-    """``PyEngine.run_or_after`` runs an event in place only when the
-    drain loop would provably pop it next."""
+class TestInPlaceCompute:
+    """``CPU._advance`` runs a thread's compute in place only when the
+    drain loop would provably pop it next.
 
-    def probe(self, engine, delay, results):
-        def callback():
-            results.append(("fired", engine.now))
+    The thread's first compute starts at spawn, a direct advance that
+    always queues; the computes after it are chained from the engine.
+    """
 
-        return lambda: results.append(
-            ("in place", engine.run_or_after(delay, callback), engine.now)
-        )
+    def spawn(self, engine, delays, log):
+        cpu = CPU(engine, MetricSink(), 1)
+
+        def body(thread):
+            for delay in delays:
+                yield Compute(delay, F.APPLICATION_LOGIC)
+                log.append(("compute", engine.now))
+
+        cpu.spawn(body)
 
     def test_strictly_next_event_runs_in_place(self):
-        engine = PyEngine()
-        results = []
-        engine.at(10, self.probe(engine, 5, results))
+        engine = CountingEngine()
+        log = []
+        self.spawn(engine, (10, 5), log)
         engine.at(20, lambda: None)
         engine.run_until(100)
-        assert results == [("in place", True, 15)]
+        assert log == [("compute", 10), ("compute", 15)]
+        assert engine.in_place == 1
         assert engine.events_processed == 3
 
     def test_event_at_the_horizon_is_queued(self):
-        engine = PyEngine()
-        results = []
-        engine.at(10, self.probe(engine, 90, results))
+        engine = CountingEngine()
+        log = []
+        self.spawn(engine, (10, 90), log)
         engine.run_until(100)
-        assert results == [("in place", False, 10), ("fired", 100)]
+        assert log == [("compute", 10), ("compute", 100)]
+        assert engine.in_place == 0
         assert engine.events_processed == 2
 
     def test_event_past_the_horizon_stays_queued(self):
-        engine = PyEngine()
-        results = []
-        engine.at(10, self.probe(engine, 91, results))
+        engine = CountingEngine()
+        log = []
+        self.spawn(engine, (10, 91), log)
         engine.run_until(100)
-        assert results == [("in place", False, 10)]
+        assert log == [("compute", 10)]
+        assert engine.in_place == 0
         assert engine.pending_events == 1
 
     def test_tie_with_the_heap_head_is_queued(self):
-        engine = PyEngine()
-        results = []
-        engine.at(10, self.probe(engine, 10, results))
-        engine.at(20, lambda: results.append(("head", engine.now)))
+        engine = CountingEngine()
+        log = []
+        engine.at(15, lambda: log.append(("head", engine.now)))
+        self.spawn(engine, (10, 5), log)
         engine.run_until(100)
         # The earlier-scheduled head wins the tie, as it would in the heap.
-        assert results == [
-            ("in place", False, 10), ("head", 20), ("fired", 20),
-        ]
+        assert log == [("compute", 10), ("head", 15), ("compute", 15)]
+        assert engine.in_place == 0
 
     def test_off_outside_run_until(self):
-        engine = PyEngine()
-        results = []
-        engine.at(10, self.probe(engine, 5, results))
+        engine = CountingEngine()
+        log = []
+        self.spawn(engine, (10, 5), log)
         engine.run_to_completion()
-        assert results == [("in place", False, 10), ("fired", 15)]
+        assert log == [("compute", 10), ("compute", 15)]
+        assert engine.in_place == 0
+        # A returned run_until leaves nothing chaining behind it.
         engine.run_until(20)
-        assert not engine.run_or_after(1, lambda: None)
+        self.spawn(engine, (1, 1), log)
+        assert engine.step()
+        assert log[-1] == ("compute", 21)
         assert engine.pending_events == 1
+        assert engine.in_place == 0
 
     def test_in_place_events_spend_the_budget(self):
-        engine = PyEngine()
-        results = []
-        engine.at(0, self.probe(engine, 1, results))
+        engine = CountingEngine()
+        log = []
+        self.spawn(engine, (0, 1), log)
         with pytest.raises(SimulationError):
             engine.run_until(10, max_events=1)
-        assert results == [("in place", False, 0)]
+        assert log == [("compute", 0)]
         assert engine.events_processed == 1
+        assert engine.pending_events == 1
 
     def test_negative_delay_rejected(self):
-        engine = PyEngine()
-        engine.at(0, lambda: engine.run_or_after(-1, lambda: None))
-        with pytest.raises(SimulationError):
-            engine.run_until(10)
+        engine = CountingEngine()
+        self.spawn(engine, (10, -1), [])
+        with pytest.raises(SimulationError, match="negative cycles"):
+            engine.run_until(100)
 

@@ -1,9 +1,10 @@
 """In-place computes are exact: ``run_until`` equals single-stepping.
 
-``PyEngine.run_until`` runs a thread's next compute in place when it is
-provably the next event; ``step()`` never does.  A seeded scenario with
-frequent equal-time ties (integer cycles), every blocking primitive, and
-an eager-device offload must measure the same either way.
+Under ``PyEngine.run_until``, ``CPU._advance`` runs a thread's next
+compute in place when it is provably the next event; under ``step()``
+it never does.  A seeded scenario with frequent equal-time ties
+(integer cycles), every blocking primitive, and an eager-device offload
+must measure the same either way.
 """
 
 from __future__ import annotations
@@ -39,14 +40,27 @@ HOST_KERNEL = KernelSpec("host", F.SERIALIZATION, L.MEMORY,
 
 
 class CountingEngine(PyEngine):
-    """A pure engine that counts the events it ran in place."""
+    """A pure engine that counts the events it ran in place.
 
-    in_place = 0
+    Every event that reaches the heap goes through :meth:`at` or
+    :meth:`after`; a processed event that was never scheduled there ran
+    in place.
+    """
 
-    def run_or_after(self, delay, callback):
-        ran = super().run_or_after(delay, callback)
-        self.in_place += ran
-        return ran
+    scheduled = 0
+
+    def at(self, time, callback):
+        self.scheduled += 1
+        super().at(time, callback)
+
+    def after(self, delay, callback):
+        self.scheduled += 1
+        super().after(delay, callback)
+
+    @property
+    def in_place(self):
+        popped = self.scheduled - self.pending_events
+        return self.events_processed - popped
 
 
 def requests(seed: int):

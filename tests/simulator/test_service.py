@@ -355,17 +355,20 @@ class TestAsyncOffload:
 
 
 def segment_ops(service, segment):
-    """Every op one run of *segment* yields, with no engine events run.
+    """Every op a one-segment request yields, with no engine events run.
 
-    Blocking ops are stepped past as if the thread were resumed at once;
-    the device callbacks stay scheduled and never fire.
+    The request runs through the worker body; its trailing hand-over of
+    the core is dropped.  Blocking ops are stepped past as if the thread
+    were resumed at once; the device callbacks stay scheduled and never
+    fire.
     """
-    from repro.simulator.service import _RequestContext
+    from repro.simulator.service import _YIELD
 
-    context = _RequestContext(
-        service.engine, service.metrics.open_request(1, 0.0)
+    ops = list(
+        service._worker_body(object(), iter([RequestSpec((segment,))]))
     )
-    return list(service._run_segment(object(), segment, context))
+    assert ops.pop() is _YIELD
+    return ops
 
 
 class TestSegmentWork:

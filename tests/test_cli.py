@@ -32,6 +32,26 @@ class TestStaticCommands:
         output = capsys.readouterr().out
         assert "Skylake" in output
 
+    def test_table5_and_params_print_the_same_glossary(self, capsys):
+        from repro.paperdata.table5 import TABLE5_PARAMETERS
+
+        assert main(["table5"]) == 0
+        output = capsys.readouterr().out
+        assert main(["params"]) == 0
+        assert capsys.readouterr().out == output
+        title, *rows = output.splitlines()
+        assert title == "Table 5: Accelerometer model parameters"
+        # Two lines per parameter: symbol, units and description, then
+        # the API field the symbol maps to.
+        assert len(rows) == 2 * len(TABLE5_PARAMETERS)
+        for parameter, row, field in zip(
+            TABLE5_PARAMETERS, rows[::2], rows[1::2]
+        ):
+            assert row.split()[0] == parameter.symbol
+            assert f"[{parameter.units:6s}]" in row
+            assert row.endswith(parameter.description)
+            assert field.split("-> ", 1)[1] == parameter.api_field
+
     def test_table4(self, capsys):
         main(["table4"])
         output = capsys.readouterr().out

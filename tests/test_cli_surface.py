@@ -27,7 +27,7 @@ COLUMNS = "80"
 
 #: Every command line that tests/test_cli.py parses or runs.
 TEST_CLI_ARGVS = [
-    ["table1"], ["table4"], ["table6"], ["table7"],
+    ["table1"], ["table4"], ["table5"], ["params"], ["table6"], ["table7"],
     ["fig1"], ["fig2"], ["fig3"], ["fig4"], ["fig5"], ["fig6"], ["fig7"],
     ["fig8"], ["fig9"], ["fig10"], ["fig15"], ["fig16"], ["fig19"],
     ["fig20"], ["fig21"], ["fig22"],

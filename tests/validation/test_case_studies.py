@@ -79,3 +79,30 @@ class TestSimulatedValidation:
         first = simulate_aes_ni(seed=42, requests=200)
         second = simulate_aes_ni(seed=42, requests=200)
         assert first.speedup_percent == second.speedup_percent
+
+
+class TestSharedSegments:
+    """Case-study factories build each invocation-free segment once."""
+
+    def _factory(self):
+        from repro.core import ThreadingDesign
+        from repro.simulator import CPU, Engine, MetricSink
+        from repro.validation.case_studies import _encryption_study_builds
+
+        build_baseline, _ = _encryption_study_builds(
+            CACHE1_AES_NI_STUDY, "cache1", ThreadingDesign.SYNC,
+            device_speedup=CACHE1_AES_NI_STUDY.peak_speedup,
+            num_cores=1, seed=3,
+        )
+        engine = Engine()
+        metrics = MetricSink()
+        return build_baseline(engine, CPU(engine, metrics, 1), metrics)[1]
+
+    def test_encryption_study_shares_its_plain_segment(self):
+        factory = self._factory()
+        requests = [factory() for _ in range(50)]
+        logic = requests[0].segments[0]
+        assert not logic.invocations
+        assert all(request.segments[0] is logic for request in requests)
+        # The IO segment carries the request's own encryption calls.
+        assert requests[0].segments[1] is not requests[1].segments[1]
