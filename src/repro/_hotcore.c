@@ -45,8 +45,8 @@
  * at module init.
  * ------------------------------------------------------------------- */
 
-static PyObject *str_current, *str_body, *str_cycles, *str_functionality,
-    *str_leaf, *str_kind, *str_trace, *str_trace_ctx,
+static PyObject *str_current, *str_body, *str_cycles, *str_key,
+    *str_trace, *str_trace_ctx,
     *str_record_interval, *str_tag, *str_packed, *str_sink_attr,
     *str_metrics;
 static PyObject *SimulationError;
@@ -626,56 +626,45 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
         goto fail_cycles;
     }
 
-    PyObject *f = PyObject_GetAttr(op, str_functionality);
-    PyObject *l = f ? PyObject_GetAttr(op, str_leaf) : NULL;
-    PyObject *k = l ? PyObject_GetAttr(op, str_kind) : NULL;
-    if (k == NULL) {
-        Py_XDECREF(l);
-        Py_XDECREF(f);
+    /* The op's (functionality, leaf, kind) tuple, built once with it. */
+    PyObject *key = PyObject_GetAttr(op, str_key);
+    if (key == NULL) {
         goto fail_cycles;
     }
 
-    /* metrics.cycles[(f, l, k)] += cycles -- same first-touch insertion
+    /* metrics.cycles[key] += cycles -- same first-touch insertion
      * order as defaultdict(float).__missing__, values always float. */
-    PyObject *key = PyTuple_Pack(3, f, l, k);
-    if (key == NULL) {
-        goto fail_flk;
-    }
     PyObject *existing =
         PyDict_GetItemWithError(binding->metrics_cycles, key);
     double total = cycles;
     if (existing != NULL) {
         double old = PyFloat_AsDouble(existing);
         if (old == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(key);
-            goto fail_flk;
+            goto fail_key;
         }
         total = old + cycles;
     }
     else if (PyErr_Occurred()) {
-        Py_DECREF(key);
-        goto fail_flk;
+        goto fail_key;
     }
     PyObject *total_obj = PyFloat_FromDouble(total);
     if (total_obj == NULL ||
         PyDict_SetItem(binding->metrics_cycles, key, total_obj) < 0) {
         Py_XDECREF(total_obj);
-        Py_DECREF(key);
-        goto fail_flk;
+        goto fail_key;
     }
     Py_DECREF(total_obj);
-    Py_DECREF(key);
 
     /* Gated trace hook (zero-observer: write-only, no scheduling). */
     PyObject *trace = PyObject_GetAttr(binding->cpu, str_trace);
     if (trace == NULL) {
-        goto fail_flk;
+        goto fail_key;
     }
     if (trace != Py_None) {
         PyObject *ctx = PyObject_GetAttr(thread, str_trace_ctx);
         if (ctx == NULL) {
             Py_DECREF(trace);
-            goto fail_flk;
+            goto fail_key;
         }
         if (ctx != Py_None) {
             double end = self->now + cycles;
@@ -689,10 +678,15 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
                              str_record_interval, Py_TYPE(sink)->tp_name);
                 Py_CLEAR(sink);
             }
-            if (sink == NULL) {
+            /* Borrowed from the key, which outlives the record. */
+            PyObject *f = sink ? PyTuple_GetItem(key, 0) : NULL;
+            PyObject *l = f ? PyTuple_GetItem(key, 1) : NULL;
+            PyObject *k = l ? PyTuple_GetItem(key, 2) : NULL;
+            if (k == NULL) {
+                Py_XDECREF(sink);
                 Py_DECREF(ctx);
                 Py_DECREF(trace);
-                goto fail_flk;
+                goto fail_key;
             }
             /* C to C: the ring tracer's interval sink. */
             if (sink_record_core((SinkObject *)sink, ctx, self->now, end,
@@ -700,7 +694,7 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
                 Py_DECREF(sink);
                 Py_DECREF(ctx);
                 Py_DECREF(trace);
-                goto fail_flk;
+                goto fail_key;
             }
             Py_DECREF(sink);
         }
@@ -711,19 +705,15 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
     /* Native reschedule: the typed advance event needs no callback. */
     if (heap_push(self, self->now + cycles, NULL, core, thread,
                   (PyObject *)binding) < 0) {
-        goto fail_flk;
+        goto fail_key;
     }
-    Py_DECREF(k);
-    Py_DECREF(l);
-    Py_DECREF(f);
+    Py_DECREF(key);
     Py_DECREF(cycles_obj);
     Py_DECREF(op);
     return 0;
 
-fail_flk:
-    Py_DECREF(k);
-    Py_DECREF(l);
-    Py_DECREF(f);
+fail_key:
+    Py_DECREF(key);
 fail_cycles:
     Py_DECREF(cycles_obj);
     Py_DECREF(op);
@@ -1129,9 +1119,7 @@ intern_names(void)
     INTERN(str_current, "current");
     INTERN(str_body, "body");
     INTERN(str_cycles, "cycles");
-    INTERN(str_functionality, "functionality");
-    INTERN(str_leaf, "leaf");
-    INTERN(str_kind, "kind");
+    INTERN(str_key, "key");
     INTERN(str_trace, "trace");
     INTERN(str_trace_ctx, "trace_ctx");
     INTERN(str_record_interval, "record_interval");

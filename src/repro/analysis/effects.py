@@ -42,6 +42,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from .dataflow import CallStep, DataflowAnalysis
 from .graph import CallGraph
 from .project import FunctionInfo, ModuleInfo, ProjectModel
+from .source import walk_nodes
 from .taint import classify_entropy_call, _resolved_target
 
 #: Effect kinds that perturb the simulated system: what the zero-
@@ -257,7 +258,7 @@ def sanctioned_nodes(nodes) -> Set[int]:
         if not callee or callee[-1] not in SANCTIONED_RNG_CLASSES:
             continue
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
+            for sub in walk_nodes(arg):
                 sanctioned.add(id(sub))
     return sanctioned
 
@@ -598,9 +599,11 @@ class EffectAnalysis(DataflowAnalysis):
         return new if len(new.steps) < len(old.steps) else old
 
     def encode_fact(self, fact: EffectFact) -> object:
+        # Every field is a scalar, so a copy of the instance dict is
+        # what ``dataclasses.asdict`` builds, without its deep copy.
         return {
-            "steps": [dataclasses.asdict(step) for step in fact.steps],
-            "effect": dataclasses.asdict(fact.effect),
+            "steps": [dict(vars(step)) for step in fact.steps],
+            "effect": dict(vars(fact.effect)),
         }
 
     def decode_fact(self, data: object) -> EffectFact:
@@ -643,7 +646,7 @@ def _observer_names_in(
 ) -> FrozenSet[str]:
     """Handle *names* referenced anywhere in a gate expression."""
     found: Set[str] = set()
-    for node in ast.walk(test):
+    for node in walk_nodes(test):
         if isinstance(node, ast.Name) and node.id in names:
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr in names:

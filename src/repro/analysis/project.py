@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .source import SourceFile
+from .source import SourceFile, walk_nodes
 
 #: Leading path components stripped before deriving a module name (the
 #: conventional source roots).
@@ -452,47 +452,72 @@ class ProjectModel:
         class by name.  Classes are one unit (their methods live and die
         with them); module-level constants are definitions too, so a
         registry dict keeps the functions it lists alive.
+
+        Each distinct dotted name is resolved once per module, and a
+        class is scanned from its header and body statements, reusing
+        the memoized walks of its methods.
         """
         if self._definition_refs is not None:
             return self._definition_refs
         refs: Dict[str, set] = {}
-
-        def scan(
-            owner: str, module: ModuleInfo, nodes: Iterable[ast.AST]
-        ) -> None:
-            for sub in nodes:
-                dotted: Optional[str] = None
-                if isinstance(sub, ast.Attribute):
-                    dotted = _dotted(sub)
-                elif isinstance(sub, ast.Name):
-                    dotted = sub.id
-                if dotted is None:
-                    continue
-                resolution = self._resolve_in(
-                    module,
-                    dotted.split("."),
-                    f"{module.name}.{dotted}",
-                    0,
-                )
-                if (
-                    resolution.kind in ("function", "class", "constant")
-                    and resolution.fq != owner
-                ):
-                    refs.setdefault(owner, set()).add(resolution.fq)
-
         for module in self.analyzed_modules():
             walk = module.source.walk
-            for func in module.functions.values():
-                scan(func.fq, module, walk(func.node))
+            owned = [(f.fq, walk(f.node)) for f in module.functions.values()]
             for cls_info in module.classes.values():
-                scan(cls_info.fq, module, walk(cls_info.node))
+                cls = cls_info.node
+                header = cls.bases + cls.keywords + cls.decorator_list
+                for node in header + getattr(cls, "type_params", []) + cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owned.append((cls_info.fq, walk(node)))
+                    else:
+                        owned.append((cls_info.fq, walk_nodes(node)))
             for name, value in module.constants.items():
-                scan(f"{module.name}.{name}", module, ast.walk(value))
+                owned.append((f"{module.name}.{name}", walk_nodes(value)))
+            memo: Dict[str, Optional[str]] = {}
+            for owner, nodes in owned:
+                targets = refs.setdefault(owner, set())
+                targets.update(self._named_definitions(module, nodes, memo))
+                targets.discard(owner)
 
         self._definition_refs = {
-            owner: sorted(targets) for owner, targets in refs.items()
+            owner: sorted(targets) for owner, targets in refs.items() if targets
         }
         return self._definition_refs
+
+    def _named_definitions(
+        self,
+        module: ModuleInfo,
+        nodes: Iterable[ast.AST],
+        memo: Dict[str, Optional[str]],
+    ) -> Iterator[str]:
+        """Fqs of the project definitions the ``Name``/``Attribute``
+        nodes among *nodes* resolve to from inside *module*.
+
+        *memo* maps a dotted name to its definition fq (``None`` when it
+        names none) for one module, so repeated names resolve once.
+        """
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                dotted: Optional[str] = node.id
+            elif isinstance(node, ast.Attribute):
+                dotted = _dotted(node)
+                if dotted is None:
+                    continue
+            else:
+                continue
+            if dotted in memo:
+                fq = memo[dotted]
+            else:
+                resolution = self._resolve_in(
+                    module, dotted.split("."), f"{module.name}.{dotted}", 0
+                )
+                fq = memo[dotted] = (
+                    resolution.fq
+                    if resolution.kind in ("function", "class", "constant")
+                    else None
+                )
+            if fq is not None:
+                yield fq
 
     def loose_refs(self) -> List[str]:
         """Definitions referenced by module-level *executable* code.
@@ -506,6 +531,7 @@ class ProjectModel:
         for module in self.analyzed_modules():
             tree = module.source.tree
             assert tree is not None
+            memo: Dict[str, Optional[str]] = {}
             for stmt in tree.body:
                 if isinstance(
                     stmt,
@@ -520,22 +546,9 @@ class ProjectModel:
                     ),
                 ):
                     continue
-                for sub in ast.walk(stmt):
-                    dotted: Optional[str] = None
-                    if isinstance(sub, ast.Attribute):
-                        dotted = _dotted(sub)
-                    elif isinstance(sub, ast.Name):
-                        dotted = sub.id
-                    if dotted is None:
-                        continue
-                    resolution = self._resolve_in(
-                        module,
-                        dotted.split("."),
-                        f"{module.name}.{dotted}",
-                        0,
-                    )
-                    if resolution.kind in ("function", "class", "constant"):
-                        alive.add(resolution.fq)
+                alive.update(
+                    self._named_definitions(module, walk_nodes(stmt), memo)
+                )
         return sorted(alive)
 
     def string_mentions(self) -> Dict[str, List[str]]:
@@ -564,7 +577,7 @@ class ProjectModel:
                     isinstance(t, ast.Name) and t.id == "__all__"
                     for t in targets
                 ):
-                    skip.update(id(node) for node in ast.walk(stmt))
+                    skip.update(id(node) for node in walk_nodes(stmt))
             for node in module.source.walk():
                 if id(node) in skip:
                     continue

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 from ..effects import _GateWalker
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
+from ..source import walk_nodes
 from ._ast_util import (
     decorator_name,
     import_map,
@@ -64,7 +65,7 @@ def _object_allocations(nodes) -> Iterator[tuple[ast.AST, str]]:
     deliberately allowed -- it is how flat ring rows and dict keys are
     built."""
     for root in nodes:
-        for node in ast.walk(root):
+        for node in walk_nodes(root):
             if isinstance(
                 node,
                 (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
@@ -239,10 +240,10 @@ class HotPathHygiene(Rule):
             )
 
     def _check_hot_function(self, source, func):
-        for loop in ast.walk(func):
+        for loop in walk_nodes(func):
             if not isinstance(loop, (ast.While, ast.For)):
                 continue
-            for node in ast.walk(loop):
+            for node in walk_nodes(loop):
                 alloc = None
                 if isinstance(
                     node,

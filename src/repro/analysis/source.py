@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import re
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE,...]`` selector.
 _PRAGMA = re.compile(
@@ -45,6 +45,25 @@ def parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
                 name.strip().upper() for name in rules.split(",") if name.strip()
             )
     return table
+
+
+def walk_nodes(node: ast.AST) -> List[ast.AST]:
+    """The nodes ``ast.walk`` yields, as a list in the same breadth-first
+    order, built by one loop over a growing list instead of a generator
+    and two helper generators per node.  An optional field a node lacks
+    contributes nothing, exactly as in ``ast.iter_fields``."""
+    nodes = [node]
+    append = nodes.append
+    for current in nodes:
+        for name in current._fields:
+            value = getattr(current, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        append(item)
+            elif isinstance(value, ast.AST):
+                append(value)
+    return nodes
 
 
 def _statement_span(statement: ast.stmt) -> Tuple[int, int]:
@@ -77,7 +96,7 @@ def expand_suppressions(
     if tree is None or not table:
         return table
     spans = []
-    for node in ast.walk(tree):
+    for node in walk_nodes(tree):
         if isinstance(node, ast.stmt):
             spans.append(_statement_span(node))
     expanded: Dict[int, FrozenSet[str]] = dict(table)
@@ -164,20 +183,20 @@ class SourceFile:
         return expand_suppressions(self.tree, table) if table else table
 
     def walk(self, node: Optional[ast.AST] = None) -> Tuple[ast.AST, ...]:
-        """``tuple(ast.walk(node))`` -- the same nodes in the same
-        breadth-first order -- memoized per root for the run.
+        """``tuple(walk_nodes(node))`` -- the nodes of ``ast.walk`` in
+        its breadth-first order -- memoized per root for the run.
 
         *node* is the module tree (the default; the file must parse) or
         one of its def/class nodes: the bodies the module- and
         function-level passes each revisit.  Walks rooted at an
-        expression stay plain ``ast.walk``.  No analyzer pass mutates a
-        tree, so a memoized walk never goes stale.
+        expression call :func:`walk_nodes` unmemoized.  No analyzer pass
+        mutates a tree, so a memoized walk never goes stale.
         """
         if node is None:
             node = self.tree
         walked = self._walks.get(node)
         if walked is None:
-            walked = self._walks[node] = tuple(ast.walk(node))
+            walked = self._walks[node] = tuple(walk_nodes(node))
         return walked
 
     # -- path scoping ------------------------------------------------------

@@ -301,9 +301,11 @@ class TaintAnalysis(DataflowAnalysis):
         return new if len(new.steps) < len(old.steps) else old
 
     def encode_fact(self, fact: TaintFact) -> object:
+        # Every field is a scalar, so a copy of the instance dict is
+        # what ``dataclasses.asdict`` builds, without its deep copy.
         return {
-            "steps": [dataclasses.asdict(step) for step in fact.steps],
-            "source": dataclasses.asdict(fact.source),
+            "steps": [dict(vars(step)) for step in fact.steps],
+            "source": dict(vars(fact.source)),
         }
 
     def decode_fact(self, data: object) -> TaintFact:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .dataflow import DataflowAnalysis
 from .graph import CallResolver
 from .project import FunctionInfo, ModuleInfo, ProjectModel
+from .source import walk_nodes
 
 #: Identifier tokens implying a unit.  Names containing "per" are ratios
 #: and excluded (cycles_per_byte is neither cycles nor bytes).
@@ -469,7 +470,7 @@ class _FunctionFlow:
                 self.visit(child)
 
     def check_expr(self, expr: ast.expr) -> None:
-        for sub in ast.walk(expr):
+        for sub in walk_nodes(expr):
             if isinstance(sub, ast.BinOp) and isinstance(
                 sub.op, (ast.Add, ast.Sub)
             ):

@@ -17,7 +17,7 @@ from repro.analysis import analyze_paths, analyze_sources
 from repro.analysis.cli import REFERENCE_PATHS
 from repro.analysis.dataflow import CACHE_SCHEMA, SummaryCache
 from repro.analysis.engine import load_sources
-from repro.analysis.source import SourceFile
+from repro.analysis.source import SourceFile, walk_nodes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -92,6 +92,13 @@ def test_warm_deep_lint_parses_nothing(tmp_path, monkeypatch):
     ]
 
 
+def _same_walk(walked, root):
+    expected = list(ast.walk(root))
+    return len(walked) == len(expected) and all(
+        a is b for a, b in zip(walked, expected)
+    )
+
+
 def test_memoized_walk_matches_ast_walk():
     # Every module/def/class walk the analyzer shares must be exactly
     # ast.walk: the same node objects in the same breadth-first order.
@@ -101,13 +108,46 @@ def test_memoized_walk_matches_ast_walk():
         for node in ast.walk(source.tree):
             if not isinstance(node, roots):
                 continue
-            expected = list(ast.walk(node))
             for walked in (source.walk(node), source.walk(node)):
-                assert len(walked) == len(expected), source.relpath
-                assert all(a is b for a, b in zip(walked, expected))
+                assert _same_walk(walked, node), source.relpath
             checked += 1
         assert source.walk() is source.walk(source.tree)
     assert checked > 1000
+    # walk_nodes itself, on every def/class of the tests and their
+    # fixtures (so the syntax the running Python supports, such as match
+    # statements and type parameters, is covered) ...
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, roots):
+                assert _same_walk(walk_nodes(node), node), path
+                checked += 1
+    assert checked > 3000
+    # ... on expression roots ...
+    for expression in (
+        "f(a, *rest, key=g(b), **extra)",
+        "lambda x, *, y=1: x.attr[y] + (lambda: x)()",
+        "[x * y for x in range(3) if x for y in {z: z for z in x}]",
+        "{k: (v async for v in k) for k in ks if not k}",
+        "a if b else (c := d) < e <= f",
+        "f'{x!r:>{width}}' + b'bytes'",
+    ):
+        root = ast.parse(expression, mode="eval").body
+        assert _same_walk(walk_nodes(root), root), expression
+    # ... and on hand-built nodes that leave an optional field unset or
+    # lack a field outright, which ast.walk skips.
+    node = ast.Return()
+    assert walk_nodes(node) == [node] == list(ast.walk(node))
+    call = ast.Call(
+        func=ast.Name(id="f", ctx=ast.Load()), args=[], keywords=[]
+    )
+    del call.keywords
+    assert not hasattr(call, "keywords")
+    assert _same_walk(walk_nodes(call), call)
+    assert len(walk_nodes(call)) == 3  # the call, its name, the ctx
 
 
 def test_parse_findings_replay_from_the_file_slot(tmp_path, monkeypatch):

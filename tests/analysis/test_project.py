@@ -1,8 +1,16 @@
 """The whole-program model: module names, resolution, usage, liveness."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import ProjectModel, SourceFile, module_name_for
+from repro.analysis.cli import REFERENCE_PATHS
+from repro.analysis.engine import load_sources
+from repro.analysis.project import _dotted
+
+from .conftest import FIXTURES, load_deep_sources
 
 
 def _model(*files, reference=()):
@@ -219,3 +227,94 @@ class TestUsageAndLiveness:
         mentions = model.string_mentions()
         # The getattr literal counts; the __all__ entry does not.
         assert mentions["thing"] == ["tests.test_dyn"]
+
+
+def _definition_refs_oracle(model):
+    """The straightforward scan: walk every definition with ``ast.walk``
+    and resolve each ``Name``/``Attribute`` node on its own."""
+    refs = {}
+
+    def scan(owner, module, root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Attribute):
+                dotted = _dotted(node)
+            elif isinstance(node, ast.Name):
+                dotted = node.id
+            else:
+                continue
+            if dotted is None:
+                continue
+            resolution = model._resolve_in(
+                module, dotted.split("."), f"{module.name}.{dotted}", 0
+            )
+            if (
+                resolution.kind in ("function", "class", "constant")
+                and resolution.fq != owner
+            ):
+                refs.setdefault(owner, set()).add(resolution.fq)
+
+    for module in model.analyzed_modules():
+        for func in module.functions.values():
+            scan(func.fq, module, func.node)
+        for cls_info in module.classes.values():
+            scan(cls_info.fq, module, cls_info.node)
+        for name, value in module.constants.items():
+            scan(f"{module.name}.{name}", module, value)
+    return {owner: sorted(targets) for owner, targets in refs.items()}
+
+
+class TestDefinitionRefsOracle:
+    def test_live_model(self):
+        root = Path(__file__).resolve().parents[2]
+        model = ProjectModel.build(
+            load_sources(["src/repro", "scripts"], root),
+            load_sources(list(REFERENCE_PATHS), root),
+        )
+        refs = model.definition_refs()
+        assert len(refs) > 500
+        assert refs == _definition_refs_oracle(model)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (FIXTURES / "deep").iterdir())
+    )
+    def test_deep_fixtures(self, name):
+        model = ProjectModel.build(load_deep_sources(name))
+        assert model.definition_refs() == _definition_refs_oracle(model)
+
+    def test_class_header_and_nested_class(self):
+        model = _model(
+            (
+                "src/pkg/cls.py",
+                "def deco(c):\n"
+                "    return c\n"
+                "\n"
+                "\n"
+                "class Meta(type):\n"
+                "    pass\n"
+                "\n"
+                "\n"
+                "class Base:\n"
+                "    pass\n"
+                "\n"
+                "\n"
+                "class Inner:\n"
+                "    pass\n"
+                "\n"
+                "\n"
+                "@deco\n"
+                "class Outer(Base, metaclass=Meta):\n"
+                "    class Nested:\n"
+                "        kind = Inner\n"
+                "\n"
+                "    def method(self):\n"
+                "        return Outer\n",
+            )
+        )
+        refs = model.definition_refs()
+        assert refs["pkg.cls.Outer"] == [
+            "pkg.cls.Base",
+            "pkg.cls.Inner",
+            "pkg.cls.Meta",
+            "pkg.cls.deco",
+        ]
+        assert refs == _definition_refs_oracle(model)
