@@ -11,8 +11,9 @@ step (1)-(2) of the paper's validation methodology.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,8 @@ class GranularityDistribution:
 
     ``sizes`` are strictly increasing; ``counts`` are the (possibly
     fractional) number of offloads observed at each size per time unit.
+    The simulator draws sizes as indices into ``sizes`` through
+    :meth:`sample_indices`, whose CDF is built once per distribution.
     """
 
     sizes: Tuple[float, ...]
@@ -177,11 +180,23 @@ class GranularityDistribution:
 
     # -- sampling --------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw offload sizes for the simulator, proportionally to counts."""
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        # Built exactly as ``Generator.choice`` builds it from ``p``.
         probabilities = np.asarray(self.counts, dtype=float)
-        probabilities = probabilities / probabilities.sum()
-        return rng.choice(np.asarray(self.sizes, dtype=float), size=size, p=probabilities)
+        cdf = (probabilities / probabilities.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw *n* indices into :attr:`sizes`, proportionally to counts.
+
+        Returns what ``rng.choice(len(sizes), size=n, p=counts / total)``
+        returns, element for element and in dtype, from the same *n*
+        uniforms, so the generator's stream is unchanged; only the
+        per-call argument checks and the CDF construction are skipped.
+        """
+        return self._cdf.searchsorted(rng.random(n), side="right")
 
 
 def lucrative_subset(

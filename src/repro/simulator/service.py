@@ -116,7 +116,10 @@ class SegmentWork:
 
     The split of *plain_cycles* over *leaf_mix* is computed once, at
     construction, into :attr:`plain_ops`, so a segment shared by many
-    requests costs the segment loop only its yields.
+    requests costs the segment loop only its yields.  Request factories
+    build one such segment per functionality as a template and stamp
+    each request's kernel calls onto it with :meth:`with_invocations`,
+    so the split runs once per functionality, not once per request.
     """
 
     functionality: FunctionalityCategory
@@ -133,8 +136,14 @@ class SegmentWork:
     plain_ops: Optional[Tuple[Compute, ...]] = dataclasses.field(
         init=False, compare=False, repr=False
     )
+    #: A segment with the same plain fields whose :attr:`plain_ops` this
+    #: one shares instead of re-splitting (see :meth:`with_invocations`).
+    template: dataclasses.InitVar[Optional["SegmentWork"]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, template: Optional["SegmentWork"]) -> None:
+        if template is not None:
+            object.__setattr__(self, "plain_ops", template.plain_ops)
+            return
         plain_ops: Optional[Tuple[Compute, ...]] = ()
         plain_cycles = self.plain_cycles
         if plain_cycles > 0:
@@ -150,6 +159,21 @@ class SegmentWork:
                         ops.append(Compute(cycles, functionality, leaf))
                 plain_ops = tuple(ops)
         object.__setattr__(self, "plain_ops", plain_ops)
+
+    def with_invocations(
+        self, invocations: Tuple[KernelInvocation, ...]
+    ) -> "SegmentWork":
+        """This segment carrying *invocations* instead of its own.
+
+        The copy takes this segment's :attr:`plain_ops` tuple rather than
+        re-splitting *leaf_mix*, so it equals a freshly constructed
+        segment with the same fields, and a zero-mass *leaf_mix* still
+        raises only when the copy runs.
+        """
+        return SegmentWork(
+            self.functionality, self.plain_cycles, self.leaf_mix,
+            invocations, self,
+        )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -139,42 +139,34 @@ def _encryption_study_builds(
     )
 
     # Invocations are immutable, so one per distinct size serves every
-    # request of both builds.
-    invocations_by_size: Dict[float, KernelInvocation] = {}
+    # request of both builds; requests draw indices into the table.
+    table = tuple(
+        KernelInvocation(kernel=kernel_template, granularity=float(size))
+        for size in distribution.sizes
+    )
 
-    def invocation(size: float) -> KernelInvocation:
-        shared = invocations_by_size.get(size)
-        if shared is None:
-            shared = invocations_by_size[size] = KernelInvocation(
-                kernel=kernel_template, granularity=size
-            )
-        return shared
-
-    # Segments without kernel calls are shared by every request too.
+    # Segments without kernel calls are shared by every request too, and
+    # a request's IO calls are stamped onto the IO segment's template.
     logic_segment = SegmentWork(
         functionality=F.APPLICATION_LOGIC,
         plain_cycles=plain_cycles,
         leaf_mix={L.MISCELLANEOUS: 1.0},
     )
-    plain_io_segment = SegmentWork(
+    io_template = SegmentWork(
         functionality=F.IO,
         plain_cycles=io_plain_cycles,
         leaf_mix={L.KERNEL: 1.0},
     )
+    callless_request = RequestSpec(segments=(logic_segment, io_template))
 
     def make_factory(rng: np.random.Generator):
         def factory() -> RequestSpec:
             count = int(rng.poisson(invocations_per_request))
             if not count:
-                return RequestSpec(segments=(logic_segment, plain_io_segment))
-            sizes = distribution.sample(rng, count)
-            io_segment = SegmentWork(
-                functionality=F.IO,
-                plain_cycles=io_plain_cycles,
-                leaf_mix={L.KERNEL: 1.0},
-                invocations=tuple(
-                    invocation(float(s)) for s in np.atleast_1d(sizes)
-                ),
+                return callless_request
+            indices = distribution.sample_indices(rng, count).tolist()
+            io_segment = io_template.with_invocations(
+                tuple([table[i] for i in indices])
             )
             return RequestSpec(segments=(logic_segment, io_segment))
 

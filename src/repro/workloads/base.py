@@ -19,6 +19,7 @@ From a workload you can:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
@@ -273,31 +274,27 @@ class ServiceWorkload:
         with the calibrated per-request rate, and granularities are drawn
         from the kernel's distribution.
 
-        A segment without kernel calls is the same every request, so it
-        is built once and every request shares that one
-        :class:`SegmentWork` (and its pre-split plain ops); only a
-        segment that draws kernel calls is built per request.
+        Each functionality's segment is built once, as a template: a
+        request that draws no kernel call there shares the template
+        itself, and one that does gets a copy carrying its calls that
+        shares the template's split plain ops
+        (:meth:`~repro.simulator.service.SegmentWork.with_invocations`).
         """
         plain = {
             functionality: self.joint.functionality_share(functionality)
             * self.request_cycles
             for functionality in FUNCTIONALITIES
         }
-        leaf_mixes = {
-            functionality: self.joint.leaf_mix(functionality)
-            or {LeafCategory.MISCELLANEOUS: 1.0}
-            for functionality in FUNCTIONALITIES
-        }
-        #: functionality -> its shared invocation-free segment, or None
-        #: when it has no plain cycles.
-        plain_segments = {
+        #: functionality -> its segment without kernel calls.  Requests
+        #: share it whole when they draw no call there, and otherwise
+        #: stamp their calls onto it, sharing its split plain ops.
+        templates = {
             functionality: SegmentWork(
                 functionality=functionality,
                 plain_cycles=plain[functionality],
-                leaf_mix=leaf_mixes[functionality],
+                leaf_mix=self.joint.leaf_mix(functionality)
+                or {LeafCategory.MISCELLANEOUS: 1.0},
             )
-            if plain[functionality] > 0
-            else None
             for functionality in FUNCTIONALITIES
         }
 
@@ -307,21 +304,16 @@ class ServiceWorkload:
         # on the shared generator changes.
         #
         # Each (kernel, origin) lowers to a table of shared invocations,
-        # one per distinct size, and requests draw indices into it.
-        # ``rng.choice(len(sizes), p=...)`` consumes the same uniforms and
-        # the same searchsorted as ``rng.choice(sizes, p=...)``, so the
-        # stream is unchanged while no invocation is built per call.
+        # one per distinct size, and requests draw indices into it
+        # through the distribution's precomputed CDF.
         kernel_samplers = []
         for kernel in self.kernels.values():
             dist = kernel.target.granularity
-            sizes_arr = np.asarray(dist.sizes, dtype=float)
-            probs = np.asarray(dist.counts, dtype=float)
-            probs = probs / probs.sum()
             for origin, rate in kernel.origin_rates.items():
                 spec = kernel.specs[origin]
                 table = tuple(
-                    KernelInvocation(kernel=spec, granularity=size)
-                    for size in sizes_arr.tolist()
+                    KernelInvocation(kernel=spec, granularity=float(size))
+                    for size in dist.sizes
                 )
                 kernel_samplers.append(
                     (
@@ -330,11 +322,7 @@ class ServiceWorkload:
                         BlockSampler(
                             lambda n, r=rate: rng.poisson(r, size=n)
                         ),
-                        BlockSampler(
-                            lambda n, k=len(table), p=probs: rng.choice(
-                                k, size=n, p=p
-                            )
-                        ),
+                        BlockSampler(functools.partial(dist.sample_indices, rng)),
                     )
                 )
 
@@ -350,19 +338,14 @@ class ServiceWorkload:
             segments = []
             for functionality in FUNCTIONALITIES:
                 invocations = invocations_by_origin.get(functionality)
-                if invocations is None:
-                    segment = plain_segments[functionality]
-                    if segment is not None:
-                        segments.append(segment)
-                    continue
-                segments.append(
-                    SegmentWork(
-                        functionality=functionality,
-                        plain_cycles=plain[functionality],
-                        leaf_mix=leaf_mixes[functionality],
-                        invocations=tuple(invocations),
+                if invocations is not None:
+                    segments.append(
+                        templates[functionality].with_invocations(
+                            tuple(invocations)
+                        )
                     )
-                )
+                elif plain[functionality] > 0:
+                    segments.append(templates[functionality])
             return RequestSpec(segments=tuple(segments))
 
         return factory

@@ -106,14 +106,65 @@ class TestStatistics:
 class TestSampling:
     def test_sample_respects_support(self, simple_dist):
         rng = np.random.default_rng(3)
-        samples = simple_dist.sample(rng, 500)
+        samples = np.asarray(simple_dist.sizes)[
+            simple_dist.sample_indices(rng, 500)
+        ]
         assert set(np.unique(samples)) <= {64.0, 256.0, 1024.0}
 
     def test_sample_frequency_matches_weights(self, simple_dist):
         rng = np.random.default_rng(4)
-        samples = simple_dist.sample(rng, 20_000)
+        samples = np.asarray(simple_dist.sizes)[
+            simple_dist.sample_indices(rng, 20_000)
+        ]
         fraction_64 = float(np.mean(samples == 64.0))
         assert fraction_64 == pytest.approx(0.5, abs=0.02)
+
+
+def _calibrated_distributions():
+    """Every calibrated service kernel's size distribution, plus the two
+    the Table-6 encryption studies draw from, by id."""
+    from repro.workloads import ALL_SERVICES, build_workload
+
+    distributions = {}
+    for service in ALL_SERVICES:
+        for kernel in build_workload(service).kernels.values():
+            distributions[f"{service}/{kernel.name}"] = kernel.target.granularity
+    for study, service in (("aes-ni", "cache1"), ("encryption", "cache3")):
+        distributions[f"table6-{study}"] = build_workload(
+            service
+        ).granularity_distribution("encryption")
+    return distributions
+
+
+CALIBRATED = _calibrated_distributions()
+
+
+class TestSampleIndicesMatchesChoice:
+    """``sample_indices`` reproduces ``Generator.choice`` draw for draw.
+
+    It rebuilds the CDF the way NumPy's ``choice`` does; a NumPy release
+    that changes how ``choice`` draws with ``p`` fails here, not as a
+    silent shift of every simulated request.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATED))
+    def test_same_indices_dtype_and_stream(self, name):
+        dist = CALIBRATED[name]
+        probabilities = np.asarray(dist.counts, dtype=float)
+        probabilities = probabilities / probabilities.sum()
+        for seed in range(300):
+            for n in (1, 2, 3, 7, 40, 1024):
+                mine = np.random.default_rng(seed)
+                reference = np.random.default_rng(seed)
+                got = dist.sample_indices(mine, n)
+                want = reference.choice(len(dist.sizes), size=n, p=probabilities)
+                context = (
+                    f"{name}, seed {seed}, n {n}, numpy {np.__version__}: "
+                    "sample_indices no longer matches Generator.choice"
+                )
+                assert got.dtype == want.dtype, context
+                assert np.array_equal(got, want), context
+                assert mine.random() == reference.random(), context
 
 
 class TestSelectiveOffload:

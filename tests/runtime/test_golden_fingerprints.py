@@ -19,6 +19,7 @@ import pytest
 from repro.application.shared_device import SharedDevicePoint, TenantRun
 from repro.characterization import characterize
 from repro.runtime import SCHEMA_VERSION, RunSpec
+from repro.validation.case_studies import CASE_STUDY_SIMULATORS
 from repro.workloads import ALL_SERVICES
 
 #: RunSummary fingerprints for
@@ -65,6 +66,48 @@ def test_fleet_golden_covers_every_service():
 def test_fleet_digests_survive_the_invocation_tables(name):
     run = characterize(name, seed=2020, num_cores=2, requests_target=30)
     assert run.simulation.fingerprint() == FLEET_GOLDEN[name]
+
+
+#: RunSummary fingerprints of both runs of every Table-6 case study at
+#: its default arguments (the runs ``table6`` prints), captured before
+#: the case-study factories drew sizes through a precomputed CDF and
+#: shared their IO segment's plain ops.  ``offload_records.json`` pins
+#: only the accelerated offloads, and ``table6`` prints two decimals.
+CASE_STUDY_GOLDEN = {
+    ("aes-ni", "baseline"):
+        "b473d59e00d1bbe3687f6449ade75b38b972707d916d06aaa0bb3910fd8c41d4",
+    ("aes-ni", "accelerated"):
+        "f99f057383576e23d5f1b3d11ef0799990d0501ead0fd855566ed4c4752aea38",
+    ("encryption", "baseline"):
+        "6861fa0ccf5c81fd0418fd8adec51a4ae635607cc34f3db254fb17dcf2f23347",
+    ("encryption", "accelerated"):
+        "6b1cacbcc98121f3fdc086d67080c865c0a959faa95616c7030eca3976ada8f0",
+    ("inference", "baseline"):
+        "4b43fb5d17bf543a7cec9cbe52361671e33fabc0e5c8997387a513220d155f1c",
+    ("inference", "accelerated"):
+        "bbbd8fe873ab826fd37ea50be3ca1bbffc624c4e6b53186f144c3fa06d2396bf",
+}
+
+
+@pytest.fixture(scope="module")
+def case_studies():
+    return {name: simulate() for name, simulate in CASE_STUDY_SIMULATORS.items()}
+
+
+def test_case_study_golden_covers_every_run():
+    assert sorted(CASE_STUDY_GOLDEN) == sorted(
+        (name, variant)
+        for name in CASE_STUDY_SIMULATORS
+        for variant in ("baseline", "accelerated")
+    )
+
+
+@pytest.mark.parametrize("name,variant", sorted(CASE_STUDY_GOLDEN))
+def test_case_study_digests_survive_the_request_templates(
+    case_studies, name, variant
+):
+    run = getattr(case_studies[name], variant)
+    assert run.fingerprint() == CASE_STUDY_GOLDEN[name, variant]
 
 
 def test_cache_schema_version_is_unchanged():

@@ -414,6 +414,47 @@ class TestSegmentWork:
         segment = SegmentWork(F.IO, leaf_mix={L.MEMORY: 0.0})
         assert segment.plain_ops == ()
 
+    # A request's segment stamped from its functionality's template.
+    CALLS = (KernelInvocation(KERNEL, 64.0), KernelInvocation(KERNEL, 512.0))
+
+    def test_templated_segment_shares_the_template_plain_ops(self):
+        segment = self.SEGMENT.with_invocations(self.CALLS)
+        assert segment.invocations is self.CALLS
+        assert segment.plain_ops is self.SEGMENT.plain_ops
+        assert not self.SEGMENT.invocations
+
+    def test_templated_segment_equals_a_fresh_one(self):
+        segment = self.SEGMENT.with_invocations(self.CALLS)
+        fresh = SegmentWork(
+            self.SEGMENT.functionality,
+            plain_cycles=self.SEGMENT.plain_cycles,
+            leaf_mix=self.SEGMENT.leaf_mix,
+            invocations=self.CALLS,
+        )
+        assert segment == fresh
+        assert repr(segment) == repr(fresh)
+        assert segment.plain_ops == fresh.plain_ops
+
+    def test_templated_segment_pickles_round_trip(self):
+        segment = self.SEGMENT.with_invocations(self.CALLS)
+        restored = pickle.loads(pickle.dumps(segment))
+        assert restored == segment
+        assert restored.plain_ops == segment.plain_ops
+
+    def test_zero_mass_template_raises_only_when_run(self):
+        template = SegmentWork(
+            F.APPLICATION_LOGIC, plain_cycles=100, leaf_mix={L.MEMORY: 0.0}
+        )
+        segment = template.with_invocations(self.CALLS)
+        assert segment.plain_ops is None
+        engine = Engine()
+        metrics = MetricSink()
+        service = Microservice(engine, CPU(engine, metrics, 1), metrics)
+        with pytest.raises(
+            SimulationError, match="segment leaf_mix must have positive mass"
+        ):
+            segment_ops(service, segment)
+
 
 class TestSharedOffloadOps:
     """Offload ops are built once per kernel and config, then reused."""

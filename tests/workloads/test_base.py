@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import GranularityDistribution
+from repro.core import GranularityDistribution, ThreadingDesign
 from repro.errors import CalibrationError, UnknownServiceError
+from repro.paperdata import CACHE1_AES_NI_STUDY, CACHE3_ENCRYPTION_STUDY
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
-from repro.simulator import BlockSampler, KernelInvocation, RequestSpec, SegmentWork
+from repro.simulator import (
+    CPU,
+    BlockSampler,
+    Engine,
+    KernelInvocation,
+    KernelSpec,
+    MetricSink,
+    RequestSpec,
+    SegmentWork,
+)
 from repro.workloads import KernelTarget, ServiceWorkload, build_workload
 from repro.workloads.calibration import FUNCTIONALITIES
 
@@ -202,6 +212,74 @@ def per_call_factory(workload, rng):
     return factory
 
 
+def per_call_study_factory(record, service, rng):
+    """The Table-6 encryption-study factory as it was before size tables:
+    per request, one ``rng.poisson`` count, then ``rng.choice`` over the
+    sizes themselves with freshly normalized probabilities, and a fresh
+    :class:`KernelInvocation` per call inside a fresh IO segment."""
+    workload = build_workload(service)
+    requests_per_unit = record.total_cycles / workload.request_cycles
+    invocations_per_request = record.offloads_per_unit / requests_per_unit
+    kernel_cycles = record.alpha * workload.request_cycles
+    distribution = workload.granularity_distribution("encryption")
+    spec = KernelSpec(
+        name="encryption", functionality=F.IO, leaf=L.SSL,
+        cycles_per_byte=kernel_cycles
+        / (invocations_per_request * distribution.mean),
+    )
+    io_plain = 0.025 * workload.request_cycles
+    logic = SegmentWork(
+        F.APPLICATION_LOGIC,
+        plain_cycles=workload.request_cycles - kernel_cycles - io_plain,
+        leaf_mix={L.MISCELLANEOUS: 1.0},
+    )
+
+    def factory():
+        count = int(rng.poisson(invocations_per_request))
+        sizes = ()
+        if count:
+            probabilities = np.asarray(distribution.counts, dtype=float)
+            probabilities = probabilities / probabilities.sum()
+            sizes = rng.choice(
+                np.asarray(distribution.sizes, dtype=float), size=count,
+                p=probabilities,
+            )
+        io = SegmentWork(
+            F.IO, plain_cycles=io_plain, leaf_mix={L.KERNEL: 1.0},
+            invocations=tuple(
+                KernelInvocation(kernel=spec, granularity=float(size))
+                for size in np.atleast_1d(sizes)
+            ),
+        )
+        return RequestSpec(segments=(logic, io))
+
+    return factory
+
+
+def study_factory(record, service, seed):
+    """The lowered factory a Table-6 encryption study's baseline runs."""
+    from repro.validation.case_studies import _encryption_study_builds
+
+    build_baseline, _ = _encryption_study_builds(
+        record, service, ThreadingDesign.SYNC,
+        device_speedup=record.peak_speedup, num_cores=1, seed=seed,
+    )
+    engine = Engine()
+    metrics = MetricSink()
+    return build_baseline(engine, CPU(engine, metrics, 1), metrics)[1]
+
+
+def assert_same_requests(lowered, reference, count=40):
+    """*count* requests compare equal, split plain ops included (they are
+    ``compare=False`` on :class:`SegmentWork`)."""
+    for _ in range(count):
+        mine, theirs = lowered(), reference()
+        assert mine == theirs
+        assert [segment.plain_ops for segment in mine.segments] == [
+            segment.plain_ops for segment in theirs.segments
+        ]
+
+
 class TestInvocationTables:
     @pytest.mark.parametrize("service", ["cache1", "feed1", "web"])
     @pytest.mark.parametrize("seed", [0, 7, 2020])
@@ -209,8 +287,22 @@ class TestInvocationTables:
         workload = build_workload(service)
         lowered = workload.request_factory(np.random.default_rng(seed))
         reference = per_call_factory(workload, np.random.default_rng(seed))
-        for _ in range(40):
-            assert lowered() == reference()
+        assert_same_requests(lowered, reference)
+
+    @pytest.mark.parametrize(
+        "record,service",
+        [(CACHE1_AES_NI_STUDY, "cache1"), (CACHE3_ENCRYPTION_STUDY, "cache3")],
+        ids=["aes-ni", "encryption"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2020])
+    def test_study_factory_equals_per_call_construction(
+        self, record, service, seed
+    ):
+        lowered = study_factory(record, service, seed)
+        reference = per_call_study_factory(
+            record, service, np.random.default_rng(seed)
+        )
+        assert_same_requests(lowered, reference)
 
     def test_requests_share_one_invocation_per_size(self):
         workload = build_workload("cache1")
