@@ -5,7 +5,7 @@ export PYTHONPATH
 WORKERS ?= 4
 
 .PHONY: test faults perf bench figures clean-cache lint lint-deep \
-	lint-parity graphs check hotcore
+	lint-parity check hotcore
 
 # Tier-1 correctness suite (perf benchmarks excluded via pyproject addopts).
 # Linting runs first: a determinism or spec-hygiene violation invalidates
@@ -28,8 +28,9 @@ faults:
 lint:
 	$(PYTHON) -m repro lint --deep
 
-# Whole-program rules only, against files changed since origin's view
-# of HEAD -- the fast pre-push loop.
+# Every rule, with per-file findings narrowed to files that differ from
+# HEAD (staged, unstaged or untracked); deep findings stay whole-program.
+# The fast pre-push loop.
 lint-deep:
 	$(PYTHON) -m repro lint --deep --changed
 
@@ -38,10 +39,6 @@ lint-deep:
 # isolates the parity pass.  No C toolchain required.
 lint-parity:
 	$(PYTHON) -m repro lint --deep --rules PAR001,PAR002,PAR003,PAR004
-
-# Deterministic call-graph artifacts (callgraph.json / callgraph.dot).
-graphs:
-	$(PYTHON) -m repro lint --export-graph build/graphs
 
 # lint + third-party checkers where available (ruff/mypy are optional:
 # the pinned container does not ship them, so each is skipped with a

@@ -22,7 +22,7 @@ declare.  This package makes those promises mechanical:
   :class:`UnitFlowAnalyzer` (units through dataflow), and
   :class:`EffectAnalysis` (effect & purity summaries behind the
   EFF001, EFF003 and EFF004 contracts);
-* text/JSON/SARIF reporters and the ``repro lint`` CLI glue.
+* text/JSON reporters and the ``repro lint`` CLI glue.
 
 Run it as ``python -m repro lint`` (or ``make lint``); add ``--deep``
 for the whole-program passes.
@@ -57,7 +57,6 @@ from .incremental import changed_python_files
 from .project import ProjectModel, module_name_for
 from .registry import Rule, all_rules, register_rule, resolve_rules
 from .reporters import render_json, render_text
-from .sarif import render_sarif
 from .source import SourceFile, parse_suppressions
 from .taint import TaintPath, find_taint_paths
 from .unitflow import UnitFlowAnalyzer
@@ -96,7 +95,6 @@ __all__ = [
     "parse_suppressions",
     "register_rule",
     "render_json",
-    "render_sarif",
     "render_text",
     "resolve_rules",
 ]

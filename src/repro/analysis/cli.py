@@ -18,11 +18,11 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from .engine import analyze_paths, load_sources
+from ..errors import ParameterError
+from .engine import analyze_paths
 from .incremental import DEFAULT_BASE, changed_python_files
 from .registry import all_rules
 from .reporters import render_json, render_text
-from .sarif import render_sarif
 
 #: What ``repro lint`` covers when no paths are given: the package
 #: sources and the repository scripts (which must obey the same
@@ -65,16 +65,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         f"(default {DEFAULT_BASE}); deep findings stay whole-program",
     )
     parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report to PATH "
-        "('-' for stdout)",
-    )
-    parser.add_argument(
-        "--export-graph", default=None, metavar="DIR",
-        help="write the whole-program call graph as callgraph.json and "
-        "callgraph.dot under DIR (deterministic output)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="directory for on-disk analysis caches (summaries and "
         f"project findings; default: {DEFAULT_CACHE_DIR} under the "
@@ -98,26 +88,6 @@ def _reference_paths(root: Path) -> List[str]:
     return [path for path in REFERENCE_PATHS if (root / path).is_dir()]
 
 
-def _export_graph(paths: List[str], root: Path, out_dir: Path) -> List[Path]:
-    """Write callgraph.json/.dot for the analyzed program; returns the
-    files written."""
-    from .graph import build_call_graph
-    from .project import ProjectModel
-
-    model = ProjectModel.build(load_sources(paths, root), ())
-    graph = build_call_graph(model)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in (
-        ("callgraph.json", graph.to_json()),
-        ("callgraph.dot", graph.to_dot()),
-    ):
-        target = out_dir / name
-        target.write_text(text, encoding="utf-8")
-        written.append(target)
-    return written
-
-
 def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in all_rules():
@@ -132,6 +102,12 @@ def run_lint(args: argparse.Namespace) -> int:
     paths: List[str] = list(args.paths) or [
         path for path in DEFAULT_LINT_PATHS if (root / path).exists()
     ]
+    if not paths:
+        # A wrong --root must not lint nothing and report clean.
+        raise ParameterError(
+            f"none of the default lint paths "
+            f"({', '.join(DEFAULT_LINT_PATHS)}) exist under {root}"
+        )
     rule_names = [name for name in args.rules.split(",") if name.strip()]
 
     restrict = None
@@ -154,17 +130,6 @@ def run_lint(args: argparse.Namespace) -> int:
         reference_paths=_reference_paths(root) if args.deep else (),
         cache_dir=cache_dir,
     )
-
-    if args.export_graph:
-        for target in _export_graph(paths, root, Path(args.export_graph)):
-            print(f"wrote {target}")
-
-    if args.sarif:
-        sarif_text = render_sarif(result)
-        if args.sarif == "-":
-            print(sarif_text)
-        else:
-            Path(args.sarif).write_text(sarif_text + "\n", encoding="utf-8")
 
     if args.json:
         print(render_json(result))

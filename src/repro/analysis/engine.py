@@ -101,8 +101,8 @@ def load_sources(
     paths: Sequence[Union[str, Path]], root: Union[str, Path] = "."
 ) -> List[SourceFile]:
     """Read every ``.py`` file under *paths* into sources with
-    project-relative names (shared by the driver and graph export).
-    Files are parsed lazily, on the first read of their tree."""
+    project-relative names.  Files are parsed lazily, on the first read
+    of their tree."""
     root_path = Path(root)
     resolved_root = root_path.resolve()
     return [

@@ -1,5 +1,5 @@
 """Call-graph construction over the :class:`~repro.analysis.project
-.ProjectModel`, with deterministic JSON and DOT export.
+.ProjectModel`.
 
 Every function and method of the analyzed modules becomes a node; every
 call site becomes one of three things, never silently dropped:
@@ -17,8 +17,9 @@ call site becomes one of three things, never silently dropped:
   (unknown receiver types, dynamic dispatch), recorded with the call
   text so coverage is auditable.
 
-Exports sort every collection, so the same tree always produces byte-
-identical artifacts -- asserted by the tier-1 snapshot test.
+The edge, external-call and unresolved tuples are sorted by caller, line
+and target, so the same tree always builds an equal graph whatever the
+input order or hash seed -- asserted by the tier-1 snapshot test.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
-import json
 from typing import Dict, List, Optional, Tuple
 
 from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel, _dotted
@@ -86,67 +86,6 @@ class CallGraph:
         for call in self.external:
             table.setdefault(call.caller, []).append(call)
         return table
-
-    # -- deterministic artifacts ------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "nodes": [
-                {
-                    "fq": fq,
-                    "module": module,
-                    "kind": kind,
-                    "path": relpath,
-                    "line": line,
-                }
-                for fq, (module, kind, relpath, line) in sorted(
-                    self.nodes.items()
-                )
-            ],
-            "edges": [
-                {"caller": e.caller, "callee": e.callee, "line": e.line}
-                for e in self.edges
-            ],
-            "external_calls": [
-                {"caller": e.caller, "target": e.target, "line": e.line}
-                for e in self.external
-            ],
-            "unresolved": [
-                {"caller": e.caller, "text": e.text, "line": e.line}
-                for e in self.unresolved
-            ],
-            "counts": {
-                "nodes": len(self.nodes),
-                "edges": len(self.edges),
-                "external_calls": len(self.external),
-                "unresolved": len(self.unresolved),
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def to_dot(self) -> str:
-        """Graphviz rendering of the internal edges, one cluster per
-        module, deterministic line order."""
-        lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
-        by_module: Dict[str, List[str]] = {}
-        for fq, (module, _kind, _relpath, _line) in sorted(self.nodes.items()):
-            by_module.setdefault(module, []).append(fq)
-        for index, module in enumerate(sorted(by_module)):
-            lines.append(f'  subgraph "cluster_{index}" {{')
-            lines.append(f'    label="{module}";')
-            for fq in sorted(by_module[module]):
-                label = fq[len(module) + 1 :] if fq.startswith(module) else fq
-                lines.append(f'    "{fq}" [label="{label}"];')
-            lines.append("  }")
-        seen = set()
-        for edge in self.edges:
-            pair = (edge.caller, edge.callee)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            lines.append(f'  "{edge.caller}" -> "{edge.callee}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 class CallResolver:

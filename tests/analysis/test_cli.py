@@ -116,32 +116,24 @@ def test_lint_list_rules_tags_deep(capsys):
     assert "DET003" in out and "deep" in out
 
 
-def test_lint_sarif_output(taint_project, capsys):
-    target = taint_project / "report.sarif"
-    assert _lint(taint_project, "--deep", "--sarif", str(target)) == 1
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["version"] == "2.1.0"
-    [run] = payload["runs"]
-    assert [r["ruleId"] for r in run["results"]] == ["DET003"]
-    assert run["results"][0]["properties"]["trace"]
+def test_lint_deep_json_carries_trace(taint_project, capsys):
+    assert _lint(taint_project, "--deep", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["rule"] for f in payload["findings"]] == ["DET003"]
+    assert payload["findings"][0]["trace"]
 
 
-def test_lint_sarif_stdout(taint_project, capsys):
-    assert _lint(taint_project, "--deep", "--sarif", "-") == 1
-    out = capsys.readouterr().out
-    assert '"$schema"' in out
-
-
-def test_lint_export_graph(taint_project, capsys):
-    out_dir = taint_project / "graphs"
-    assert _lint(taint_project, "--export-graph", str(out_dir)) == 0
-    first = (out_dir / "callgraph.json").read_bytes()
-    assert (out_dir / "callgraph.dot").exists()
-    payload = json.loads(first)
-    assert payload["counts"]["edges"] >= 2
-    # Re-export is byte-identical.
-    assert _lint(taint_project, "--export-graph", str(out_dir)) == 0
-    assert (out_dir / "callgraph.json").read_bytes() == first
+@pytest.mark.parametrize("deep", [(), ("--deep",)])
+def test_lint_root_without_default_paths_exits_2(tmp_path, capsys, deep):
+    # No src/repro and no scripts under the root: an error, not a clean
+    # report over zero files.
+    assert main(["lint", "--root", str(tmp_path), *deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.count("\n") == 0
+    assert err.startswith("accelerometer: error: ")
+    assert "src/repro" in err
 
 
 def test_lint_changed_narrows_per_file_findings(project, capsys):

@@ -2,7 +2,7 @@
 entropy budget on the ``eff002_*`` trees.
 
 Covers the effect extraction layer, the deep rules on their fire/clean
-fixture pairs, the SARIF/text rendering of effect-chain traces, and --
+fixture pairs, the JSON/text rendering of effect-chain traces, and --
 the contract the whole pack exists for -- a mutation sweep proving that
 deleting ANY single tracer gate in the real simulator makes lint fail:
 OBS001 names the ungated tracer touch, EFF001 the engine state a gate
@@ -10,11 +10,12 @@ was keeping write-only.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_sources
+from repro.analysis import Finding, analyze_sources
 from repro.analysis.effects import (
     EffectAnalysis,
     find_frozen_writes,
@@ -22,8 +23,7 @@ from repro.analysis.effects import (
     function_effects,
     observer_class_names,
 )
-from repro.analysis.reporters import render_text
-from repro.analysis.sarif import render_sarif, sarif_findings
+from repro.analysis.reporters import render_json, render_text
 from repro.analysis.source import SourceFile
 
 from .conftest import load_deep_sources
@@ -243,20 +243,16 @@ def test_find_frozen_writes_spots_annotated_param():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: effect-chain traces survive the SARIF round trip and
-# render as clickable chains in the text reporter.
+# Effect-chain traces survive the JSON report round trip and render as
+# clickable chains in the text reporter.
 # ---------------------------------------------------------------------------
 
 
-def test_effect_trace_survives_sarif_round_trip():
+def test_effect_trace_survives_json_round_trip():
     result = run_tree("eff004_fires", EFF_RULES)
     assert result.findings and result.findings[0].trace
-    document = render_sarif(result)
-    import json
-
-    payload = json.loads(document)
-    assert payload["version"] == "2.1.0"
-    recovered = sarif_findings(document)
+    payload = json.loads(render_json(result))
+    recovered = [Finding.from_dict(row) for row in payload["findings"]]
     assert recovered == list(result.findings)
     # The multi-hop chain itself is intact, hop for hop.
     assert recovered[0].trace == result.findings[0].trace

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.analysis import (
+    AnalysisResult,
     Finding,
+    Severity,
     SourceFile,
     analyze_sources,
     parse_suppressions,
@@ -174,6 +176,28 @@ def test_json_report_shape():
     assert finding["path"] == RUNTIME
     assert finding["line"] == 5
     assert finding["severity"] == "error"
+
+
+@pytest.mark.parametrize("severity", list(Severity))
+def test_json_report_round_trips_every_field(severity):
+    findings = [
+        Finding(
+            rule="DET003", path="src/repro/runtime/spec.py", line=11,
+            column=4, message="cache key reaches time.time",
+            hint="thread the value through the RunSpec", severity=severity,
+            trace=("repro.runtime.spec.make_cache_key", "-> calls time.time"),
+        ),
+        # No hint and no trace: the optional fields stay empty.
+        Finding(
+            rule="API002", path="src/repro/core/__init__.py", line=7,
+            column=0, message="dead export", severity=severity,
+        ),
+    ]
+    result = AnalysisResult(
+        findings=findings, suppressed=[], files=2, rules=("API002", "DET003")
+    )
+    payload = json.loads(render_json(result))
+    assert [Finding.from_dict(row) for row in payload["findings"]] == findings
 
 
 def test_finding_sorting_is_stable():

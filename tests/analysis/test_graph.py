@@ -1,7 +1,5 @@
-"""Call-graph construction: edge kinds, the unresolved bucket, and
-byte-identical exports."""
-
-import json
+"""Call-graph construction: edge kinds, the unresolved bucket, and a
+graph that does not depend on input order."""
 
 from repro.analysis import (
     CallGraph,
@@ -139,29 +137,10 @@ class TestEdges:
 
 
 class TestDeterminism:
-    def test_json_identical_across_builds_and_input_orders(self):
-        first = _default_graph().to_json()
-        second = _default_graph(reverse=True).to_json()
-        assert first == second
-        assert first.endswith("\n")
-
-    def test_dot_identical_across_builds_and_input_orders(self):
-        first = _default_graph().to_dot()
-        second = _default_graph(reverse=True).to_dot()
-        assert first == second
-        assert first.startswith("digraph callgraph {")
-
-    def test_json_counts_match_payload(self):
-        graph = _default_graph()
-        payload = json.loads(graph.to_json())
-        assert payload["counts"]["nodes"] == len(payload["nodes"])
-        assert payload["counts"]["edges"] == len(payload["edges"])
-        assert payload["counts"]["unresolved"] == len(payload["unresolved"])
-
-    def test_dot_clusters_one_per_module(self):
-        dot = _default_graph().to_dot()
-        assert 'label="sim.device";' in dot
-        assert 'label="sim.service";' in dot
+    def test_graph_identical_across_builds_and_input_orders(self):
+        # Nodes compare as a dict; edges, external calls and unresolved
+        # calls compare as ordered tuples, so their order is pinned too.
+        assert _default_graph() == _default_graph(reverse=True)
 
     def test_adjacency_sorted(self):
         graph = _default_graph()
@@ -170,19 +149,10 @@ class TestDeterminism:
 
 
 class TestEmptyGraph:
-    def test_empty_model_exports_cleanly(self):
+    def test_empty_model_builds_empty_collections(self):
         graph = _graph()
         assert isinstance(graph, CallGraph)
-        payload = json.loads(graph.to_json())
-        assert payload["counts"] == {
-            "nodes": 0,
-            "edges": 0,
-            "external_calls": 0,
-            "unresolved": 0,
-        }
-        assert graph.to_dot() == (
-            "digraph callgraph {\n"
-            "  rankdir=LR;\n"
-            "  node [shape=box];\n"
-            "}\n"
-        )
+        assert graph.nodes == {}
+        assert graph.edges == ()
+        assert graph.external == ()
+        assert graph.unresolved == ()

@@ -1,13 +1,12 @@
-"""Tier-1 snapshot: the simulator call-graph export is deterministic
-and contains the structural edges the paper's pipeline depends on.
+"""Tier-1 snapshot: the simulator call graph is deterministic and
+contains the structural edges the paper's pipeline depends on.
 
 Determinism is checked the hard way -- two separate interpreter
-processes with *different* ``PYTHONHASHSEED`` values must produce
-byte-identical artifacts, so no set/dict iteration order can leak into
-the export.
+processes with *different* ``PYTHONHASHSEED`` values must build graphs
+with the same digest, so no set/dict iteration order can leak into the
+graph.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -60,47 +59,47 @@ class TestKnownEdges:
 
 
 class TestInProcessDeterminism:
-    def test_rebuild_is_byte_identical(self, repo_graph):
+    def test_rebuild_is_identical(self, repo_graph):
         rebuilt = build_call_graph(
             ProjectModel.build(load_sources(["src/repro"], REPO_ROOT), ())
         )
-        assert rebuilt.to_json() == repo_graph.to_json()
-        assert rebuilt.to_dot() == repo_graph.to_dot()
+        assert rebuilt == repo_graph
 
 
-def _export(tmp_path: Path, tag: str, hash_seed: str) -> dict:
-    out_dir = tmp_path / tag
+#: Prints a digest of the repository's call graph: the nodes sorted, the
+#: edge, external-call and unresolved tuples in the graph's own order.
+_DIGEST_GRAPH = """
+import hashlib
+import sys
+
+from repro.analysis import ProjectModel, build_call_graph, load_sources
+
+graph = build_call_graph(
+    ProjectModel.build(load_sources(["src/repro"], sys.argv[1]), ())
+)
+payload = repr(
+    (sorted(graph.nodes.items()), graph.edges, graph.external, graph.unresolved)
+)
+print(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+"""
+
+
+def _graph_digest(hash_seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     completed = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "lint",
-            "--root",
-            str(REPO_ROOT),
-            "--export-graph",
-            str(out_dir),
-            "src/repro",
-        ],
+        [sys.executable, "-c", _DIGEST_GRAPH, str(REPO_ROOT)],
         capture_output=True,
         text=True,
         env=env,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    return {
-        name: (out_dir / name).read_bytes()
-        for name in ("callgraph.json", "callgraph.dot")
-    }
+    return completed.stdout.strip()
 
 
 class TestCrossProcessDeterminism:
-    def test_export_identical_under_different_hash_seeds(self, tmp_path):
-        first = _export(tmp_path, "run1", "0")
-        second = _export(tmp_path, "run2", "424242")
-        assert first == second
-        payload = json.loads(first["callgraph.json"])
-        assert payload["counts"]["nodes"] == len(payload["nodes"])
-        assert first["callgraph.dot"].startswith(b"digraph callgraph {")
+    def test_graph_identical_under_different_hash_seeds(self):
+        first = _graph_digest("0")
+        assert len(first) == 64
+        assert _graph_digest("424242") == first

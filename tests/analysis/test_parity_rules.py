@@ -1,16 +1,17 @@
 """PAR001-PAR004 against the seeded twin trees: each drift fires exactly
 once, names both sides of the divergence, suppresses through the C
-pragma pipeline, and round-trips through SARIF."""
+pragma pipeline, and round-trips through the JSON report."""
 
+import json
 import re
 
 from repro.analysis import (
     AnalysisResult,
     CSourceFile,
+    Finding,
     analyze_sources,
-    render_sarif,
+    render_json,
 )
-from repro.analysis.sarif import sarif_findings
 
 from .conftest import PARITY_RULES, load_parity_tree
 
@@ -145,7 +146,7 @@ class TestDeepSemantics:
         assert result.findings == []
 
 
-class TestSarifRoundTrip:
+class TestJsonRoundTrip:
     def test_all_par_rules_round_trip_with_traces(self):
         findings = []
         for name in (
@@ -162,7 +163,8 @@ class TestSarifRoundTrip:
             files=4,
             rules=tuple(PARITY_RULES),
         )
-        recovered = sarif_findings(render_sarif(result))
+        payload = json.loads(render_json(result))
+        recovered = [Finding.from_dict(row) for row in payload["findings"]]
         assert recovered == findings
         for finding in recovered:
             assert len(finding.trace) == 2  # both locations survive
