@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import Finding
 from repro.cli import main
 
 DEEP_FIXTURES = Path(__file__).parent / "fixtures" / "deep"
@@ -121,6 +122,31 @@ def test_lint_deep_json_carries_trace(taint_project, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [f["rule"] for f in payload["findings"]] == ["DET003"]
     assert payload["findings"][0]["trace"]
+
+
+def test_lint_json_and_text_reports_agree(taint_project, capsys):
+    # The two reports describe the same findings: every decoded JSON
+    # finding prints at its location in the text report, trace and all.
+    assert _lint(taint_project, "--deep", "--json", "--no-cache") == 1
+    rows = json.loads(capsys.readouterr().out)["findings"]
+    findings = [Finding.from_dict(row) for row in rows]
+    assert findings
+    assert _lint(taint_project, "--deep", "--no-cache") == 1
+    text = capsys.readouterr().out
+    for finding in findings:
+        assert f"{finding.location}: {finding.rule}" in text
+        for hop in finding.trace:
+            assert f"    | {hop}" in text
+
+
+@pytest.mark.parametrize("option", ["--sarif", "--export-graph"])
+def test_lint_rejects_removed_output_options(option, tmp_path, capsys):
+    # --json is the one machine-readable report; the SARIF and
+    # call-graph outputs are gone, and asking for one is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", option, str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("deep", [(), ("--deep",)])

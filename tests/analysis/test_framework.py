@@ -200,6 +200,65 @@ def test_json_report_round_trips_every_field(severity):
     assert [Finding.from_dict(row) for row in payload["findings"]] == findings
 
 
+def test_json_report_round_trips_suppressed_and_internal():
+    suppressed = Finding(
+        rule="DET001", path=RUNTIME, line=5, column=11, message="silenced",
+    )
+    internal = Finding(
+        rule="DET003", path="<analyzer>", line=0, column=0,
+        message="rule crashed", hint="report it", severity=Severity.ERROR,
+    )
+    result = AnalysisResult(
+        findings=[], suppressed=[suppressed], files=1, rules=("DET001",),
+        internal=[internal],
+    )
+    payload = json.loads(render_json(result))
+    assert payload["findings"] == []
+    assert [Finding.from_dict(r) for r in payload["suppressed"]] == [suppressed]
+    assert [Finding.from_dict(r) for r in payload["internal"]] == [internal]
+
+
+def test_json_report_real_deep_run_round_trips():
+    from .conftest import load_deep_sources
+
+    result = analyze_sources(load_deep_sources("taint_fires"), deep=True)
+    assert result.findings  # the fixture fires
+    assert any(finding.trace for finding in result.findings)
+    payload = json.loads(render_json(result))
+    decoded = [Finding.from_dict(row) for row in payload["findings"]]
+    assert decoded == result.findings
+
+
+def test_json_report_identical_across_input_orders():
+    from .conftest import load_deep_sources
+
+    sources = load_deep_sources("taint_fires")
+    first = render_json(analyze_sources(sources, deep=True))
+    second = render_json(analyze_sources(list(reversed(sources)), deep=True))
+    assert first == second
+
+
+def test_json_report_columns_match_text_report():
+    # Both reports carry the finding's own 0-based column; neither
+    # shifts it.
+    result = _analyze(VIOLATION)
+    (row,) = json.loads(render_json(result))["findings"]
+    (finding,) = result.findings
+    assert row["column"] == finding.column
+    assert f"{RUNTIME}:{row['line']}:{row['column']}: DET001" in (
+        render_text(result)
+    )
+
+
+def test_json_report_summary_matches_result():
+    result = _analyze(VIOLATION)
+    payload = json.loads(render_json(result))
+    assert payload["clean"] is result.clean is False
+    assert payload["exit_code"] == result.exit_code == 1
+    assert payload["rules"] == list(result.rules)
+    assert payload["files"] == result.files
+
+
 def test_finding_sorting_is_stable():
     findings = [
         Finding(rule="B", path="b.py", line=1, column=0, message="m"),

@@ -147,6 +147,36 @@ class TestDeterminism:
         for sites in graph.adjacency().values():
             assert sites == sorted(sites)
 
+    def test_call_tuples_sorted_by_caller_line_target(self):
+        graph = _default_graph()
+        assert [(e.caller, e.line, e.callee) for e in graph.edges] == sorted(
+            (e.caller, e.line, e.callee) for e in graph.edges
+        )
+        assert [(c.caller, c.line, c.target) for c in graph.external] == (
+            sorted((c.caller, c.line, c.target) for c in graph.external)
+        )
+        assert [(c.caller, c.line, c.text) for c in graph.unresolved] == (
+            sorted((c.caller, c.line, c.text) for c in graph.unresolved)
+        )
+
+
+class TestStructure:
+    def test_every_call_site_belongs_to_a_node(self):
+        graph = _default_graph()
+        for edge in graph.edges:
+            assert edge.caller in graph.nodes
+            assert edge.callee in graph.nodes
+        for call in graph.external + graph.unresolved:
+            assert call.caller in graph.nodes
+
+    def test_nodes_record_their_module(self):
+        graph = _default_graph()
+        modules = {meta[0] for meta in graph.nodes.values()}
+        assert modules == {"sim.device", "sim.config", "sim.service"}
+        for fq, (module, _kind, relpath, _line) in graph.nodes.items():
+            assert fq.startswith(module + ".")
+            assert relpath == "src/" + module.replace(".", "/") + ".py"
+
 
 class TestEmptyGraph:
     def test_empty_model_builds_empty_collections(self):

@@ -65,6 +65,13 @@ class TestInProcessDeterminism:
         )
         assert rebuilt == repo_graph
 
+    def test_reversed_input_order_builds_the_same_graph(self, repo_graph):
+        sources = load_sources(["src/repro"], REPO_ROOT)
+        rebuilt = build_call_graph(
+            ProjectModel.build(list(reversed(sources)), ())
+        )
+        assert rebuilt == repo_graph
+
 
 #: Prints a digest of the repository's call graph: the nodes sorted, the
 #: edge, external-call and unresolved tuples in the graph's own order.
@@ -93,6 +100,7 @@ def _graph_digest(hash_seed: str) -> str:
         capture_output=True,
         text=True,
         env=env,
+        timeout=300,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
     return completed.stdout.strip()

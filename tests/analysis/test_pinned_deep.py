@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis import analyze_sources
+from repro.analysis import Finding, analyze_sources, render_json
 
 from .conftest import FIXTURES, load_deep_sources
 
@@ -29,6 +29,18 @@ def test_findings_match_pinned(tree):
     )
     assert not result.internal
     assert [f.to_dict() for f in result.findings] == PINNED[tree]["findings"]
+
+
+@pytest.mark.parametrize("tree", sorted(PINNED))
+def test_json_report_matches_pinned(tree):
+    # The --json report carries the pinned findings losslessly: its rows
+    # are the pinned rows, and they decode back to the analyzed findings.
+    result = analyze_sources(
+        load_deep_sources(tree), deep=True, rules=["DET003", "UNIT002"]
+    )
+    rows = json.loads(render_json(result))["findings"]
+    assert rows == PINNED[tree]["findings"]
+    assert [Finding.from_dict(row) for row in rows] == result.findings
 
 
 def test_pinned_corpus_is_not_vacuous():
