@@ -1027,16 +1027,35 @@ engine_traverse(EngineObject *self, visitproc visit, void *arg)
     return 0;
 }
 
+/* Empty the heap and free its storage.  The engine lets go of the old
+ * array before releasing any reference: a decref can run arbitrary code
+ * that schedules onto this engine, and that lands in a fresh heap. */
+static void
+engine_drop_events(EngineObject *self)
+{
+    Event *heap = self->heap;
+    Py_ssize_t size = self->size;
+    self->heap = NULL;
+    self->size = self->cap = 0;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        event_clear_refs(&heap[i]);
+    }
+    PyMem_Free(heap);
+}
+
 static int
 engine_clear(EngineObject *self)
 {
-    Py_ssize_t size = self->size;
-    self->size = 0;
-    for (Py_ssize_t i = 0; i < size; i++) {
-        event_clear_refs(&self->heap[i]);
-    }
+    engine_drop_events(self);
     Py_CLEAR(self->compute_type);
     return 0;
+}
+
+static PyObject *
+engine_drop_pending(EngineObject *self, PyObject *Py_UNUSED(ignored))
+{
+    engine_drop_events(self);
+    Py_RETURN_NONE;
 }
 
 static void
@@ -1064,6 +1083,8 @@ static PyMethodDef engine_methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "run_to_completion(max_events=10000000)\n"
      "Drain every queued event (for finite workloads)."},
+    {"drop_pending", (PyCFunction)engine_drop_pending, METH_NOARGS,
+     "Discard every queued event without running it."},
     {"bind_cpu", (PyCFunction)engine_bind_cpu, METH_O,
      "bind_cpu(cpu)\nCache the CPU's hot references in a BoundAdvance and "
      "return it; the CPU delegates its _advance to the returned callable."},

@@ -42,6 +42,7 @@ from ..simulator import (
     request_stream,
     run_simulation,
 )
+from ..simulator.runner import run_window
 from ..validation.matrix import KERNEL_CALLS, KERNEL_CYCLES, synthetic_request
 
 _DISPATCH_CYCLES = 30.0
@@ -139,33 +140,36 @@ def _run_shared(
         sinks.append(metrics)
         cpus.append(cpu)
         ports.append(port)
-    engine.run_until(window_cycles, max_events=max_events)
-    for cpu in cpus:
-        cpu.finalize(window_cycles)
-    runs = []
-    for index in range(tenants):
-        metrics = sinks[index]
-        port = ports[index]
-        totals = metrics.fault_totals()
-        completed = len(metrics.completed_requests())
-        runs.append(TenantRun(
-            tenant=port.tenant,
-            weight=tenant_weights[index],
-            completed_requests=completed,
-            throughput=completed / window_cycles,
-            offloads_served=port.stats.offloads_served,
-            busy_cycles=port.stats.busy_cycles,
-            mean_queue_cycles=port.stats.mean_queue_cycles(),
-            attempts=totals.attempts,
-            drops=totals.drops,
-            fallbacks=totals.fallbacks,
-        ))
-    return SharedDeviceRun(
-        tenants=tuple(runs),
-        device_offloads_served=device.stats.offloads_served,
-        device_busy_cycles=device.stats.busy_cycles,
-        device_utilization=device.utilization(window_cycles),
-        window_cycles=window_cycles,
+
+    def collect() -> SharedDeviceRun:
+        runs = []
+        for index in range(tenants):
+            metrics = sinks[index]
+            port = ports[index]
+            totals = metrics.fault_totals()
+            completed = len(metrics.completed_requests())
+            runs.append(TenantRun(
+                tenant=port.tenant,
+                weight=tenant_weights[index],
+                completed_requests=completed,
+                throughput=completed / window_cycles,
+                offloads_served=port.stats.offloads_served,
+                busy_cycles=port.stats.busy_cycles,
+                mean_queue_cycles=port.stats.mean_queue_cycles(),
+                attempts=totals.attempts,
+                drops=totals.drops,
+                fallbacks=totals.fallbacks,
+            ))
+        return SharedDeviceRun(
+            tenants=tuple(runs),
+            device_offloads_served=device.stats.offloads_served,
+            device_busy_cycles=device.stats.busy_cycles,
+            device_utilization=device.utilization(window_cycles),
+            window_cycles=window_cycles,
+        )
+
+    return run_window(
+        engine, cpus, window_cycles, collect, max_events=max_events
     )
 
 

@@ -106,7 +106,6 @@ class SimThread:
     """One simulated software thread."""
 
     __slots__ = (
-        "thread_id",
         "name",
         "body",
         "state",
@@ -119,12 +118,8 @@ class SimThread:
         "trace_ctx",
     )
 
-    _next_id = 0
-
-    def __init__(self, body: ThreadBody, name: Optional[str] = None) -> None:
-        SimThread._next_id += 1
-        self.thread_id = SimThread._next_id
-        self.name = name or f"thread-{self.thread_id}"
+    def __init__(self, body: ThreadBody, name: str) -> None:
+        self.name = name
         self.body = body
         self.state = ThreadState.RUNNABLE
         self.core: Optional["Core"] = None
@@ -162,7 +157,7 @@ class CPU:
     """A multi-core host executing simulated threads."""
 
     __slots__ = ("engine", "metrics", "cores", "run_queue", "_on_thread_done",
-                 "trace", "_advance_fast")
+                 "trace", "_advance_fast", "_threads")
 
     def __init__(
         self,
@@ -177,6 +172,9 @@ class CPU:
         self.cores: List[Core] = [Core(i) for i in range(num_cores)]
         self.run_queue: Deque[SimThread] = deque()
         self._on_thread_done: List[Callable[[SimThread], None]] = []
+        #: Every thread spawned here, in spawn order, so :meth:`release`
+        #: can reach the ones still parked when the run ends.
+        self._threads: List[SimThread] = []
         #: Optional :class:`~repro.observability.SpanTracer`.  Every hook
         #: below is gated on ``is not None`` (enforced by lint rule
         #: OBS001), so untraced runs pay one load-and-compare per event
@@ -200,8 +198,12 @@ class CPU:
         """Create a thread from *body_factory* (which receives the thread
         object, so bodies can reference themselves in offload callbacks)
         and make it runnable."""
-        thread = SimThread(body=iter(()), name=name)
+        threads = self._threads
+        thread = SimThread(
+            body=iter(()), name=name or f"thread-{len(threads) + 1}"
+        )
         thread.body = body_factory(thread)
+        threads.append(thread)
         self._make_runnable(thread)
         return thread
 
@@ -282,6 +284,29 @@ class CPU:
                     CycleKind.BLOCKED,
                 )
                 thread.block_started = horizon
+
+    def release(self) -> None:
+        """Break every reference cycle this CPU is part of.
+
+        A run's threads, their generator bodies, the continuations bound
+        to them and the engine's queued events reference one another, so
+        a finished run is cyclic garbage that only a full collection
+        frees.  Called once the run's results are detached: closing each
+        body drops its frame (and the closures in it), and the thread,
+        core and CPU fields that point back into the run are cleared.
+        The CPU cannot run threads afterwards.
+        """
+        for thread in self._threads:
+            thread.body.close()
+            thread.advance_callback = None
+            thread.core = None
+            thread.trace_ctx = None
+        self._threads.clear()
+        for core in self.cores:
+            core.current = None
+        self.run_queue.clear()
+        self._on_thread_done.clear()
+        self._advance_fast = None
 
     # -- scheduling internals -------------------------------------------------
 

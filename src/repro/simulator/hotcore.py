@@ -153,6 +153,16 @@ class PyEngine:
         self._events_processed += budget - self._budget
         self._now = horizon
 
+    def drop_pending(self) -> None:
+        """Discard every queued event without running it.
+
+        Queued callbacks hold the run's threads and CPUs, which hold
+        this engine: dropping them when a run ends leaves the engine a
+        leaf that reference counting frees.  The clock and the event
+        count stay as they are.
+        """
+        self._queue.clear()
+
     def run_to_completion(self, max_events: int = 10_000_000) -> None:
         """Drain every queued event (for finite workloads)."""
         processed = 0

@@ -6,12 +6,17 @@ fixed measurement window, and returns a :class:`RunSummary` with
 throughput, latency, and cycle-attribution measurements -- the simulated
 equivalent of one production measurement interval.  The live engine, CPU
 and service stay inside the call, so the result pickles as it is.
+
+:func:`run_window` owns the lifetime of every simulation's object graph:
+the single-service runner, the shared-device study and the application
+simulator all drain through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Tuple
+import gc
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ParameterError
 from .cpu import CPU
@@ -49,6 +54,45 @@ class SimulationConfig:
 
 ServiceBuilder = Callable[[Engine, CPU, MetricSink], Tuple[Microservice, Callable[[], RequestSpec]]]
 
+T = TypeVar("T")
+
+
+def run_window(
+    engine: Engine,
+    cpus: Sequence[CPU],
+    horizon: float,
+    collect: Callable[[], T],
+    max_events: Optional[int] = None,
+) -> T:
+    """Drain *engine* to *horizon*, close each CPU's accounting at the
+    horizon, return ``collect()``, then free the run's object graph.
+
+    *collect* builds the run's detached result (and finishes its tracer,
+    if any).  Whether it returns or anything before it raises -- a
+    ``max_events`` guard tripping included -- every CPU is released and
+    the engine's pending events are dropped, so the engine, CPUs,
+    threads and generator bodies form no reference cycle and reference
+    counting frees them once the caller lets go.  The cyclic collector
+    is paused for the drain only (the simulation allocates a lot and
+    frees it by reference counting, so collections there re-walk the
+    live heap for nothing) and re-enabled only if it was on.
+    """
+    try:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine.run_until(horizon, max_events=max_events)
+        finally:
+            if enabled:
+                gc.enable()
+        for cpu in cpus:
+            cpu.finalize(horizon)
+        return collect()
+    finally:
+        for cpu in cpus:
+            cpu.release()
+        engine.drop_pending()
+
 
 def run_simulation(
     build: ServiceBuilder,
@@ -61,7 +105,10 @@ def run_simulation(
     configured :class:`Microservice` plus a request factory; the runner
     spawns ``num_cores * threads_per_core`` closed-loop workers, runs the
     window, finalizes accounting, and returns the run's
-    :class:`RunSummary`.
+    :class:`RunSummary`.  The summary keeps the config, the metric sink,
+    the event count and the trace; the engine, CPU, service and threads
+    are released before it is returned (see :func:`run_window`), also
+    when the ``max_events`` guard raises.
 
     *tracer* is an optional :class:`~repro.observability.SpanTracer`.  It
     is deliberately **not** part of :class:`SimulationConfig`: the config
@@ -84,13 +131,17 @@ def run_simulation(
     workers = config.num_cores * config.threads_per_core
     for index in range(workers):
         service.spawn_worker(request_stream(factory), name=f"worker-{index}")
-    engine.run_until(config.window_cycles, max_events=config.max_events)
-    cpu.finalize(config.window_cycles)
-    return RunSummary(
-        config=config,
-        metrics=metrics,
-        events_processed=engine.events_processed,
-        trace=tracer.finish() if tracer is not None else None,
+    return run_window(
+        engine,
+        (cpu,),
+        config.window_cycles,
+        lambda: RunSummary(
+            config=config,
+            metrics=metrics,
+            events_processed=engine.events_processed,
+            trace=tracer.finish() if tracer is not None else None,
+        ),
+        max_events=config.max_events,
     )
 
 

@@ -21,6 +21,7 @@ Modelling choices:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from ..errors import ParameterError, SimulationError
 from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..simulator import CPU, BlockSampler, Compute, Engine, MetricSink, ReleaseCore
+from ..simulator.runner import run_window
 from .graph import CallGraph
 
 
@@ -86,15 +88,22 @@ class _ServiceHost:
         self.cpu = CPU(engine, self.metrics, cores)
         self._latency_scale = latency_scale
         self._extra_delay = extra_delay
-        self.hosts: Dict[str, "_ServiceHost"] = {}
         #: Shared :class:`~repro.observability.SpanTracer`; None when the
         #: simulation runs unobserved.
         self.tracer = None
 
-    def handle_rpc(self, on_complete: Callable[[], None], parent=None) -> None:
+    def handle_rpc(
+        self,
+        hosts: Dict[str, "_ServiceHost"],
+        on_complete: Callable[[], None],
+        parent=None,
+    ) -> None:
         """Process one inbound request; *on_complete* fires when this
         service (and its downstream subtree) is done.
 
+        *hosts* maps every service name to its host.  It travels with
+        the request instead of living on each host, so hosts never
+        reference one another and a finished simulation holds no cycle.
         *parent* is the caller's RPC span (or None at the root), so the
         trace reconstructs the causal call tree across service hops.
         """
@@ -109,11 +118,17 @@ class _ServiceHost:
                 inner()
 
         def factory(thread):
-            return self._request_body(thread, on_complete, span)
+            return self._request_body(thread, hosts, on_complete, span)
 
         self.cpu.spawn(factory, name=f"{self.name}-rpc")
 
-    def _request_body(self, thread, on_complete: Callable[[], None], span=None):
+    def _request_body(
+        self,
+        thread,
+        hosts: Dict[str, "_ServiceHost"],
+        on_complete: Callable[[], None],
+        span=None,
+    ):
         node = self.graph.service(self.name)
         compute = node.service_cycles / self._latency_scale.get(self.name, 1.0)
         compute += self._extra_delay.get(self.name, 0.0)
@@ -133,13 +148,14 @@ class _ServiceHost:
                     self.cpu.resume(thread)
 
             for call in calls:
-                callee_host = self.hosts[call.callee]
+                callee_host = hosts[call.callee]
                 network = call.network_cycles
 
                 def launch(callee_host=callee_host, network=network) -> None:
                     self.engine.after(
                         network,
                         lambda: callee_host.handle_rpc(
+                            hosts,
                             lambda: self.engine.after(network, branch_done),
                             span,
                         ),
@@ -180,34 +196,48 @@ class ApplicationSimulation:
             for node in graph.services
         }
         for host in self._hosts.values():
-            host.hosts = self._hosts
             host.tracer = tracer
         self._latencies: List[float] = []
 
     def run(self) -> ApplicationSimResult:
+        """Run the window once; the hosts' CPUs are released afterwards."""
         rng = np.random.default_rng(self.config.seed)
         mean_gap = 1.0e9 / self.config.arrivals_per_unit
-        root = self._hosts[self.graph.root]
-        config = self.config
         # Stream-identical pre-sampling: the arrival process owns every
         # draw on this generator.
         gaps = BlockSampler(
             lambda n: rng.exponential(mean_gap, size=n), block_size=256
         )
+        self.engine.at(
+            gaps.next(),
+            functools.partial(self._arrive, self._hosts[self.graph.root], gaps),
+        )
+        return run_window(
+            self.engine,
+            [host.cpu for host in self._hosts.values()],
+            self.config.window_cycles,
+            self._result,
+        )
 
-        def arrive() -> None:
-            started = self.engine.now
-            root.handle_rpc(
-                lambda: self._latencies.append(self.engine.now - started)
+    def _arrive(self, root: _ServiceHost, gaps: BlockSampler) -> None:
+        """One root arrival; schedules the next while it is in the window.
+
+        A fresh partial per arrival, not a self-scheduling closure: a
+        closure that names itself is a cycle that outlives the run.
+        """
+        started = self.engine.now
+        root.handle_rpc(
+            self._hosts,
+            lambda: self._latencies.append(self.engine.now - started),
+        )
+        gap = gaps.next()
+        if self.engine.now + gap <= self.config.window_cycles:
+            self.engine.after(
+                gap, functools.partial(self._arrive, root, gaps)
             )
-            gap = gaps.next()
-            if self.engine.now + gap <= config.window_cycles:
-                self.engine.after(gap, arrive)
 
-        self.engine.at(gaps.next(), arrive)
-        self.engine.run_until(config.window_cycles)
-        for host in self._hosts.values():
-            host.cpu.finalize(config.window_cycles)
+    def _result(self) -> ApplicationSimResult:
+        config = self.config
         if not self._latencies:
             raise SimulationError("no requests completed in the window")
         latencies = sorted(self._latencies)

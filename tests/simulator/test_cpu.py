@@ -1,5 +1,7 @@
 """Unit tests for the CPU/threading model."""
 
+import inspect
+
 import pytest
 
 from repro.errors import SimulationError
@@ -244,6 +246,41 @@ class TestLifecycle:
 
         cpu.spawn(body)
         assert cpu.idle_cores() == 2
+
+    def test_default_names_count_per_cpu(self):
+        def body(thread):
+            yield Compute(1, F.IO, L.KERNEL)
+
+        for _ in range(2):
+            engine, metrics, cpu = make_cpu()
+            names = [cpu.spawn(body).name for _ in range(2)]
+            names.append(cpu.spawn(body, name="named").name)
+            names.append(cpu.spawn(body).name)
+            assert names == ["thread-1", "thread-2", "named", "thread-4"]
+
+    def test_release_closes_parked_bodies_and_unlinks_threads(self):
+        engine, metrics, cpu = make_cpu()
+        closed = []
+
+        def body(thread):
+            try:
+                yield HoldCore(F.IO, L.SSL)
+            finally:
+                closed.append(thread.name)
+
+        held = cpu.spawn(body, name="held")
+        queued = cpu.spawn(body, name="queued")
+        engine.after(5, lambda: None)
+        engine.run_until(1)
+        cpu.release()
+        # The queued body never started, so only the held one ran its
+        # finally; both generators are closed.
+        assert closed == ["held"]
+        for thread in (held, queued):
+            assert inspect.getgeneratorstate(thread.body) == "GEN_CLOSED"
+            assert thread.core is None and thread.advance_callback is None
+        assert cpu.cores[0].current is None
+        assert cpu.runnable_backlog() == 0
 
 
 class TestInPlaceComputes:

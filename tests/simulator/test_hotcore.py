@@ -156,6 +156,22 @@ class TestEngineContract:
         assert hits == ["chained", "late"]
         assert engine.pending_events == 0
 
+    def test_drop_pending_discards_without_running(self, engine_class):
+        engine = engine_class()
+        hits = []
+        engine.after(1.0, lambda: hits.append(1))
+        engine.after(5.0, lambda: hits.append(5))
+        engine.run_until(2.0)
+        engine.drop_pending()
+        assert engine.pending_events == 0
+        assert (engine.now, engine.events_processed) == (2.0, 1)
+        engine.run_to_completion()
+        assert hits == [1]
+        engine.after(1.0, lambda: hits.append(3))
+        engine.run_to_completion()
+        assert hits == [1, 3]
+        assert engine.now == 3.0
+
     def test_callback_exception_propagates_with_time_set(self, engine_class):
         engine = engine_class()
 
