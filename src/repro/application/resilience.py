@@ -20,27 +20,31 @@ offload's benefit erode when dispatches start failing?*  Two instruments:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..core.resilience import degraded_speedup
 from ..core.strategies import Placement, ThreadingDesign
 from ..errors import ParameterError
 from ..faults import FaultInjector, FaultPolicy
 from ..paperdata.case_studies import ADS1_INFERENCE_STUDY
-from ..runtime import RunSpec, execute_batch
+from ..runtime import RunSpec
 from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
     AcceleratorDevice,
     InterfaceModel,
-    Microservice,
     OffloadConfig,
-    SimulationConfig,
-    measured_speedup,
-    run_simulation,
+    RunSummary,
 )
-# The validation matrix's synthetic service, so fault-free resilience
-# points land on validated territory.
-from ..validation.matrix import KERNEL_CALLS, KERNEL_CYCLES, synthetic_request
+from ..validation.abtest import ABTestResult, ab_batch
+# The validation matrix's synthetic service and baseline, so fault-free
+# resilience points land on validated territory.
+from ..validation.matrix import (
+    KERNEL_CALLS,
+    KERNEL_CYCLES,
+    baseline_spec,
+    run_synthetic,
+    threads_per_core_of,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,127 +75,128 @@ class ResiliencePoint:
         return (self.simulated_speedup - 1.0) * 100.0
 
 
-def _builds(alpha: float, design: ThreadingDesign, policy: FaultPolicy,
-            seed: int, accel_speedup: float, num_cores: int):
-    factory, plain = synthetic_request(alpha)
+class ResilienceCell(NamedTuple):
+    """The arguments of one degraded cell: every :class:`FaultPolicy`
+    field, by name, and the synthetic service the faults hit."""
 
-    def build_baseline(engine, cpu, metrics):
-        return Microservice(engine, cpu, metrics), factory
+    drop_probability: float
+    timeout_cycles: float
+    design: ThreadingDesign = ThreadingDesign.SYNC
+    max_retries: int = 2
+    backoff_base_cycles: float = 0.0
+    alpha: float = 0.3
+    accel_speedup: float = 8.0
+    num_cores: int = 2
+    window_cycles: float = 8.0e6
+    seed: int = 0
+    spike_probability: float = 0.0
+    spike_cycles: float = 0.0
+    backoff_multiplier: float = 2.0
+    fallback_to_cpu: bool = True
 
-    def build_accelerated(engine, cpu, metrics):
-        device = AcceleratorDevice(engine, accel_speedup, servers=num_cores)
-        interface = InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=30.0)
-        offloads = {
-            "k": OffloadConfig(
-                device=device, interface=interface, design=design,
-                faults=FaultInjector(policy, seed=seed),
-            )
-        }
-        return Microservice(engine, cpu, metrics, offloads=offloads), factory
+    def policy(self) -> FaultPolicy:
+        return FaultPolicy(**{
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(FaultPolicy)
+        })
 
-    return build_baseline, build_accelerated, plain
+    def specs(self) -> Tuple[RunSpec, RunSpec]:
+        """The cell's ``(baseline, accelerated)`` spec pair: the
+        validation matrix's fault-free baseline, shared by every cell of
+        one (alpha, design), and the faulty run with the whole policy
+        and the injector seed."""
+        return (
+            baseline_spec(
+                self.alpha, self.num_cores, threads_per_core_of(self.design),
+                self.window_cycles,
+            ),
+            RunSpec.create(
+                "resilience_accelerated", seed=self.seed, design=self.design,
+                policy=self.policy(), alpha=self.alpha,
+                accel_speedup=self.accel_speedup, num_cores=self.num_cores,
+                window_cycles=self.window_cycles,
+            ),
+        )
 
 
-def _cell(
+def run_resilience_accelerated(
     design: ThreadingDesign,
+    policy: FaultPolicy,
+    alpha: float,
+    accel_speedup: float,
     num_cores: int,
     window_cycles: float,
-    **fault_fields,
-) -> Tuple[FaultPolicy, SimulationConfig]:
-    """One cell's fault policy (every :class:`FaultPolicy` field, by
-    name) and simulation config, shared by the A/B point and its traced
-    re-run so the two always simulate the same cell."""
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
+    seed: int,
+    tracer=None,
+) -> RunSummary:
+    """A cell's accelerated run (the ``resilience_accelerated`` runner):
+    the synthetic service offloading to a device behind a fault injector
+    seeded with *seed*."""
+
+    def offload(engine, cpu):
+        return OffloadConfig(
+            device=AcceleratorDevice(engine, accel_speedup, servers=num_cores),
+            interface=InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=30.0),
+            design=design,
+            faults=FaultInjector(policy, seed=seed),
+        )
+
+    return run_synthetic(
+        alpha, num_cores, threads_per_core_of(design), window_cycles,
+        offload, tracer,
     )
-    return FaultPolicy(**fault_fields), config
 
 
 def run_resilience_point(
     drop_probability: float,
     timeout_cycles: float,
-    design: ThreadingDesign = ThreadingDesign.SYNC,
-    max_retries: int = 2,
-    backoff_base_cycles: float = 0.0,
-    alpha: float = 0.3,
-    accel_speedup: float = 8.0,
-    num_cores: int = 2,
-    window_cycles: float = 8.0e6,
-    seed: int = 0,
-    spike_probability: float = 0.0,
-    spike_cycles: float = 0.0,
-    backoff_multiplier: float = 2.0,
-    fallback_to_cpu: bool = True,
+    *,
+    ab: Optional[ABTestResult] = None,
+    **cell_kwargs,
 ) -> ResiliencePoint:
     """A/B-simulate one degraded cell and compare to the closed form.
 
-    The accelerated build carries a seeded fault injector whose policy
-    takes every fault argument; the model side evaluates
+    Takes the fields of :class:`ResilienceCell`.  The accelerated build
+    carries a seeded fault injector whose policy takes every fault
+    argument; the model side evaluates
     :func:`~repro.core.resilience.degraded_speedup` with the same
     scenario parameters (``Q = 0``: the device has one engine per core,
-    so measured queueing is negligible by construction).
+    so measured queueing is negligible by construction).  *ab* is the
+    cell's A/B result when the caller has already run the cell's specs
+    (:func:`resilience_grid` runs every cell's pair in one batch); by
+    default the pair runs here.
     """
-    policy, config = _cell(
-        design, num_cores, window_cycles,
-        drop_probability=drop_probability,
-        spike_probability=spike_probability,
-        spike_cycles=spike_cycles,
-        timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
-        backoff_base_cycles=backoff_base_cycles,
-        backoff_multiplier=backoff_multiplier,
-        fallback_to_cpu=fallback_to_cpu,
-    )
-    build_baseline, build_accelerated, plain = _builds(
-        alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    baseline = run_simulation(build_baseline, config)
-    accelerated = run_simulation(build_accelerated, config)
-    totals = accelerated.metrics.fault_totals()
-
-    request = plain + KERNEL_CYCLES
+    cell = ResilienceCell(drop_probability, timeout_cycles, **cell_kwargs)
+    if ab is None:
+        (ab,) = ab_batch([cell.specs()])
+    request = KERNEL_CYCLES * (1.0 - cell.alpha) / cell.alpha + KERNEL_CYCLES
     model = degraded_speedup(
-        design, policy,
+        cell.design, cell.policy(),
         c=request, alpha=KERNEL_CYCLES / request, n=float(KERNEL_CALLS),
-        o0=30.0, l=0.0, q=0.0, a=accel_speedup, o1=0.0,
+        o0=30.0, l=0.0, q=0.0, a=cell.accel_speedup, o1=0.0,
     )
     return ResiliencePoint(
-        design=design,
+        design=cell.design,
         drop_probability=drop_probability,
         timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
+        max_retries=cell.max_retries,
         model_speedup=model,
-        simulated_speedup=measured_speedup(baseline, accelerated),
-        retries=totals.retries,
-        fallbacks=totals.fallbacks,
-        goodput_fraction=accelerated.goodput_fraction,
+        simulated_speedup=ab.speedup,
+        retries=ab.accelerated.retries,
+        fallbacks=ab.accelerated.fallbacks,
+        goodput_fraction=ab.accelerated.goodput_fraction,
     )
 
 
 def traced_resilience_run(
-    drop_probability: float,
-    timeout_cycles: float,
-    design: ThreadingDesign = ThreadingDesign.SYNC,
-    max_retries: int = 2,
-    backoff_base_cycles: float = 0.0,
-    alpha: float = 0.3,
-    accel_speedup: float = 8.0,
-    num_cores: int = 2,
-    window_cycles: float = 8.0e6,
-    seed: int = 0,
-    spike_probability: float = 0.0,
-    spike_cycles: float = 0.0,
-    backoff_multiplier: float = 2.0,
-    fallback_to_cpu: bool = True,
-):
+    drop_probability: float, timeout_cycles: float, **cell_kwargs
+) -> RunSummary:
     """Re-run one resilience cell's *accelerated* build with a span tracer.
 
     :class:`ResiliencePoint` stays plain scalars (it must pickle into the
-    result cache), so the traced run is a separate instrument: same
-    arguments, builder, seed and fault stream as
-    :func:`run_resilience_point`, plus a
+    result cache), so the traced run is a separate instrument: the
+    accelerated spec of the same :class:`ResilienceCell` (same builder,
+    seed and fault stream as :func:`run_resilience_point`), plus a
     :class:`~repro.observability.SpanTracer` whose finished trace shows
     each retry, backoff gap, and CPU fallback on the request timeline.
     Returns the run's :class:`~repro.simulator.summary.RunSummary` with
@@ -199,22 +204,13 @@ def traced_resilience_run(
     """
     from ..observability import SpanTracer
 
-    policy, config = _cell(
-        design, num_cores, window_cycles,
-        drop_probability=drop_probability,
-        spike_probability=spike_probability,
-        spike_cycles=spike_cycles,
-        timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
-        backoff_base_cycles=backoff_base_cycles,
-        backoff_multiplier=backoff_multiplier,
-        fallback_to_cpu=fallback_to_cpu,
+    cell = ResilienceCell(drop_probability, timeout_cycles, **cell_kwargs)
+    _, accelerated = cell.specs()
+    return run_resilience_accelerated(
+        seed=accelerated.seed,
+        tracer=SpanTracer(label=f"resilience-{cell.design.value}"),
+        **accelerated.params_dict(),
     )
-    _, build_accelerated, _ = _builds(
-        alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    tracer = SpanTracer(label=f"resilience-{design.value}")
-    return run_simulation(build_accelerated, config, tracer=tracer)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,31 +244,28 @@ def resilience_grid(
 ) -> ResilienceGrid:
     """Sweep the (failure-rate, timeout) grid through the batch executor.
 
-    Cells are independent ``resilience_point`` run specs, so they run in
-    parallel workers and replay from the result cache like every other
-    study in the repository.  *telemetry* (a
+    Every cell's baseline and accelerated specs run in one batch, so the
+    cells share their one fault-free baseline, the accelerated runs go
+    to parallel workers, and all of them replay from the result cache
+    like every other study in the repository.  *telemetry* (a
     :class:`~repro.observability.RuntimeTelemetry`) records the batch's
     own runtime span tree without touching specs or results.
     """
     if not drop_probabilities or not timeout_cycles:
         raise ParameterError("resilience grid axes must be non-empty")
-    specs: List[RunSpec] = [
-        RunSpec.create(
-            "resilience_point",
-            seed=seed,
-            drop_probability=p,
-            timeout_cycles=timeout,
-            design=design,
-            **point_kwargs,
-        )
+    cells = [
+        ResilienceCell(p, timeout, design=design, seed=seed, **point_kwargs)
         for p in drop_probabilities
         for timeout in timeout_cycles
     ]
-    points = execute_batch(
-        specs, workers=workers, cache=cache, report=report,
-        telemetry=telemetry,
+    results = ab_batch(
+        [cell.specs() for cell in cells], workers=workers, cache=cache,
+        report=report, telemetry=telemetry,
     )
-    return ResilienceGrid(points=tuple(points))
+    return ResilienceGrid(points=tuple(
+        run_resilience_point(ab=ab, **cell._asdict())
+        for cell, ab in zip(cells, results)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ fault-free cells land on validated territory.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.resilience import degraded_batched_async_speedup
 from ..core.strategies import Placement, ThreadingDesign
 from ..errors import ParameterError
 from ..faults import FaultInjector, FaultPolicy
-from ..runtime import RunSpec, execute_batch
+from ..runtime import RunSpec
 from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
     CPU,
@@ -38,12 +38,16 @@ from ..simulator import (
     MetricSink,
     Microservice,
     OffloadConfig,
-    SimulationConfig,
     request_stream,
-    run_simulation,
 )
 from ..simulator.runner import run_window
-from ..validation.matrix import KERNEL_CALLS, KERNEL_CYCLES, synthetic_request
+from ..validation.abtest import ABTestResult, ab_batch
+from ..validation.matrix import (
+    KERNEL_CALLS,
+    KERNEL_CYCLES,
+    baseline_spec,
+    synthetic_request,
+)
 
 _DISPATCH_CYCLES = 30.0
 
@@ -84,17 +88,17 @@ class SharedDeviceRun:
     window_cycles: float
 
 
-def _run_shared(
+def run_shared(
     tenants: int,
-    weights: Sequence[float],
-    batch_size: int,
-    policy: Optional[FaultPolicy],
-    seed: int,
     alpha: float,
     accel_speedup: float,
     num_cores: int,
     servers: int,
     window_cycles: float,
+    weights: Sequence[float] = (),
+    batch_size: int = 1,
+    policy: Optional[FaultPolicy] = None,
+    seed: int = 0,
     max_events: int = 20_000_000,
 ) -> SharedDeviceRun:
     """One measurement window with *tenants* services sharing one device.
@@ -206,79 +210,88 @@ class SharedDevicePoint:
         return (self.simulated_speedup - 1.0) * 100.0
 
 
+class SharedDeviceCell(NamedTuple):
+    """The arguments of one shared-device cell: the tenants, tenant 0's
+    weight, the doorbell batch, every :class:`FaultPolicy` field by name,
+    and the synthetic service."""
+
+    tenants: int = 2
+    weight: float = 1.0
+    batch_size: int = 1
+    drop_probability: float = 0.0
+    timeout_cycles: float = 4_000.0
+    max_retries: int = 2
+    alpha: float = 0.3
+    accel_speedup: float = 8.0
+    num_cores: int = 2
+    window_cycles: float = 1.6e7
+    seed: int = 0
+    spike_probability: float = 0.0
+    spike_cycles: float = 0.0
+    backoff_base_cycles: float = 0.0
+    backoff_multiplier: float = 2.0
+    fallback_to_cpu: bool = True
+
+    def policy(self) -> FaultPolicy:
+        return FaultPolicy(**{
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(FaultPolicy)
+        })
+
+    def specs(self) -> Tuple[RunSpec, RunSpec]:
+        """The cell's ``(baseline, accelerated)`` spec pair: the
+        validation matrix's one-thread-per-core baseline, and the shared
+        window with tenant 0 at *weight*, the rest at 1.0, and one engine
+        per tenant core."""
+        return (
+            baseline_spec(self.alpha, self.num_cores, 1, self.window_cycles),
+            RunSpec.create(
+                "shared_device_run", seed=self.seed, tenants=self.tenants,
+                weights=(self.weight,) + (1.0,) * (self.tenants - 1),
+                batch_size=self.batch_size, policy=self.policy(),
+                alpha=self.alpha, accel_speedup=self.accel_speedup,
+                num_cores=self.num_cores,
+                servers=self.tenants * self.num_cores,
+                window_cycles=self.window_cycles,
+            ),
+        )
+
+
 def run_shared_device_point(
-    tenants: int = 2,
-    weight: float = 1.0,
-    batch_size: int = 1,
-    drop_probability: float = 0.0,
-    timeout_cycles: float = 4_000.0,
-    max_retries: int = 2,
-    alpha: float = 0.3,
-    accel_speedup: float = 8.0,
-    num_cores: int = 2,
-    window_cycles: float = 1.6e7,
-    seed: int = 0,
-    spike_probability: float = 0.0,
-    spike_cycles: float = 0.0,
-    backoff_base_cycles: float = 0.0,
-    backoff_multiplier: float = 2.0,
-    fallback_to_cpu: bool = True,
+    *, ab: Optional[ABTestResult] = None, **cell_kwargs
 ) -> SharedDevicePoint:
     """A/B-simulate one shared-device cell and compare to the closed form.
 
-    *weight* is tenant 0's fair-queueing weight (the rest stay at 1.0);
-    the compared speedup is tenant 0's.  Every tenant's fault injector
-    takes every fault argument.  The device is provisioned with one
-    engine per tenant core, so queueing is negligible by construction
-    (``Q = 0`` on the model side) and the cell isolates the batching and
-    doorbell-fault algebra of
-    :func:`~repro.core.resilience.degraded_batched_async_speedup`.
+    Takes the fields of :class:`SharedDeviceCell`.  *weight* is tenant
+    0's fair-queueing weight (the rest stay at 1.0); the compared speedup
+    is tenant 0's.  Every tenant's fault injector takes every fault
+    argument.  The device is provisioned with one engine per tenant core,
+    so queueing is negligible by construction (``Q = 0`` on the model
+    side) and the cell isolates the batching and doorbell-fault algebra
+    of :func:`~repro.core.resilience.degraded_batched_async_speedup`.
+    *ab* is the cell's A/B result when the caller has already run the
+    cell's specs (:func:`shared_device_grid` runs every cell's pair in
+    one batch); by default the pair runs here.
     """
-    policy = FaultPolicy(
-        drop_probability=drop_probability,
-        spike_probability=spike_probability,
-        spike_cycles=spike_cycles,
-        timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
-        backoff_base_cycles=backoff_base_cycles,
-        backoff_multiplier=backoff_multiplier,
-        fallback_to_cpu=fallback_to_cpu,
-    )
-    weights = [weight] + [1.0] * (tenants - 1)
-    baseline = run_simulation(
-        lambda engine, cpu, metrics: (
-            Microservice(engine, cpu, metrics),
-            synthetic_request(alpha)[0],
-        ),
-        SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
-    )
-    shared = _run_shared(
-        tenants=tenants,
-        weights=weights,
-        batch_size=batch_size,
-        policy=policy,
-        seed=seed,
-        alpha=alpha,
-        accel_speedup=accel_speedup,
-        num_cores=num_cores,
-        servers=tenants * num_cores,
-        window_cycles=window_cycles,
-    )
+    cell = SharedDeviceCell(**cell_kwargs)
+    if ab is None:
+        (ab,) = ab_batch([cell.specs()])
+    shared = ab.accelerated
     tenant0 = shared.tenants[0]
-    request = KERNEL_CYCLES * (1.0 - alpha) / alpha + KERNEL_CYCLES
+    request = KERNEL_CYCLES * (1.0 - cell.alpha) / cell.alpha + KERNEL_CYCLES
     model = degraded_batched_async_speedup(
         c=request, alpha=KERNEL_CYCLES / request, n=float(KERNEL_CALLS),
         o0=_DISPATCH_CYCLES, l=0.0, q=0.0,
-        policy=policy,
-        batch_size=batch_size,
+        policy=cell.policy(),
+        batch_size=cell.batch_size,
     )
     return SharedDevicePoint(
-        tenants=tenants,
-        weight=weight,
-        batch_size=batch_size,
-        drop_probability=drop_probability,
+        tenants=cell.tenants,
+        weight=cell.weight,
+        batch_size=cell.batch_size,
+        drop_probability=cell.drop_probability,
         model_speedup=model,
-        simulated_speedup=tenant0.throughput / baseline.throughput,
+        simulated_speedup=tenant0.throughput / ab.baseline.throughput,
         attempts=tenant0.attempts,
         drops=tenant0.drops,
         device_utilization=shared.device_utilization,
@@ -316,29 +329,29 @@ def shared_device_grid(
 ) -> SharedDeviceGrid:
     """Sweep the shared-device grid through the batch executor.
 
-    Cells are independent ``shared_device_point`` run specs, so they run
-    in parallel workers and replay from the result cache like every other
-    study in the repository.
+    Every cell's baseline and shared-window specs run in one batch, so
+    the cells share their one baseline, the shared windows go to
+    parallel workers, and all of them replay from the result cache like
+    every other study in the repository.
     """
     if not tenant_counts or not weights or not batch_sizes or not drop_probabilities:
         raise ParameterError("shared-device grid axes must be non-empty")
-    specs: List[RunSpec] = [
-        RunSpec.create(
-            "shared_device_point",
-            seed=seed,
-            tenants=tenants,
-            weight=weight,
-            batch_size=batch,
-            drop_probability=p,
-            **point_kwargs,
-        )
+    cells = [
+        SharedDeviceCell(tenants=tenants, weight=weight, batch_size=batch,
+                         drop_probability=p, seed=seed, **point_kwargs)
         for tenants in tenant_counts
         for weight in weights
         for batch in batch_sizes
         for p in drop_probabilities
     ]
-    points = execute_batch(specs, workers=workers, cache=cache, report=report)
-    return SharedDeviceGrid(points=tuple(points))
+    results = ab_batch(
+        [cell.specs() for cell in cells], workers=workers, cache=cache,
+        report=report,
+    )
+    return SharedDeviceGrid(points=tuple(
+        run_shared_device_point(ab=ab, **cell._asdict())
+        for cell, ab in zip(cells, results)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +378,7 @@ def shared_wait_profile(
     weight must not hurt that tenant, and the per-tenant busy cycles must
     sum exactly to the device's.
     """
-    return _run_shared(
+    return run_shared(
         tenants=tenants,
         weights=weights,
         batch_size=batch_size,
@@ -425,34 +438,31 @@ def contention_case_study(
     and erodes nothing.  Rows are deterministic given *seed*, so the emitted
     artifact diffs byte-identical across runs and Python versions.
     """
-    baseline = run_simulation(
-        lambda engine, cpu, metrics: (
-            Microservice(engine, cpu, metrics),
-            synthetic_request(alpha)[0],
-        ),
-        SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
-    )
-    private = _run_shared(
-        tenants=1, weights=(), batch_size=1, policy=None, seed=seed,
-        alpha=alpha, accel_speedup=accel_speedup, num_cores=num_cores,
-        servers=servers, window_cycles=window_cycles,
-    )
-    private_speedup = private.tenants[0].throughput / baseline.throughput
-    rows = []
-    for tenants in tenant_counts:
-        shared = private if tenants == 1 else _run_shared(
-            tenants=tenants, weights=(), batch_size=1, policy=None,
-            seed=seed, alpha=alpha, accel_speedup=accel_speedup,
-            num_cores=num_cores, servers=servers,
-            window_cycles=window_cycles,
+
+    def shared(tenants: int) -> RunSpec:
+        return RunSpec.create(
+            "shared_device_run", seed=seed, tenants=tenants, alpha=alpha,
+            accel_speedup=accel_speedup, num_cores=num_cores,
+            servers=servers, window_cycles=window_cycles,
         )
-        slowest = min(run.throughput for run in shared.tenants)
-        waits = max(run.mean_queue_cycles for run in shared.tenants)
+
+    baseline = baseline_spec(alpha, num_cores, 1, window_cycles)
+    private, *ladder = ab_batch(
+        [(baseline, shared(1))]
+        + [(baseline, shared(tenants)) for tenants in tenant_counts]
+    )
+    throughput = private.baseline.throughput
+    private_speedup = private.accelerated.tenants[0].throughput / throughput
+    rows = []
+    for tenants, ab in zip(tenant_counts, ladder):
+        shared_run = ab.accelerated
+        slowest = min(run.throughput for run in shared_run.tenants)
+        waits = max(run.mean_queue_cycles for run in shared_run.tenants)
         rows.append(ContentionRow(
             tenants=tenants,
             private_speedup=private_speedup,
-            shared_speedup=slowest / baseline.throughput,
-            device_utilization=shared.device_utilization,
+            shared_speedup=slowest / throughput,
+            device_utilization=shared_run.device_utilization,
             mean_queue_cycles=waits,
         ))
     return tuple(rows)

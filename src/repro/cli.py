@@ -84,6 +84,9 @@ def _print_batch_report(report, store) -> None:
         f"{report.cache_hits} cache hits, "
         f"{report.deduplicated} deduplicated"
     )
+    if report.pool_fallbacks:
+        line += (f", {report.pool_fallbacks} rerun serially after a "
+                 "worker died")
     if report.simulated_nothing:
         line += " (served entirely from cache)"
     _print(line)
@@ -1254,6 +1257,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "requests", 1) < 1:
             raise ParameterError(
                 f"--requests must be >= 1, got {args.requests}")
+        # Every --seed feeds a NumPy generator, which takes no negative.
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         status = args.func(args)
     except (ReproError, OSError) as exc:
         # UnknownServiceError is also a KeyError, whose str() adds quotes.

@@ -275,7 +275,7 @@ class BatchTelemetry:
     """Collector for one :func:`~repro.runtime.execute_batch` call."""
 
     __slots__ = (
-        "index", "clock", "workers", "records",
+        "index", "clock", "workers", "records", "pool_fallbacks",
         "_open_stages", "_began", "_ended",
     )
 
@@ -301,6 +301,8 @@ class BatchTelemetry:
                 describe=spec.describe(),
                 group=group,
             ))
+        #: Tasks run serially in the parent after a pool worker died.
+        self.pool_fallbacks = 0
         self._open_stages: Dict[Tuple[int, str], float] = {}
         self._began = clock.now()
         self._ended: Optional[float] = None
@@ -411,6 +413,7 @@ class BatchTelemetry:
         return {
             "index": self.index,
             "workers": self.workers,
+            "pool_fallbacks": self.pool_fallbacks,
             "wall_seconds": self.wall_seconds,
             "started": self._began - epoch,
             "tasks": [
@@ -828,10 +831,14 @@ def summarize_runtime_telemetry(payload: Dict[str, object]) -> str:
             f"{cache['bytes_written']:,} written"
         )
     for batch in timing["batches"]:
-        lines.append(
+        line = (
             f"  batch[{batch['index']}]: {batch['wall_seconds']:.3f}s wall, "
             f"workers={batch['workers']}"
         )
+        if batch.get("pool_fallbacks"):
+            line += (f", {batch['pool_fallbacks']} rerun serially after a "
+                     "worker died")
+        lines.append(line)
         critical = batch.get("critical_path") or {}
         straggler = critical.get("straggler")
         if straggler is not None:

@@ -9,10 +9,12 @@ oversubscription sweeps, application topologies).  It guarantees:
 * **Bit-identical results** -- every run depends only on its spec (each
   runner builds its own seeded RNG), so a pool run equals a serial run
   equals a cache replay, value for value.
-* **No duplicate work** -- specs with equal cache keys are executed once
-  per batch, and cached results are never re-simulated.
+* **No duplicate work** -- specs with equal cache keys are looked up and
+  executed once per batch, and cached results are never re-simulated.
 * **Serial fallback** -- ``workers=1`` runs in-process with no pool (and
   no pickling), which is also the degenerate path used under pytest.
+  When a pool worker dies (``BrokenProcessPool``), the specs the pool
+  did not finish run serially in this process, in order.
 * **Zero observer effect** -- pass a
   :class:`~repro.observability.telemetry.RuntimeTelemetry` to record the
   runtime span tree (queue wait → cache lookup → simulate → result
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ParameterError
@@ -55,6 +58,8 @@ class BatchReport:
     executed: int = 0
     cache_hits: int = 0
     deduplicated: int = 0
+    #: Specs run serially in this process because a pool worker died.
+    pool_fallbacks: int = 0
 
     @property
     def simulated_nothing(self) -> bool:
@@ -100,36 +105,43 @@ def execute_batch(
             store.telemetry = telemetry.cache
             cache_attached = True
     try:
-        # Cache pass + key-level dedup of the remainder.
-        pending: Dict[str, List[int]] = {}
+        # Key-level dedup first, so each distinct key is looked up and
+        # executed once; the repeats are deduplicated in every mode.
+        groups: Dict[str, List[int]] = {}
         for index, key in enumerate(keys):
+            groups.setdefault(key, []).append(index)
+        report.deduplicated += len(keys) - len(groups)
+        if batch_telemetry is not None:
+            for indices in groups.values():
+                for duplicate in indices[1:]:
+                    batch_telemetry.record_dedup(duplicate, indices[0])
+
+        pending: Dict[str, List[int]] = {}
+        for key, indices in groups.items():
+            primary = indices[0]
             if store is not None:
                 if batch_telemetry is not None:
-                    batch_telemetry.begin_stage(index, "cache-lookup")
+                    batch_telemetry.begin_stage(primary, "cache-lookup")
                 found, value = store.lookup(key)
                 if batch_telemetry is not None:
-                    batch_telemetry.end_stage(index, "cache-lookup")
+                    batch_telemetry.end_stage(primary, "cache-lookup")
                 if found:
-                    results[index] = value
+                    for index in indices:
+                        results[index] = value
                     report.cache_hits += 1
                     if batch_telemetry is not None:
                         batch_telemetry.record_outcome(
-                            index, OUTCOME_CACHE_HIT
+                            primary, OUTCOME_CACHE_HIT
                         )
                     continue
-            pending.setdefault(key, []).append(index)
+            pending[key] = indices
+            if batch_telemetry is not None:
+                batch_telemetry.record_outcome(primary, OUTCOME_EXECUTED)
 
         unique: List[Tuple[str, RunSpec]] = [
             (key, spec_list[indices[0]]) for key, indices in pending.items()
         ]
-        report.deduplicated += sum(len(v) - 1 for v in pending.values())
         report.executed += len(unique)
-        if batch_telemetry is not None:
-            for key, indices in pending.items():
-                batch_telemetry.record_outcome(indices[0], OUTCOME_EXECUTED)
-                for duplicate in indices[1:]:
-                    batch_telemetry.record_dedup(duplicate, indices[0])
-
         if not unique:
             return results
         if batch_telemetry is not None:
@@ -141,14 +153,24 @@ def execute_batch(
             )
         else:
             task, inputs = execute_run, [spec for _, spec in unique]
+        outputs: List[Any] = []
         if workers == 1 or len(unique) == 1:
             outputs = [task(item) for item in inputs]
         else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(unique))
-            ) as pool:
-                # Executor.map preserves submission order: deterministic.
-                outputs = list(pool.map(task, inputs))
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, len(unique))
+                ) as pool:
+                    # Executor.map yields in submission order:
+                    # deterministic, and a prefix when the pool breaks.
+                    for value in pool.map(task, inputs):
+                        outputs.append(value)
+            except BrokenProcessPool:
+                rest = inputs[len(outputs):]
+                report.pool_fallbacks += len(rest)
+                if batch_telemetry is not None:
+                    batch_telemetry.pool_fallbacks += len(rest)
+                outputs.extend(task(item) for item in rest)
         if batch_telemetry is not None:
             outputs = batch_telemetry.absorb(outputs)
 

@@ -65,12 +65,23 @@ def _run_characterize(spec: RunSpec) -> Any:
     return characterize(**kwargs)
 
 
-@register_runner("matrix_cell")
-def _run_matrix_cell(spec: RunSpec) -> Any:
-    """One validation-matrix grid point (sim A/B vs the model)."""
-    from ..validation.matrix import validate_cell
+@register_runner("synthetic_baseline")
+def _run_synthetic_baseline(spec: RunSpec) -> Any:
+    """The synthetic service without offload: the shared baseline side
+    of the matrix, resilience and shared-device A/B cells."""
+    from ..validation.abtest import RunCounts
+    from ..validation.matrix import run_synthetic
 
-    return validate_cell(**spec.params_dict())
+    return RunCounts.of(run_synthetic(**spec.params_dict()))
+
+
+@register_runner("matrix_accelerated")
+def _run_matrix_accelerated(spec: RunSpec) -> Any:
+    """One validation-matrix grid point's offloading side."""
+    from ..validation.abtest import RunCounts
+    from ..validation.matrix import run_matrix_accelerated
+
+    return RunCounts.of(run_matrix_accelerated(**spec.params_dict()))
 
 
 @register_runner("case_study")
@@ -105,24 +116,21 @@ def _run_oversubscription_point(spec: RunSpec) -> Any:
     return run_point(config, **kwargs)
 
 
-@register_runner("resilience_point")
-def _run_resilience_point(spec: RunSpec) -> Any:
-    """One (failure-rate, timeout) cell of the degraded-mode study."""
-    from ..application.resilience import run_resilience_point
+@register_runner("resilience_accelerated")
+def _run_resilience_accelerated(spec: RunSpec) -> Any:
+    """One degraded-mode cell's faulty offloading side."""
+    from ..application.resilience import run_resilience_accelerated
+    from ..validation.abtest import RunCounts
 
-    kwargs = spec.params_dict()
-    if spec.seed is not None:
-        kwargs["seed"] = spec.seed
-    return run_resilience_point(**kwargs)
+    return RunCounts.of(run_resilience_accelerated(
+        seed=spec.seed, **spec.params_dict()
+    ))
 
 
-@register_runner("shared_device_point")
-def _run_shared_device_point(spec: RunSpec) -> Any:
-    """One (tenants, weight, batch, drop-rate) cell of the shared-device
-    contention study."""
-    from ..application.shared_device import run_shared_device_point
+@register_runner("shared_device_run")
+def _run_shared_device(spec: RunSpec) -> Any:
+    """One window of tenants sharing one device (the offloading side of a
+    shared-device cell or contention row)."""
+    from ..application.shared_device import run_shared
 
-    kwargs = spec.params_dict()
-    if spec.seed is not None:
-        kwargs["seed"] = spec.seed
-    return run_shared_device_point(**kwargs)
+    return run_shared(seed=spec.seed, **spec.params_dict())

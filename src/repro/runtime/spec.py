@@ -1,10 +1,10 @@
 """Declarative run specifications.
 
 A :class:`RunSpec` names *what to simulate* without holding any live
-object: a registered runner kind (``"characterize"``, ``"matrix_cell"``,
-...), a seed, and a flat parameter mapping of plain data (numbers,
-strings, enums, frozen dataclasses, or objects defining
-``__canonical__()``).  Because the spec is pure data it can be pickled to
+object: a registered runner kind (``"characterize"``,
+``"synthetic_baseline"``, ...), a seed, and a flat parameter mapping of
+plain data (numbers, strings, enums, frozen dataclasses, or objects
+defining ``__canonical__()``).  Because the spec is pure data it can be pickled to
 a worker process and hashed into a content-addressed cache key --
 the two capabilities the batch executor is built on.
 """

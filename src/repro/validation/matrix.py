@@ -12,7 +12,7 @@ published points?".
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..core import (
     Accelerometer,
@@ -24,11 +24,13 @@ from ..core import (
     ThreadingDesign,
 )
 from ..errors import ParameterError
-from ..runtime import RunSpec, execute_batch
+from ..runtime import RunSpec
 from ..runtime.batch import BatchReport, CacheArg
 from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..simulator import (
+    CPU,
     AcceleratorDevice,
+    Engine,
     InterfaceModel,
     KernelInvocation,
     KernelSpec,
@@ -36,11 +38,12 @@ from ..simulator import (
     OffloadConfig,
     RequestSpec,
     ResponseHandler,
+    RunSummary,
     SegmentWork,
     SimulationConfig,
-    measured_speedup,
     run_simulation,
 )
+from .abtest import ABTestResult, ab_batch
 
 #: The synthetic service of every matrix cell, and of the resilience and
 #: shared-device studies that build on validated territory: each request
@@ -113,34 +116,106 @@ class MatrixSummary:
         return max(self.cells, key=lambda cell: cell.error_pp)
 
 
-def _builds(alpha: float, design, interface_cycles: float,
-            thread_switch: float, accel_speedup: float, num_cores: int):
-    factory, plain = synthetic_request(alpha)
+def threads_per_core_of(design: ThreadingDesign) -> int:
+    """Sync-OS needs spare threads to switch to; every other design runs
+    one thread per core."""
+    return 3 if design is ThreadingDesign.SYNC_OS else 1
 
-    def build_baseline(engine, cpu, metrics):
-        return Microservice(engine, cpu, metrics), factory
 
-    def build_accelerated(engine, cpu, metrics):
-        device = AcceleratorDevice(engine, accel_speedup, servers=num_cores)
-        interface = InterfaceModel(
-            Placement.OFF_CHIP, dispatch_cycles=30.0,
-            transfer_base_cycles=interface_cycles,
-        )
-        handler = (
-            ResponseHandler(cpu, thread_switch)
-            if design is ThreadingDesign.ASYNC_DISTINCT_THREAD
-            else None
-        )
-        offloads = {
-            "k": OffloadConfig(
-                device=device, interface=interface, design=design,
-                thread_switch_cycles=thread_switch,
-                response_handler=handler,
-            )
-        }
+def run_synthetic(
+    alpha: float,
+    num_cores: int,
+    threads_per_core: int,
+    window_cycles: float,
+    offload: Optional[Callable[[Engine, CPU], OffloadConfig]] = None,
+    tracer=None,
+) -> RunSummary:
+    """One window of the synthetic service.  *offload* builds kernel
+    "k"'s :class:`OffloadConfig` from the run's engine and CPU; without
+    it the kernel runs on the host (the A/B baseline)."""
+    factory, _ = synthetic_request(alpha)
+
+    def build(engine, cpu, metrics):
+        offloads = {"k": offload(engine, cpu)} if offload else None
         return Microservice(engine, cpu, metrics, offloads=offloads), factory
 
-    return build_baseline, build_accelerated, plain
+    config = SimulationConfig(
+        num_cores=num_cores, threads_per_core=threads_per_core,
+        window_cycles=window_cycles,
+    )
+    return run_simulation(build, config, tracer=tracer)
+
+
+def baseline_spec(
+    alpha: float, num_cores: int, threads_per_core: int,
+    window_cycles: float,
+) -> RunSpec:
+    """The ``synthetic_baseline`` spec: the synthetic service without
+    offload, the baseline side of every matrix, resilience and
+    shared-device A/B cell.  It draws no entropy, so it takes no seed,
+    and equal parameters mean one simulation however many cells compare
+    against it."""
+    return RunSpec.create(
+        "synthetic_baseline", alpha=alpha, num_cores=num_cores,
+        threads_per_core=threads_per_core, window_cycles=window_cycles,
+    )
+
+
+def run_matrix_accelerated(
+    design: ThreadingDesign,
+    alpha: float,
+    interface_cycles: float,
+    thread_switch_cycles: float,
+    accel_speedup: float,
+    num_cores: int,
+    window_cycles: float,
+) -> RunSummary:
+    """One grid point's offloading side (the ``matrix_accelerated``
+    runner)."""
+
+    def offload(engine, cpu):
+        return OffloadConfig(
+            device=AcceleratorDevice(engine, accel_speedup, servers=num_cores),
+            interface=InterfaceModel(
+                Placement.OFF_CHIP, dispatch_cycles=30.0,
+                transfer_base_cycles=interface_cycles,
+            ),
+            design=design,
+            thread_switch_cycles=thread_switch_cycles,
+            response_handler=(
+                ResponseHandler(cpu, thread_switch_cycles)
+                if design is ThreadingDesign.ASYNC_DISTINCT_THREAD
+                else None
+            ),
+        )
+
+    return run_synthetic(
+        alpha, num_cores, threads_per_core_of(design), window_cycles, offload
+    )
+
+
+def cell_specs(
+    design: ThreadingDesign,
+    alpha: float,
+    interface_cycles: float,
+    thread_switch_cycles: float,
+    accel_speedup: float = 8.0,
+    num_cores: int = 2,
+    window_cycles: float = 8.0e6,
+) -> Tuple[RunSpec, RunSpec]:
+    """One grid point's ``(baseline, accelerated)`` spec pair."""
+    return (
+        baseline_spec(
+            alpha, num_cores, threads_per_core_of(design), window_cycles
+        ),
+        RunSpec.create(
+            "matrix_accelerated", design=design, alpha=alpha,
+            interface_cycles=interface_cycles,
+            thread_switch_cycles=thread_switch_cycles,
+            accel_speedup=accel_speedup, num_cores=num_cores,
+            window_cycles=window_cycles,
+        ),
+    )
 
 
 def validate_cell(
@@ -151,22 +226,20 @@ def validate_cell(
     accel_speedup: float = 8.0,
     num_cores: int = 2,
     window_cycles: float = 8.0e6,
+    ab: Optional[ABTestResult] = None,
 ) -> MatrixCell:
-    """Run one grid point: simulated A/B vs the analytical equation."""
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    build_baseline, build_accelerated, plain = _builds(
-        alpha, design, interface_cycles, thread_switch_cycles,
-        accel_speedup, num_cores,
-    )
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
-    )
-    baseline = run_simulation(build_baseline, config)
-    accelerated = run_simulation(build_accelerated, config)
-    simulated = measured_speedup(baseline, accelerated)
+    """One grid point: simulated A/B vs the analytical equation.
 
-    request = plain + KERNEL_CYCLES
+    *ab* is the point's A/B result when the caller has already run its
+    :func:`cell_specs` pair (:func:`validation_matrix` runs every cell's
+    pair in one batch); by default the pair runs here.
+    """
+    if ab is None:
+        (ab,) = ab_batch([cell_specs(
+            design, alpha, interface_cycles, thread_switch_cycles,
+            accel_speedup, num_cores, window_cycles,
+        )])
+    request = KERNEL_CYCLES * (1.0 - alpha) / alpha + KERNEL_CYCLES
     scenario = OffloadScenario(
         kernel=KernelProfile(request, KERNEL_CYCLES / request, KERNEL_CALLS),
         accelerator=AcceleratorSpec(accel_speedup, Placement.OFF_CHIP),
@@ -183,7 +256,7 @@ def validate_cell(
         interface_cycles=interface_cycles,
         thread_switch_cycles=thread_switch_cycles,
         model_speedup_pct=(modelled - 1.0) * 100.0,
-        simulated_speedup_pct=(simulated - 1.0) * 100.0,
+        simulated_speedup_pct=(ab.speedup - 1.0) * 100.0,
     )
 
 
@@ -205,27 +278,25 @@ def validation_matrix(
 ) -> MatrixSummary:
     """Validate the full grid; returns the error summary.
 
-    All grid cells are mutually independent, so they run through the
-    batch executor: *workers* > 1 validates cells in parallel processes
-    and *cache* replays identical cells from disk.  *telemetry* (a
-    :class:`~repro.observability.RuntimeTelemetry`) records the batch's
-    own runtime span tree without touching specs or results.
+    Every cell's baseline and accelerated specs run in one batch through
+    the executor, so the cells that share a baseline (same alpha and
+    threads per core) share its simulation: *workers* > 1 runs the
+    simulations in parallel processes and *cache* replays them from
+    disk.  *telemetry* (a :class:`~repro.observability.RuntimeTelemetry`)
+    records the batch's own runtime span tree without touching specs or
+    results.
     """
-    specs: List[RunSpec] = [
-        RunSpec.create(
-            "matrix_cell",
-            design=design,
-            alpha=alpha,
-            interface_cycles=latency,
-            thread_switch_cycles=thread_switch_cycles,
-            **cell_kwargs,
-        )
+    cells = [
+        dict(design=design, alpha=alpha, interface_cycles=latency,
+             thread_switch_cycles=thread_switch_cycles, **cell_kwargs)
         for design in designs
         for alpha in alphas
         for latency in interface_cycles
     ]
-    cells = execute_batch(
-        specs, workers=workers, cache=cache, report=report,
-        telemetry=telemetry,
+    results = ab_batch(
+        [cell_specs(**cell) for cell in cells], workers=workers,
+        cache=cache, report=report, telemetry=telemetry,
     )
-    return MatrixSummary(cells=tuple(cells))
+    return MatrixSummary(cells=tuple(
+        validate_cell(**cell, ab=ab) for cell, ab in zip(cells, results)
+    ))

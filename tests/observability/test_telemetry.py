@@ -75,8 +75,11 @@ def test_topology_byte_identical_across_cache_modes(tmp_path):
         _bytes(t.structural_payload()["topology"]) for t in (none, cold, warm)
     ]
     assert topologies[0] == topologies[1] == topologies[2]
-    # ...while the outcome sections are mode-faithful:
-    assert warm.structural_payload()["outcomes"]["totals"]["cache_hits"] == 4
+    # ...while the outcome sections are mode-faithful (the duplicated
+    # pair is deduplicated before the cache, in every mode):
+    warm_totals = warm.structural_payload()["outcomes"]["totals"]
+    assert warm_totals["cache_hits"] == 3
+    assert warm_totals["deduplicated"] == 1
     assert cold.structural_payload()["outcomes"]["totals"]["executed"] == 3
 
 
@@ -117,6 +120,11 @@ def test_cache_hit_tasks_record_only_the_lookup_stage(tmp_path):
     _run(cache=ResultCache(tmp_path))               # prime
     warm = _run(cache=ResultCache(tmp_path))
     for record in warm.batches[0].records:
+        if record.dedup_of is not None:
+            # A repeated key rides on its twin's one lookup.
+            assert record.outcome == "deduplicated"
+            assert record.stages == []
+            continue
         assert record.outcome == "cache-hit"
         assert set(record.stage_seconds()) == {"cache-lookup"}
         assert record.worker == "parent"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.errors import ParameterError
@@ -24,6 +27,26 @@ def _square(spec: RunSpec) -> float:
 
 def _specs(values):
     return [RunSpec.create("test_square", value=v) for v in values]
+
+
+_TEST_PID = os.getpid()
+
+
+@register_runner("test_killed_in_worker")
+def _killed_in_worker(spec: RunSpec) -> float:
+    """SIGKILLs the pool worker that runs a ``kill`` spec; in the test's
+    own process every spec just returns."""
+    params = spec.params_dict()
+    if params.get("kill") and os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return params["value"] * 2.0
+
+
+def _mortal_specs():
+    return [
+        RunSpec.create("test_killed_in_worker", value=float(v), kill=v == 3)
+        for v in range(6)
+    ]
 
 
 def test_results_align_with_input_order():
@@ -146,3 +169,54 @@ def test_telemetry_attaches_and_detaches_cache(tmp_path):
     execute_batch(_specs([1.0, 2.0]), cache=cache, telemetry=telemetry)
     assert telemetry.cache.hits == 2
     assert telemetry.structural_payload()["cache"]["hits"] == 2
+
+
+def test_killed_pool_worker_falls_back_to_serial():
+    serial = execute_batch(_mortal_specs())
+    report = BatchReport()
+    pooled = execute_batch(_mortal_specs(), workers=2, report=report)
+    assert pooled == serial
+    assert report.executed == 6
+    # The killed spec and whatever the pool had not finished after it.
+    assert 1 <= report.pool_fallbacks <= 6
+
+
+def test_pool_fallback_is_recorded_in_the_telemetry():
+    from repro.observability import RuntimeTelemetry
+
+    telemetry = RuntimeTelemetry()
+    report = BatchReport()
+    results = execute_batch(
+        _mortal_specs(), workers=2, report=report, telemetry=telemetry
+    )
+    assert results == execute_batch(_mortal_specs())
+    (batch,) = telemetry.timing_payload()["batches"]
+    assert batch["pool_fallbacks"] == report.pool_fallbacks >= 1
+    # The rerun tasks ran in this process.
+    workers = [record.worker for record in telemetry.batches[0].records]
+    assert workers.count("parent") == report.pool_fallbacks
+
+
+def test_a_healthy_pool_records_no_fallback():
+    report = BatchReport()
+    execute_batch(_specs([1.0, 2.0, 3.0]), workers=2, report=report)
+    assert report.pool_fallbacks == 0
+
+
+@pytest.mark.parametrize("fallbacks, mention", [
+    (0, None),
+    (2, "batch: 3 specs — 3 executed, 0 cache hits, 0 deduplicated, "
+        "2 rerun serially after a worker died"),
+])
+def test_batch_line_names_the_fallback_only_when_nonzero(
+    capsys, fallbacks, mention
+):
+    from repro.cli import _print_batch_report
+
+    _print_batch_report(
+        BatchReport(total=3, executed=3, pool_fallbacks=fallbacks), None
+    )
+    (line,) = capsys.readouterr().out.splitlines()
+    assert ("rerun serially" in line) == (mention is not None)
+    if mention is not None:
+        assert line == mention

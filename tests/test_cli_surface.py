@@ -95,6 +95,14 @@ def help_surface(parser: argparse.ArgumentParser) -> dict:
     return surface
 
 
+#: Every command whose parser takes --seed.
+SEEDED_COMMANDS = [
+    name for name in COMMANDS
+    if "--seed" in _subparsers(build_parser(name)).choices[name]
+    ._option_string_actions
+]
+
+
 @pytest.fixture
 def columns(monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
@@ -222,6 +230,20 @@ class TestErrors:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith(f"accelerometer: error: {prefix}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, "--seed", "-1"] for name in SEEDED_COMMANDS]
+        + [["simulate", "--shared-device", "--seed", "-1"]],
+        ids=" ".join)
+    def test_negative_seed_is_one_line_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "accelerometer: error: --seed must be >= 0, got -1\n")
+
+    def test_every_seeded_simulation_command_is_covered(self):
+        assert {"resilience", "simulate", "characterize", "trace",
+                "contention", "table6"} <= set(SEEDED_COMMANDS)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--alpha", "1"],
