@@ -5,7 +5,7 @@ export PYTHONPATH
 WORKERS ?= 4
 
 .PHONY: test faults perf bench figures clean-cache lint lint-deep \
-	lint-parity check hotcore
+	check hotcore
 
 # Tier-1 correctness suite (perf benchmarks excluded via pyproject addopts).
 # Linting runs first: a determinism or spec-hygiene violation invalidates
@@ -34,12 +34,6 @@ lint:
 lint-deep:
 	$(PYTHON) -m repro lint --deep --changed
 
-# Cross-language parity between _hotcore.c and its Python twins
-# (PAR001-PAR004).  Also covered by `make lint` via --deep; this target
-# isolates the parity pass.  No C toolchain required.
-lint-parity:
-	$(PYTHON) -m repro lint --deep --rules PAR001,PAR002,PAR003,PAR004
-
 # lint + third-party checkers where available (ruff/mypy are optional:
 # the pinned container does not ship them, so each is skipped with a
 # notice when missing rather than failing the target).
@@ -55,9 +49,10 @@ check: lint
 		echo "mypy not installed; skipping (pip install mypy)"; \
 	fi
 
-# Build the optional compiled hot core (repro._hotcore) in place.  A
-# missing C compiler prints a notice and leaves the pure-Python path
-# selected; results are bit-identical either way.
+# Render the compiled hot core's contract header, then build the
+# optional extension (repro._hotcore) in place.  A missing C compiler
+# prints a notice and leaves the pure-Python path selected; results are
+# bit-identical either way.
 hotcore:
 	$(PYTHON) scripts/build_hotcore.py
 

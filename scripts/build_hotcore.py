@@ -8,19 +8,27 @@ available this script reports the fact and exits 0 (unless ``--require``
 is passed), and the simulator falls back to the pure-Python hot core
 with identical results (see docs/hotcore.md).
 
+Before it compiles, the script renders the contract table of
+``repro.simulator.hotcore`` (and the ring-buffer layout constants) into
+``src/repro/_hotcore_contract.h``, the header ``_hotcore.c`` spells its
+names, modules and messages from.  The header is committed; it is
+rewritten only when its bytes change, and needs no compiler.
+
 Usage:
     python scripts/build_hotcore.py [--require] [--force] [--quiet] [--check]
 
 ``--check`` builds nothing: it exits 1 when a built extension is older
-than ``_hotcore.c`` (a stale kernel that ``REPRO_COMPILED=auto`` would
-silently select) and 0 otherwise.
+than ``_hotcore.c`` or the header (a stale kernel that
+``REPRO_COMPILED=auto`` would silently select) and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
+import string
 import subprocess
 import sys
 import sysconfig
@@ -28,6 +36,88 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCE = REPO / "src" / "repro" / "_hotcore.c"
+HEADER = SOURCE.with_name("_hotcore_contract.h")
+
+_SRC = REPO / "src"
+if _SRC.is_dir() and str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
+
+
+def macro(text: str) -> str:
+    """The header macro that spells *text* (``run_until`` -> ``HC_RUN_UNTIL``)."""
+    return "HC_" + re.sub(r"[\W_]+", "_", text).strip("_").upper()
+
+
+def c_string(text: str) -> str:
+    """*text* as a C string literal."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def c_template(template: str) -> str:
+    """A ``str.format`` template as a ``PyErr_Format`` format string."""
+    parts = []
+    for literal, field, spec, _ in string.Formatter().parse(template):
+        if "%" in literal:
+            raise ValueError(f"'%' in error template {template!r}")
+        parts.append(literal)
+        if field is not None:
+            parts.append("%" + (spec or "S"))
+    return c_string("".join(parts))
+
+
+def render_header() -> str:
+    """The header text for the current contract table."""
+    from repro.observability import ringbuffer
+    from repro.simulator import hotcore
+
+    lines = [
+        "/* The contract of _hotcore.c with its Python twins: generated from",
+        " * repro.simulator.hotcore and repro.observability.ringbuffer by",
+        " * scripts/build_hotcore.py.  Do not edit; rerun the script. */",
+        "",
+        "#ifndef REPRO_HOTCORE_CONTRACT_H",
+        "#define REPRO_HOTCORE_CONTRACT_H",
+        "",
+        "/* Packed interval layout. */",
+        f"#define SINK_CODE_BITS {ringbuffer.CODE_BITS}",
+        f"#define SINK_CODE_MASK {ringbuffer.CODE_MASK}LL",
+        f"#define SINK_DEFAULT_CAPACITY {ringbuffer.DEFAULT_SINK_CAPACITY}",
+        "",
+        "/* Interned attribute names: X(variable, text). */",
+        "#define HC_ATTRIBUTES(X) \\\n" + " \\\n".join(
+            f"    X(str_{name.text.strip('_')}, {c_string(name.text)})"
+            for name in hotcore.ATTRIBUTES
+        ),
+        "",
+        "/* The extension, the modules it imports, the names it exposes. */",
+        f"#define HC_EXTENSION {c_string(hotcore.EXTENSION)}",
+        '#define HC_TP(name) HC_EXTENSION "." name',
+    ]
+    spelled = list(hotcore.MODULES) + [name.text for name in hotcore.EXPOSED]
+    lines += [f"#define {macro(text)} {c_string(text)}" for text in spelled]
+    lines += ["", "/* Error messages. */"]
+    lines += [
+        f"#define HC_ERR_{message.name} {c_template(message.value[1])}"
+        for message in hotcore.Message
+    ]
+    lines += ["", "#endif", ""]
+    return "\n".join(lines)
+
+
+def write_header() -> bool:
+    """Render the header; write it only when its bytes change."""
+    text = render_header()
+    if HEADER.exists() and HEADER.read_text(encoding="utf-8") == text:
+        return False
+    HEADER.write_text(text, encoding="utf-8")
+    return True
+
+
+def is_stale(out: Path) -> bool:
+    """True when *out* predates ``_hotcore.c`` or the header."""
+    from repro.simulator.hotcore import extension_is_stale
+
+    return extension_is_stale(str(out), (str(SOURCE), str(HEADER)))
 
 
 def target_path() -> Path:
@@ -100,16 +190,16 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="build nothing; exit 1 when a built extension is staler "
-        "than _hotcore.c (no extension at all is fine)",
+        "than _hotcore.c or the header (no extension at all is fine)",
     )
     args = parser.parse_args(argv)
 
     out = target_path()
     if args.check:
-        if out.exists() and out.stat().st_mtime < SOURCE.stat().st_mtime:
+        if out.exists() and is_stale(out):
             print(
-                f"stale: {out.relative_to(REPO)} predates _hotcore.c; "
-                "rebuild with `python scripts/build_hotcore.py`",
+                f"stale: {out.relative_to(REPO)} predates _hotcore.c or "
+                f"{HEADER.name}; rebuild with `python scripts/build_hotcore.py`",
                 file=sys.stderr,
             )
             return 1
@@ -117,11 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             state = "up to date" if out.exists() else "not built"
             print(f"hotcore: {state} ({out.relative_to(REPO)})")
         return 0
-    if (
-        not args.force
-        and out.exists()
-        and out.stat().st_mtime >= SOURCE.stat().st_mtime
-    ):
+    if write_header() and not args.quiet:
+        print(f"rendered: {HEADER.relative_to(REPO)}")
+    if not args.force and out.exists() and not is_stale(out):
         if not args.quiet:
             print(f"up to date: {out.relative_to(REPO)}")
         return 0
@@ -153,4 +241,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Rendering imports the contract table's module, which selects an
+    # engine on import: the pure one, so this process never loads the
+    # extension it is about to replace.
+    os.environ["REPRO_COMPILED"] = "0"
     raise SystemExit(main())

@@ -31,24 +31,27 @@
  * pure-engine run can record into the C sink, but HotEngine records only
  * into it: the two come from this one module, so a tracer built while
  * HotEngine is importable always holds an IntervalSink.
+ *
+ * Every name, module and message this file shares with Python comes
+ * from _hotcore_contract.h, which scripts/build_hotcore.py renders from
+ * the contract table in repro/simulator/hotcore.py: the only string
+ * literals here are argument formats, CPython's argument-count text and
+ * docstrings.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#define SINK_CODE_BITS 21
-#define SINK_CODE_MASK ((1LL << SINK_CODE_BITS) - 1)
-#define SINK_DEFAULT_CAPACITY 16384
+#include "_hotcore_contract.h"
 
 /* ---------------------------------------------------------------------
  * Interned attribute names and the SimulationError class, resolved once
  * at module init.
  * ------------------------------------------------------------------- */
 
-static PyObject *str_current, *str_body, *str_cycles, *str_key,
-    *str_trace, *str_trace_ctx,
-    *str_record_interval, *str_tag, *str_packed, *str_sink_attr,
-    *str_metrics;
+#define DECLARE_NAME(var, text) static PyObject *var;
+HC_ATTRIBUTES(DECLARE_NAME)
+#undef DECLARE_NAME
 static PyObject *SimulationError;
 
 /* =====================================================================
@@ -138,9 +141,7 @@ sink_record_core(SinkObject *self, PyObject *context, double t0, double t1,
             }
             code = (long long)PyList_GET_SIZE(self->keys);
             if (code > SINK_CODE_MASK) {
-                PyErr_SetString(
-                    PyExc_OverflowError,
-                    "interval attribution keys exceed the packed code space");
+                PyErr_SetString(PyExc_OverflowError, HC_ERR_CODE_SPACE_FULL);
                 Py_DECREF(key);
                 Py_DECREF(tag);
                 return -1;
@@ -240,7 +241,7 @@ sink_length(SinkObject *self)
 static PyObject *
 sink_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"capacity", NULL};
+    static char *kwlist[] = {HC_CAPACITY, NULL};
     Py_ssize_t capacity = SINK_DEFAULT_CAPACITY;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|n", kwlist, &capacity)) {
         return NULL;
@@ -308,12 +309,12 @@ sink_dealloc(SinkObject *self)
 }
 
 static PyMethodDef sink_methods[] = {
-    {"record", (PyCFunction)(void (*)(void))sink_record, METH_FASTCALL,
+    {HC_RECORD, (PyCFunction)(void (*)(void))sink_record, METH_FASTCALL,
      "record(context, start, end, functionality, leaf, kind)\n"
      "Append one attributed interval for *context*."},
-    {"keys", (PyCFunction)sink_keys, METH_NOARGS,
+    {HC_KEYS, (PyCFunction)sink_keys, METH_NOARGS,
      "The interned key table, in code order."},
-    {"snapshot", (PyCFunction)sink_snapshot, METH_NOARGS,
+    {HC_SNAPSHOT, (PyCFunction)sink_snapshot, METH_NOARGS,
      "The live columns, trimmed to the append count, as three bytes "
      "objects of native float64, float64 and int64."},
     {NULL, NULL, 0, NULL},
@@ -324,7 +325,7 @@ static PySequenceMethods sink_as_sequence = {
 };
 
 static PyTypeObject SinkType = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._hotcore.IntervalSink",
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = HC_TP(HC_INTERVALSINK),
     .tp_basicsize = sizeof(SinkObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Flat (t0, t1, meta) interval columns with key interning; "
@@ -425,8 +426,7 @@ binding_call(BindingObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     if (self->engine == NULL) {
-        PyErr_SetString(SimulationError, /* compiled-only misuse guard */
-                        "advance on a cleared binding"); /* repro: noqa[PAR002] */
+        PyErr_SetString(SimulationError, HC_ERR_CLEARED_BINDING);
         return NULL;
     }
     if (engine_advance_core(self->engine, self, PyTuple_GET_ITEM(args, 0),
@@ -437,7 +437,7 @@ binding_call(BindingObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyTypeObject BindingType = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._hotcore.BoundAdvance",
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = HC_TP(HC_BOUNDADVANCE),
     .tp_basicsize = sizeof(BindingObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "One CPU's native advance: returned by HotEngine.bind_cpu().",
@@ -556,8 +556,7 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
     }
     if (current != thread) {
         Py_DECREF(current);
-        PyErr_Format(SimulationError, "%S advanced on foreign %S", thread,
-                     core);
+        PyErr_Format(SimulationError, HC_ERR_FOREIGN_ADVANCE, thread, core);
         return -1;
     }
     Py_DECREF(current);
@@ -567,7 +566,7 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
         return -1;
     }
     if (!PyIter_Check(body)) {
-        PyErr_Format(PyExc_TypeError, "'%.200s' object is not an iterator",
+        PyErr_Format(PyExc_TypeError, HC_ERR_NOT_ITERATOR,
                      Py_TYPE(body)->tp_name);
         Py_DECREF(body);
         return -1;
@@ -621,8 +620,7 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
         goto fail_cycles;
     }
     if (cycles < 0) {
-        PyErr_Format(SimulationError, "cannot compute negative cycles: %S",
-                     cycles_obj);
+        PyErr_Format(SimulationError, HC_ERR_NEGATIVE_CYCLES, cycles_obj);
         goto fail_cycles;
     }
 
@@ -670,11 +668,9 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
             double end = self->now + cycles;
             /* trace.record_interval is the sink's record; HotEngine
              * calls the C sink's directly. */
-            PyObject *sink = PyObject_GetAttr(trace, str_sink_attr);
+            PyObject *sink = PyObject_GetAttr(trace, str_sink);
             if (sink != NULL && Py_TYPE(sink) != &SinkType) {
-                PyErr_Format(PyExc_TypeError,
-                             "%U: HotEngine records only into the compiled "
-                             "IntervalSink, not %.200s",
+                PyErr_Format(PyExc_TypeError, HC_ERR_FOREIGN_SINK,
                              str_record_interval, Py_TYPE(sink)->tp_name);
                 Py_CLEAR(sink);
             }
@@ -741,8 +737,7 @@ engine_dispatch(EngineObject *self, Event *event)
                                      event->core, event->thread);
     }
     else {
-        PyErr_SetString(SimulationError, /* compiled-only misuse guard */
-                        "advance event without a binding"); /* repro: noqa[PAR002] */
+        PyErr_SetString(SimulationError, HC_ERR_UNBOUND_ADVANCE);
         status = -1;
     }
     event_clear_refs(event);
@@ -766,9 +761,8 @@ engine_at(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (time < self->now) {
         PyObject *now_obj = PyFloat_FromDouble(self->now);
         if (now_obj != NULL) {
-            PyErr_Format(SimulationError,
-                         "cannot schedule event in the past (%S < %S)",
-                         args[0], now_obj);
+            PyErr_Format(SimulationError, HC_ERR_PAST_EVENT, args[0],
+                         now_obj);
             Py_DECREF(now_obj);
         }
         return NULL;
@@ -792,8 +786,7 @@ engine_after(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (delay < 0) {
-        PyErr_Format(SimulationError, "delay must be non-negative, got %S",
-                     args[0]);
+        PyErr_Format(SimulationError, HC_ERR_NEGATIVE_DELAY, args[0]);
         return NULL;
     }
     if (heap_push(self, self->now + delay, args[1], NULL, NULL, NULL) < 0) {
@@ -820,7 +813,7 @@ engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 engine_run_until(EngineObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"horizon", "max_events", NULL};
+    static char *kwlist[] = {HC_HORIZON, HC_MAX_EVENTS, NULL};
     PyObject *horizon_obj;
     PyObject *max_obj = Py_None;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|O", kwlist,
@@ -834,8 +827,7 @@ engine_run_until(EngineObject *self, PyObject *args, PyObject *kwargs)
     if (horizon < self->now) {
         PyObject *now_obj = PyFloat_FromDouble(self->now);
         if (now_obj != NULL) {
-            PyErr_Format(SimulationError,
-                         "horizon %S is before current time %S", horizon_obj,
+            PyErr_Format(SimulationError, HC_ERR_PAST_HORIZON, horizon_obj,
                          now_obj);
             Py_DECREF(now_obj);
         }
@@ -852,10 +844,7 @@ engine_run_until(EngineObject *self, PyObject *args, PyObject *kwargs)
     while (self->size > 0 && self->heap[0].time <= horizon) {
         if (processed == limit) {
             self->processed += processed;
-            PyErr_Format(SimulationError,
-                         "exceeded max_events = %S; "
-                         "likely a zero-delay event loop",
-                         max_obj);
+            PyErr_Format(SimulationError, HC_ERR_MAX_EVENTS, max_obj);
             return NULL;
         }
         Event event = heap_pop(self);
@@ -873,7 +862,7 @@ engine_run_until(EngineObject *self, PyObject *args, PyObject *kwargs)
 static PyObject *
 engine_run_to_completion(EngineObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"max_events", NULL};
+    static char *kwlist[] = {HC_MAX_EVENTS, NULL};
     PyObject *max_obj = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O", kwlist, &max_obj)) {
         return NULL;
@@ -896,15 +885,10 @@ engine_run_to_completion(EngineObject *self, PyObject *args, PyObject *kwargs)
         processed++;
         if (processed > limit) {
             if (max_obj != NULL) {
-                PyErr_Format(SimulationError,
-                             "exceeded max_events = %S; "
-                             "likely a zero-delay event loop",
-                             max_obj);
+                PyErr_Format(SimulationError, HC_ERR_MAX_EVENTS, max_obj);
             }
             else {
-                PyErr_Format(SimulationError,
-                             "exceeded max_events = %lld; "
-                             "likely a zero-delay event loop",
+                PyErr_Format(SimulationError, HC_ERR_MAX_EVENTS_DEFAULT,
                              limit);
             }
             return NULL;
@@ -927,23 +911,22 @@ engine_bind_cpu(EngineObject *self, PyObject *cpu)
     }
     if (!PyDict_Check(cycles)) {
         Py_DECREF(cycles);
-        PyErr_SetString(PyExc_TypeError,
-                        "cpu.metrics.cycles must be a dict subclass");
+        PyErr_SetString(PyExc_TypeError, HC_ERR_CYCLES_NOT_DICT);
         return NULL;
     }
-    PyObject *cpu_module = PyImport_ImportModule("repro.simulator.cpu");
+    PyObject *cpu_module = PyImport_ImportModule(HC_REPRO_SIMULATOR_CPU);
     if (cpu_module == NULL) {
         Py_DECREF(cycles);
         return NULL;
     }
-    PyObject *compute = PyObject_GetAttrString(cpu_module, "Compute");
+    PyObject *compute = PyObject_GetAttr(cpu_module, str_Compute);
     Py_DECREF(cpu_module);
     if (compute == NULL) {
         Py_DECREF(cycles);
         return NULL;
     }
-    PyObject *slow = PyObject_GetAttrString(cpu, "_handle_slow_op");
-    PyObject *finish = slow ? PyObject_GetAttrString(cpu, "_finish") : NULL;
+    PyObject *slow = PyObject_GetAttr(cpu, str_handle_slow_op);
+    PyObject *finish = slow ? PyObject_GetAttr(cpu, str_finish) : NULL;
     if (finish == NULL) {
         Py_XDECREF(slow);
         Py_DECREF(compute);
@@ -1068,41 +1051,41 @@ engine_dealloc(EngineObject *self)
 }
 
 static PyMethodDef engine_methods[] = {
-    {"at", (PyCFunction)(void (*)(void))engine_at, METH_FASTCALL,
+    {HC_AT, (PyCFunction)(void (*)(void))engine_at, METH_FASTCALL,
      "at(time, callback)\nSchedule *callback* at absolute simulated *time*."},
-    {"after", (PyCFunction)(void (*)(void))engine_after, METH_FASTCALL,
+    {HC_AFTER, (PyCFunction)(void (*)(void))engine_after, METH_FASTCALL,
      "after(delay, callback)\nSchedule *callback* after *delay* cycles."},
-    {"step", (PyCFunction)engine_step, METH_NOARGS,
+    {HC_STEP, (PyCFunction)engine_step, METH_NOARGS,
      "Process the next event.  Returns False when the queue is empty."},
-    {"run_until", (PyCFunction)(void (*)(void))engine_run_until,
+    {HC_RUN_UNTIL, (PyCFunction)(void (*)(void))engine_run_until,
      METH_VARARGS | METH_KEYWORDS,
      "run_until(horizon, max_events=None)\n"
      "Run events with time <= *horizon*."},
-    {"run_to_completion",
+    {HC_RUN_TO_COMPLETION,
      (PyCFunction)(void (*)(void))engine_run_to_completion,
      METH_VARARGS | METH_KEYWORDS,
      "run_to_completion(max_events=10000000)\n"
      "Drain every queued event (for finite workloads)."},
-    {"drop_pending", (PyCFunction)engine_drop_pending, METH_NOARGS,
+    {HC_DROP_PENDING, (PyCFunction)engine_drop_pending, METH_NOARGS,
      "Discard every queued event without running it."},
-    {"bind_cpu", (PyCFunction)engine_bind_cpu, METH_O,
+    {HC_BIND_CPU, (PyCFunction)engine_bind_cpu, METH_O,
      "bind_cpu(cpu)\nCache the CPU's hot references in a BoundAdvance and "
      "return it; the CPU delegates its _advance to the returned callable."},
     {NULL, NULL, 0, NULL},
 };
 
 static PyGetSetDef engine_getset[] = {
-    {"now", (getter)engine_get_now, NULL,
+    {HC_NOW, (getter)engine_get_now, NULL,
      "Current simulated time in host cycles.", NULL},
-    {"events_processed", (getter)engine_get_processed, NULL,
+    {HC_EVENTS_PROCESSED, (getter)engine_get_processed, NULL,
      "Events processed so far.", NULL},
-    {"pending_events", (getter)engine_get_pending, NULL,
+    {HC_PENDING_EVENTS, (getter)engine_get_pending, NULL,
      "Events still queued.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyTypeObject EngineType = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._hotcore.HotEngine",
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = HC_TP(HC_HOTENGINE),
     .tp_basicsize = sizeof(EngineObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled calendar-queue DES engine; drop-in, bit-identical "
@@ -1121,7 +1104,7 @@ static PyTypeObject EngineType = {
 
 static struct PyModuleDef hotcore_module = {
     PyModuleDef_HEAD_INIT,
-    .m_name = "repro._hotcore",
+    .m_name = HC_EXTENSION,
     .m_doc = "Compiled DES hot core: HotEngine (event drain) and "
              "IntervalSink (flat tracer columns).",
     .m_size = -1,
@@ -1131,23 +1114,10 @@ static int
 intern_names(void)
 {
 #define INTERN(var, text)                                                     \
-    do {                                                                      \
-        var = PyUnicode_InternFromString(text);                               \
-        if (var == NULL) {                                                    \
-            return -1;                                                        \
-        }                                                                     \
-    } while (0)
-    INTERN(str_current, "current");
-    INTERN(str_body, "body");
-    INTERN(str_cycles, "cycles");
-    INTERN(str_key, "key");
-    INTERN(str_trace, "trace");
-    INTERN(str_trace_ctx, "trace_ctx");
-    INTERN(str_record_interval, "record_interval");
-    INTERN(str_tag, "tag");
-    INTERN(str_packed, "packed");
-    INTERN(str_sink_attr, "_sink");
-    INTERN(str_metrics, "metrics");
+    if ((var = PyUnicode_InternFromString(text)) == NULL) {                   \
+        return -1;                                                            \
+    }
+    HC_ATTRIBUTES(INTERN)
 #undef INTERN
     return 0;
 }
@@ -1158,11 +1128,11 @@ PyInit__hotcore(void)
     if (intern_names() < 0) {
         return NULL;
     }
-    PyObject *errors = PyImport_ImportModule("repro.errors");
+    PyObject *errors = PyImport_ImportModule(HC_REPRO_ERRORS);
     if (errors == NULL) {
         return NULL;
     }
-    SimulationError = PyObject_GetAttrString(errors, "SimulationError");
+    SimulationError = PyObject_GetAttr(errors, str_SimulationError);
     Py_DECREF(errors);
     if (SimulationError == NULL) {
         return NULL;
@@ -1176,14 +1146,15 @@ PyInit__hotcore(void)
         return NULL;
     }
     Py_INCREF(&SinkType);
-    if (PyModule_AddObject(module, "IntervalSink", (PyObject *)&SinkType) <
+    if (PyModule_AddObject(module, HC_INTERVALSINK, (PyObject *)&SinkType) <
         0) {
         Py_DECREF(&SinkType);
         Py_DECREF(module);
         return NULL;
     }
     Py_INCREF(&EngineType);
-    if (PyModule_AddObject(module, "HotEngine", (PyObject *)&EngineType) < 0) {
+    if (PyModule_AddObject(module, HC_HOTENGINE, (PyObject *)&EngineType) <
+        0) {
         Py_DECREF(&EngineType);
         Py_DECREF(module);
         return NULL;

@@ -28,7 +28,6 @@ Run it as ``python -m repro lint`` (or ``make lint``); add ``--deep``
 for the whole-program passes.
 """
 
-from .cparse import CSourceFile
 from .dataflow import (
     CallStep,
     DataflowAnalysis,
@@ -48,7 +47,6 @@ from .engine import (
     analyze_paths,
     analyze_sources,
     collect_files,
-    load_c_sources,
     load_sources,
 )
 from .findings import Finding, Severity
@@ -64,7 +62,6 @@ from .unitflow import UnitFlowAnalyzer
 __all__ = [
     "AnalysisContext",
     "AnalysisResult",
-    "CSourceFile",
     "CallGraph",
     "CallStep",
     "DataflowAnalysis",
@@ -89,7 +86,6 @@ __all__ = [
     "find_taint_paths",
     "function_effects",
     "observer_class_names",
-    "load_c_sources",
     "load_sources",
     "module_name_for",
     "parse_suppressions",

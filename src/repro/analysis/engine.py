@@ -56,11 +56,9 @@ _SKIP_DIRS = {
 
 
 def collect_files(
-    paths: Sequence[Union[str, Path]],
-    root: Path,
-    suffixes: Sequence[str] = (".py",),
+    paths: Sequence[Union[str, Path]], root: Path
 ) -> List[Path]:
-    """Expand files/directories into a sorted list of matching files."""
+    """Expand files/directories into a sorted list of ``.py`` files."""
     seen = set()
     collected: List[Path] = []
     for raw in paths:
@@ -70,15 +68,14 @@ def collect_files(
         if path.is_dir():
             candidates = sorted(
                 p
-                for suffix in suffixes
-                for p in path.rglob(f"*{suffix}")
+                for p in path.rglob("*.py")
                 if not any(
                     part in _SKIP_DIRS or part.endswith(".egg-info")
                     for part in p.parts
                 )
             )
         elif path.is_file():
-            candidates = [path] if path.suffix in suffixes else []
+            candidates = [path] if path.suffix == ".py" else []
         else:
             raise ParameterError(f"no such file or directory: {path}")
         for candidate in candidates:
@@ -111,24 +108,6 @@ def load_sources(
     ]
 
 
-def load_c_sources(
-    paths: Sequence[Union[str, Path]], root: Union[str, Path] = "."
-) -> List["CSourceFile"]:
-    """Scan every ``.c`` file under *paths* for the parity rules.
-
-    The scan is toolchain-free (see :mod:`repro.analysis.cparse`); a C
-    file the extractor cannot make sense of degrades to an empty
-    extraction rather than an error."""
-    from .cparse import CSourceFile
-
-    root_path = Path(root)
-    resolved_root = root_path.resolve()
-    return [
-        CSourceFile.load(path, _relpath(path, resolved_root))
-        for path in collect_files(paths, root_path, suffixes=(".c",))
-    ]
-
-
 @dataclasses.dataclass
 class AnalysisContext:
     """Everything a rule can see: the project root and all sources."""
@@ -141,11 +120,6 @@ class AnalysisContext:
     #: detection knows its audience, but no rule reports findings against
     #: them and the call-graph/taint/unit passes do not analyze them.
     reference_sources: Tuple[SourceFile, ...] = ()
-
-    #: Scanned C files (:class:`~repro.analysis.cparse.CSourceFile`) for
-    #: the cross-language parity rules.  Empty unless the analyzed paths
-    #: contain ``.c`` files.
-    c_sources: Tuple = ()
 
     #: On-disk :class:`~repro.analysis.dataflow.SummaryCache` shared by
     #: the dataflow analyses; ``None`` disables persistent caching.
@@ -305,7 +279,6 @@ def analyze_sources(
     deep: bool = False,
     restrict: Optional[Collection[str]] = None,
     reference_sources: Iterable[SourceFile] = (),
-    c_sources: Iterable = (),
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> AnalysisResult:
     """Run the selected rules over pre-built sources (test entry point).
@@ -327,7 +300,6 @@ def analyze_sources(
         root=Path(root),
         sources=tuple(sources),
         reference_sources=tuple(reference_sources),
-        c_sources=tuple(c_sources),
         cache=cache,
     )
     restrict_set = set(restrict) if restrict is not None else None
@@ -405,7 +377,6 @@ def analyze_sources(
             )
             + SummaryCache.file_digest_parts(context.sources)
             + SummaryCache.file_digest_parts(context.reference_sources)
-            + SummaryCache.file_digest_parts(context.c_sources)
         )
         cached_project = cache.load(
             "project-findings", project_key, _decode_findings
@@ -455,9 +426,6 @@ def analyze_sources(
     raw.sort(key=Finding.sort_key)
 
     by_path = {source.relpath: source for source in context.sources}
-    # C files join the same pragma pipeline: /* repro: noqa[...] */
-    # suppresses exactly like # repro: noqa[...] does on the Python side.
-    by_path.update({c.relpath: c for c in context.c_sources})
     visible: List[Finding] = []
     suppressed: List[Finding] = []
     for finding in raw:
@@ -470,7 +438,7 @@ def analyze_sources(
     return AnalysisResult(
         findings=visible,
         suppressed=suppressed,
-        files=len(context.sources) + len(context.c_sources),
+        files=len(context.sources),
         rules=tuple(rule.name for rule in selected),
         internal=internal,
     )
@@ -486,8 +454,7 @@ def analyze_paths(
     reference_paths: Sequence[Union[str, Path]] = (),
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> AnalysisResult:
-    """Analyze every ``.py`` (and parity-scanned ``.c``) file under
-    *paths* (the CLI entry point)."""
+    """Analyze every ``.py`` file under *paths* (the CLI entry point)."""
     root_path = Path(root)
     sources = load_sources(paths, root_path)
     reference_sources: List[SourceFile] = []
@@ -505,6 +472,5 @@ def analyze_paths(
         deep=deep,
         restrict=restrict,
         reference_sources=reference_sources,
-        c_sources=load_c_sources(paths, root_path),
         cache_dir=cache_dir,
     )

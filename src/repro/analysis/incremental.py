@@ -1,7 +1,6 @@
 """Git-aware incremental linting: ``repro lint --changed``.
 
-Asks git which analyzable files (``.py``, plus ``.c`` for the
-cross-language parity pass) differ from a base revision (uncommitted
+Asks git which ``.py`` files differ from a base revision (uncommitted
 edits and untracked files included) and returns them as project-relative
 POSIX paths.  The CLI narrows *per-file* findings to that set; the deep
 whole-program passes still see everything -- an interprocedural taint
@@ -80,14 +79,11 @@ def _name_status_paths(root: Path, base: str) -> List[str]:
 
 
 def changed_python_files(root: Path, base: str = DEFAULT_BASE) -> List[str]:
-    """Project-relative analyzable paths differing from *base*, sorted.
+    """Project-relative ``.py`` paths differing from *base*, sorted.
 
     Includes files with staged or unstaged modifications relative to
     *base* and untracked files.  Deletions are dropped and renames
-    resolve to their new name (see :func:`_name_status_paths`).  ``.c``
-    sources count as analyzable -- an edit to ``src/repro/_hotcore.c``
-    must re-trigger the parity pass rather than being invisible to the
-    git-aware restriction.
+    resolve to their new name (see :func:`_name_status_paths`).
     """
     changed = set(_name_status_paths(root, base))
     changed.update(
@@ -100,5 +96,5 @@ def changed_python_files(root: Path, base: str = DEFAULT_BASE) -> List[str]:
     return sorted(
         path
         for path in changed
-        if path.endswith((".py", ".c")) and (root / path).is_file()
+        if path.endswith(".py") and (root / path).is_file()
     )

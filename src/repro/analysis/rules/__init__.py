@@ -10,7 +10,6 @@ from . import (
     determinism,
     effects,
     observability,
-    parity,
     perf,
     specs,
     units,
@@ -22,7 +21,6 @@ __all__ = [
     "determinism",
     "effects",
     "observability",
-    "parity",
     "perf",
     "specs",
     "units",

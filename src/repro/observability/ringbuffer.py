@@ -66,8 +66,9 @@ from .spans import (
 CODE_BITS = 21
 CODE_MASK = (1 << CODE_BITS) - 1
 
-#: Ring capacity when the caller does not size the sink.  Twinned with
-#: ``SINK_DEFAULT_CAPACITY`` in ``_hotcore.c`` (PAR003).
+#: Ring capacity when the caller does not size the sink.  The build
+#: script renders this and the two constants above into the compiled
+#: sink's header (``SINK_*`` in ``_hotcore_contract.h``).
 DEFAULT_SINK_CAPACITY = 16384
 
 #: Span operand packing: interned-string ids and small counters are
@@ -223,9 +224,9 @@ class PyIntervalSink:
         if code is None:
             code = len(self._keys)
             if code > CODE_MASK:
-                raise OverflowError(
-                    "interval attribution keys exceed the packed code space"
-                )
+                from ..simulator.hotcore import Message
+
+                raise Message.CODE_SPACE_FULL.error()
             self._codes[key] = code
             self._keys.append(key)
         self._memo_f = functionality

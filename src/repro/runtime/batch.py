@@ -88,7 +88,13 @@ def execute_batch(
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     spec_list = list(specs)
-    keys = [spec.key() for spec in spec_list]
+    # Equal specs share a key, so each distinct spec is hashed once: an
+    # A/B batch repeats its baselines once per cell.
+    memo: Dict[RunSpec, str] = {}
+    keys = [
+        memo[spec] if spec in memo else memo.setdefault(spec, spec.key())
+        for spec in spec_list
+    ]
     store = resolve_cache(cache)
     results: List[Any] = [None] * len(spec_list)
     if report is None:

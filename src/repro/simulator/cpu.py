@@ -31,6 +31,7 @@ from typing import Callable, Deque, Generator, List, Optional
 from ..errors import SimulationError
 from ..paperdata.categories import FunctionalityCategory, LeafCategory
 from .engine import Engine
+from .hotcore import Message
 from .metrics import CycleKind, MetricSink
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,7 @@ class CPU:
             fast(core, thread)
             return
         if core.current is not thread:
-            raise SimulationError(f"{thread} advanced on foreign {core}")
+            raise Message.FOREIGN_ADVANCE.error(thread=thread, core=core)
         engine = self.engine
         body = thread.body
         cycles_by_key = self.metrics.cycles
@@ -405,7 +406,7 @@ class CPU:
                 return
             cycles = op.cycles
             if cycles < 0:
-                raise SimulationError(f"cannot compute negative cycles: {cycles}")
+                raise Message.NEGATIVE_CYCLES.error(cycles=cycles)
             cycles_by_key[op.key] += cycles
             if trace is not None:
                 context = thread.trace_ctx

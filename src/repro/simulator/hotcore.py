@@ -26,6 +26,11 @@ across ``REPRO_COMPILED=0`` and ``auto``.
 Build the extension with ``python scripts/build_hotcore.py`` (or ``make
 hotcore``); see ``docs/hotcore.md``.
 
+The C core spells nothing its Python twins also spell: the names it
+looks up or exposes, the modules it imports and the messages it raises
+are rows of the contract table below, which the build script renders
+into ``_hotcore_contract.h`` for the C source to include.
+
 The environment read is deliberate, import-time-only configuration: it
 selects *which of two bit-identical implementations* runs, so no
 simulated value, cache key, or fingerprint can depend on it.
@@ -33,18 +38,140 @@ simulated value, cache key, or fingerprint can depend on it.
 
 from __future__ import annotations
 
+import enum
 import heapq
 import itertools
 import math
 import os
 import warnings
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ParameterError, SimulationError
 
 Callback = Callable[[], None]
+
+
+# -- the compiled core's contract --------------------------------------------
+
+
+class Name(NamedTuple):
+    """One name ``_hotcore.c`` spells, and the Python twins that own it.
+
+    A twin is ``"module:qualname"`` or a bare module.  The name is an
+    attribute of each twin, or, for a function twin, one of its
+    parameters or string constants.  No twins: a C-only name.
+    """
+
+    text: str
+    twins: Tuple[str, ...] = ()
+
+
+#: The module the extension is built and imported as.
+EXTENSION = "repro._hotcore"
+
+#: Attribute names the C core interns at import and reads off objects.
+ATTRIBUTES = (
+    Name("current", ("repro.simulator.cpu:Core",)),
+    Name("body", ("repro.simulator.cpu:SimThread",)),
+    Name("trace_ctx", ("repro.simulator.cpu:SimThread",)),
+    Name("cycles", ("repro.simulator.cpu:Compute",
+                    "repro.simulator.metrics:MetricSink")),
+    Name("key", ("repro.simulator.cpu:Compute",)),
+    Name("Compute", ("repro.simulator.cpu",)),
+    Name("trace", ("repro.simulator.cpu:CPU",)),
+    Name("metrics", ("repro.simulator.cpu:CPU",)),
+    Name("_handle_slow_op", ("repro.simulator.cpu:CPU",)),
+    Name("_finish", ("repro.simulator.cpu:CPU",)),
+    Name("record_interval", ("repro.observability.tracer:SpanTracer",)),
+    Name("_sink", ("repro.observability.tracer:SpanTracer",)),
+    Name("tag", ("repro.observability.tracer:TraceContext",)),
+    Name("packed", ("repro.observability.tracer:TraceContext",)),
+    Name("SimulationError", ("repro.errors",)),
+)
+
+#: Modules the C core imports.
+MODULES = ("repro.simulator.cpu", "repro.errors")
+
+#: Names the C core exposes: methods, getters, keyword arguments, types.
+EXPOSED = (
+    Name("record", ("repro.observability.ringbuffer:PyIntervalSink",)),
+    Name("keys", ("repro.observability.ringbuffer:PyIntervalSink",)),
+    Name("snapshot", ("repro.observability.ringbuffer:PyIntervalSink",)),
+    Name("capacity",
+         ("repro.observability.ringbuffer:PyIntervalSink.__init__",)),
+    Name("at", ("repro.simulator.hotcore:PyEngine",)),
+    Name("after", ("repro.simulator.hotcore:PyEngine",)),
+    Name("step", ("repro.simulator.hotcore:PyEngine",)),
+    Name("run_until", ("repro.simulator.hotcore:PyEngine",)),
+    Name("run_to_completion", ("repro.simulator.hotcore:PyEngine",)),
+    Name("drop_pending", ("repro.simulator.hotcore:PyEngine",)),
+    Name("now", ("repro.simulator.hotcore:PyEngine",)),
+    Name("events_processed", ("repro.simulator.hotcore:PyEngine",)),
+    Name("pending_events", ("repro.simulator.hotcore:PyEngine",)),
+    Name("horizon", ("repro.simulator.hotcore:PyEngine.run_until",)),
+    Name("max_events", ("repro.simulator.hotcore:PyEngine.run_until",
+                        "repro.simulator.hotcore:PyEngine.run_to_completion")),
+    Name("bind_cpu", ("repro.simulator.cpu:CPU.__init__",)),
+    Name("IntervalSink", ("repro.simulator.hotcore",)),
+    Name("HotEngine", ("repro.simulator.hotcore",)),
+    Name("BoundAdvance"),
+)
+
+
+class Message(enum.Enum):
+    """Every message the C core raises, bar CPython's argument-count text.
+
+    A row is ``(exception, template, twins)``.  Templates take
+    ``str.format`` fields, which the header renders as ``%S`` (or as
+    ``%<spec>`` for ``{field:<spec>}``); the twins are the Python
+    functions that raise the same message.  No twins: a C-only guard.
+    """
+
+    FOREIGN_ADVANCE = (
+        SimulationError, "{thread} advanced on foreign {core}",
+        ("repro.simulator.cpu:CPU._advance",))
+    NEGATIVE_CYCLES = (
+        SimulationError, "cannot compute negative cycles: {cycles}",
+        ("repro.simulator.cpu:CPU._advance",))
+    PAST_EVENT = (
+        SimulationError, "cannot schedule event in the past ({time} < {now})",
+        ("repro.simulator.hotcore:PyEngine.at",))
+    NEGATIVE_DELAY = (
+        SimulationError, "delay must be non-negative, got {delay}",
+        ("repro.simulator.hotcore:PyEngine.after",))
+    PAST_HORIZON = (
+        SimulationError, "horizon {horizon} is before current time {now}",
+        ("repro.simulator.hotcore:PyEngine.run_until",))
+    MAX_EVENTS = (
+        SimulationError,
+        "exceeded max_events = {max_events}; likely a zero-delay event loop",
+        ("repro.simulator.hotcore:PyEngine.run_until",
+         "repro.simulator.hotcore:PyEngine.run_to_completion"))
+    MAX_EVENTS_DEFAULT = (
+        SimulationError,
+        "exceeded max_events = {max_events:lld}; "
+        "likely a zero-delay event loop",
+        ())
+    CLEARED_BINDING = (SimulationError, "advance on a cleared binding", ())
+    UNBOUND_ADVANCE = (SimulationError, "advance event without a binding", ())
+    FOREIGN_SINK = (
+        TypeError,
+        "{hook}: HotEngine records only into the compiled IntervalSink, "
+        "not {sink:.200s}",
+        ())
+    NOT_ITERATOR = (TypeError, "'{type:.200s}' object is not an iterator", ())
+    CYCLES_NOT_DICT = (
+        TypeError, "cpu.metrics.cycles must be a dict subclass", ())
+    CODE_SPACE_FULL = (
+        OverflowError, "interval attribution keys exceed the packed code space",
+        ("repro.observability.ringbuffer:PyIntervalSink._intern",))
+
+    def error(self, **fields: object) -> Exception:
+        """The exception this message raises, formatted with *fields*."""
+        exception, template, _ = self.value
+        return exception(template.format(**fields))
 
 
 class PyEngine:
@@ -95,15 +222,13 @@ class PyEngine:
     def at(self, time: float, callback: Callback) -> None:
         """Schedule *callback* at absolute simulated *time*."""
         if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({time} < {self._now})"
-            )
+            raise Message.PAST_EVENT.error(time=time, now=self._now)
         heapq.heappush(self._queue, (time, next(self._sequence), callback))
 
     def after(self, delay: float, callback: Callback) -> None:
         """Schedule *callback* after *delay* cycles."""
         if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
+            raise Message.NEGATIVE_DELAY.error(delay=delay)
         heapq.heappush(
             self._queue, (self._now + delay, next(self._sequence), callback)
         )
@@ -127,9 +252,7 @@ class PyEngine:
         strictly more than *max_events* events within the window raises.
         """
         if horizon < self._now:
-            raise SimulationError(
-                f"horizon {horizon} is before current time {self._now}"
-            )
+            raise Message.PAST_HORIZON.error(horizon=horizon, now=self._now)
         queue = self._queue
         pop = heapq.heappop
         budget = max_events if max_events is not None else -1
@@ -140,10 +263,7 @@ class PyEngine:
                 left = self._budget
                 if not left:
                     self._events_processed += budget
-                    raise SimulationError(
-                        f"exceeded max_events = {max_events}; "
-                        "likely a zero-delay event loop"
-                    )
+                    raise Message.MAX_EVENTS.error(max_events=max_events)
                 time, _, callback = pop(queue)
                 self._now = time
                 self._budget = left - 1
@@ -169,10 +289,7 @@ class PyEngine:
         while self.step():
             processed += 1
             if processed > max_events:
-                raise SimulationError(
-                    f"exceeded max_events = {max_events}; "
-                    "likely a zero-delay event loop"
-                )
+                raise Message.MAX_EVENTS.error(max_events=max_events)
 
 
 class BlockSampler:
@@ -269,39 +386,54 @@ else:
                 "`python scripts/build_hotcore.py` or unset REPRO_COMPILED"
             ) from exc
 
-def extension_is_stale(
-    ext_file: Optional[str], source_file: Optional[str] = None
-) -> bool:
-    """True when a built extension predates its C source.
+#: What the extension is compiled from, next to it in the package: the
+#: C source and the header rendered from the contract table above.
+COMPILE_INPUTS = ("_hotcore.c", "_hotcore_contract.h")
 
-    The build script compiles in place, so the ``.so`` sits next to
-    ``_hotcore.c`` and a plain mtime comparison is exact: an edited C
-    file with an older binary means the importable kernel was compiled
-    from source that no longer exists.  Unreadable mtimes (packaged
-    installs, zipimport) count as fresh -- staleness detection is a
-    development guard, not an import gate.
+
+def extension_is_stale(
+    ext_file: Optional[str], inputs: Optional[Tuple[str, ...]] = None
+) -> bool:
+    """True when a built extension predates one of its compile *inputs*
+    (by default :data:`COMPILE_INPUTS` next to it).
+
+    The build script compiles in place, so the ``.so`` sits next to its
+    inputs and a plain mtime comparison is exact: an edited C file or a
+    re-rendered header with an older binary means the importable kernel
+    was compiled from source that no longer exists.  Unreadable mtimes
+    (packaged installs, zipimport) count as fresh -- staleness detection
+    is a development guard, not an import gate.
     """
     if not ext_file:
         return False
-    if source_file is None:
-        source_file = os.path.join(os.path.dirname(ext_file), "_hotcore.c")
+    if inputs is None:
+        directory = os.path.dirname(ext_file)
+        inputs = tuple(os.path.join(directory, name) for name in COMPILE_INPUTS)
     try:
-        return os.path.getmtime(ext_file) < os.path.getmtime(source_file)
+        built = os.path.getmtime(ext_file)
     except OSError:
         return False
+    for path in inputs:
+        try:
+            if built < os.path.getmtime(path):
+                return True
+        except OSError:
+            continue
+    return False
 
 
-#: True when the importable extension was built from an older
-#: ``_hotcore.c`` than the one on disk.  ``REPRO_COMPILED=auto`` would
-#: happily select such a kernel, so the condition warns loudly below.
+#: True when the importable extension was built from older compile
+#: inputs than the ones on disk.  ``REPRO_COMPILED=auto`` would happily
+#: select such a kernel, so the condition warns loudly below.
 STALE = _ext is not None and extension_is_stale(
     getattr(_ext, "__file__", None)
 )
 
 if STALE:
     warnings.warn(
-        "repro._hotcore was compiled from an older _hotcore.c than the "
-        "one on disk; the selected kernel may not match the source. "
+        "repro._hotcore was compiled from an older _hotcore.c or "
+        "_hotcore_contract.h than the one on disk; the selected kernel "
+        "may not match the source. "
         "Rebuild with `python scripts/build_hotcore.py` (or `make "
         "hotcore`), or set REPRO_COMPILED=0 to force the pure path.",
         RuntimeWarning,

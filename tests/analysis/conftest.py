@@ -10,11 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import CSourceFile, SourceFile, analyze_sources
+from repro.analysis import SourceFile, analyze_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-PARITY_RULES = ["PAR001", "PAR002", "PAR003", "PAR004"]
 
 
 @pytest.fixture
@@ -57,46 +55,5 @@ def deep_sources():
 def run_deep(deep_sources):
     def _run(name: str, rules=None):
         return analyze_sources(deep_sources(name), rules=rules, deep=True)
-
-    return _run
-
-
-def load_parity_tree(name: str):
-    """One ``fixtures/parity/<name>/`` twin tree: ``(sources, c_sources)``.
-
-    Each tree is a miniature repository -- the six Python reference
-    modules of the ``_hotcore.c`` contract plus a miniature C twin --
-    so the PAR rules see a complete contract and any finding is a
-    seeded drift, not a missing module."""
-    rootdir = FIXTURES / "parity" / name
-    sources = []
-    for path in sorted(rootdir.rglob("*.py")):
-        rel = path.relative_to(rootdir).as_posix()
-        sources.append(
-            SourceFile.from_text(
-                path.read_text(encoding="utf-8"), relpath=rel
-            )
-        )
-    c_sources = []
-    for path in sorted(rootdir.rglob("*.c")):
-        rel = path.relative_to(rootdir).as_posix()
-        c_sources.append(
-            CSourceFile.from_text(
-                path.read_text(encoding="utf-8"), relpath=rel
-            )
-        )
-    return sources, c_sources
-
-
-@pytest.fixture
-def run_parity():
-    def _run(name: str, rules=None):
-        sources, c_sources = load_parity_tree(name)
-        return analyze_sources(
-            sources,
-            c_sources=c_sources,
-            rules=rules or PARITY_RULES,
-            deep=True,
-        )
 
     return _run

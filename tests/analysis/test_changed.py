@@ -63,16 +63,6 @@ class TestChangedFiles:
         (repo / "notes.txt").write_text("still not python\n")
         assert changed_python_files(repo) == []
 
-    def test_c_source_reported(self, repo):
-        # An edit to the compiled kernel must re-trigger the parity
-        # pass, so .c files count as analyzable changes.
-        (repo / "pkg" / "_hotcore.c").write_text("/* kernel */\n")
-        _git(repo, "add", "-A")
-        _git(repo, "commit", "-q", "-m", "add kernel")
-        assert changed_python_files(repo) == []
-        (repo / "pkg" / "_hotcore.c").write_text("/* edited kernel */\n")
-        assert changed_python_files(repo) == ["pkg/_hotcore.c"]
-
     def test_explicit_base_revision(self, repo):
         (repo / "pkg" / "a.py").write_text("A = 10\n")
         _git(repo, "add", "-A")

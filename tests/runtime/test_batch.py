@@ -220,3 +220,18 @@ def test_batch_line_names_the_fallback_only_when_nonzero(
     assert ("rerun serially" in line) == (mention is not None)
     if mention is not None:
         assert line == mention
+
+
+def test_each_distinct_spec_is_hashed_once(monkeypatch, capsys):
+    # The validate-matrix batch holds 48 specs: 24 accelerated cells and
+    # 24 baselines, of which 6 are distinct.
+    from repro.cli import main
+
+    hashed = []
+    key = RunSpec.key
+    monkeypatch.setattr(
+        RunSpec, "key", lambda spec: hashed.append(spec) or key(spec)
+    )
+    assert main(["validate-matrix", "--no-cache"]) == 0
+    assert "batch: 48 specs — 30 executed" in capsys.readouterr().out
+    assert len(hashed) == len(set(hashed)) == 30
