@@ -22,9 +22,9 @@ faults:
 
 # The repo's own AST invariant linter (determinism, spec hygiene,
 # hot-path __slots__, unit discipline, API surface), per-file rules
-# plus the whole-program pass (call-graph taint, unit flow, dead
-# exports).  --deep selects every per-file rule too, so one run covers
-# both.
+# plus the whole-program pass (effect summaries and the entropy taint
+# they carry, unit flow, dead exports).  --deep selects every per-file
+# rule too, so one run covers both.
 lint:
 	$(PYTHON) -m repro lint --deep
 

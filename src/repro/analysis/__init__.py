@@ -18,10 +18,10 @@ declare.  This package makes those promises mechanical:
   (module graph + symbol table), :func:`build_call_graph`, the shared
   fixpoint dataflow framework (:class:`DataflowAnalysis`,
   :func:`compute_summaries`, :class:`SummaryCache`),
-  :func:`find_taint_paths` (interprocedural nondeterminism),
   :class:`UnitFlowAnalyzer` (units through dataflow), and
-  :class:`EffectAnalysis` (effect & purity summaries behind the
-  EFF001, EFF003 and EFF004 contracts);
+  :class:`EffectAnalysis` (one summary per function of its effects and
+  the entropy sources it reaches, behind DET003 and the EFF001 and
+  EFF004 contracts);
 * text/JSON reporters and the ``repro lint`` CLI glue.
 
 Run it as ``python -m repro lint`` (or ``make lint``); add ``--deep``
@@ -56,7 +56,6 @@ from .project import ProjectModel, module_name_for
 from .registry import Rule, all_rules, register_rule, resolve_rules
 from .reporters import render_json, render_text
 from .source import SourceFile, parse_suppressions
-from .taint import TaintPath, find_taint_paths
 from .unitflow import UnitFlowAnalyzer
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "SummaryCache",
     "Severity",
     "SourceFile",
-    "TaintPath",
     "UnitFlowAnalyzer",
     "all_rules",
     "analyze_paths",
@@ -83,7 +81,6 @@ __all__ = [
     "compute_summaries",
     "find_frozen_writes",
     "find_gate_violations",
-    "find_taint_paths",
     "function_effects",
     "observer_class_names",
     "load_sources",

@@ -1,4 +1,4 @@
-"""Interprocedural effect inference for the EFF rule pack.
+"""Interprocedural effect inference for the EFF rule pack and DET003.
 
 Each function gets an *effect set* -- what it does to the world beyond
 returning a value -- inferred locally from its AST and propagated
@@ -12,8 +12,8 @@ bottom-up over the call graph by the shared dataflow framework
     writes through a module-level binding;
 ``consumes-rng``
     draws randomness (an ``rng``-named receiver or a resolved call the
-    entropy catalog in :mod:`repro.analysis.taint` classifies as a
-    genuine RNG -- wall clocks are DET003's business, not an effect);
+    entropy catalog below classifies as a genuine RNG -- wall clocks
+    are entropy, not an effect);
 ``schedules-event``
     books simulation work on an ``engine``-named receiver;
 ``performs-io``
@@ -24,13 +24,21 @@ bottom-up over the call graph by the shared dataflow framework
     writes observer-side state (tracer/trace-context/ring fields, or
     ``self`` inside an observability class).  Not an *engine* effect --
     it is what tracer hooks exist to do -- so it is kept apart from
-    ``mutates-param``/``mutates-global``.
+    ``mutates-param``/``mutates-global``;
+``reads-entropy``
+    reaches a nondeterminism source (wall clock, unseeded RNG, OS
+    entropy, environment read, set-order-dependent iteration).  One
+    fact per *source function*, keyed by its fq and holding its
+    earliest site, so DET003 reports one finding per (sink, source
+    function).  No EFF rule reads it.
 
-The observer gate grammar (:class:`_GateWalker`, shared with OBS001 and
-PERF001), the RNG-draw helpers DET001 shares, the gated-region scan
-(:func:`find_gate_violations`) and the frozen-spec write scan
-(:func:`find_frozen_writes`) live here too, so the rules stay thin
-adapters from these results to findings.
+The same summaries therefore serve EFF001/EFF004 (engine effects) and
+DET003 (entropy reaching a cache-key sink, :func:`sink_reason`).  The
+entropy catalog and the RNG-draw helpers DET001 shares, the observer
+gate grammar (:class:`_GateWalker`, shared with OBS001 and PERF001),
+the gated-region scan (:func:`find_gate_violations`) and the
+frozen-spec write scan (:func:`find_frozen_writes`) live here too, so
+the rules stay thin adapters from these results to findings.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .dataflow import CallStep, DataflowAnalysis
 from .graph import CallGraph
 from .project import FunctionInfo, ModuleInfo, ProjectModel
 from .source import walk_nodes
-from .taint import classify_entropy_call, _resolved_target
 
 #: Effect kinds that perturb the simulated system: what the zero-
 #: observer and cache-input contracts must prove absent.
@@ -53,6 +60,9 @@ ENGINE_EFFECT_KINDS = (
     "consumes-rng",
     "schedules-event",
 )
+
+#: The kind of the one entropy fact per source function (DET003's).
+READS_ENTROPY = "reads-entropy"
 
 #: Name components marking observer-side state: the one tracer
 #: vocabulary.  A write whose dotted target contains one of these is the
@@ -158,10 +168,15 @@ class EffectFact:
             lines.append(
                 f"-> calls {step.callee} (at {step.caller}:{step.line})"
             )
-        lines.append(
-            f"** {self.effect.detail} ({self.effect.kind}) at "
-            f"{self.effect.relpath}:{self.effect.line}:{self.effect.column}"
-        )
+        effect = self.effect
+        if effect.kind == READS_ENTROPY:
+            # The detail already names the reason; the site is a line.
+            lines.append(f"** {effect.detail} at {effect.relpath}:{effect.line}")
+        else:
+            lines.append(
+                f"** {effect.detail} ({effect.kind}) at "
+                f"{effect.relpath}:{effect.line}:{effect.column}"
+            )
         return lines
 
 
@@ -277,6 +292,146 @@ def rng_receiver(
     return receiver if receiver in _RNG_RECEIVERS else None
 
 
+# ---------------------------------------------------------------------------
+# The entropy catalog (DET001, DET003) and the determinism sinks.
+# ---------------------------------------------------------------------------
+
+#: Call targets that read ambient entropy: wall clocks and OS randomness.
+BANNED_CALLS = {
+    "time.time": "wall-clock read",
+    "time.time_ns": "wall-clock read",
+    "time.monotonic": "wall-clock read",
+    "time.monotonic_ns": "wall-clock read",
+    "time.perf_counter": "wall-clock read",
+    "time.perf_counter_ns": "wall-clock read",
+    "time.process_time": "wall-clock read",
+    "datetime.datetime.now": "wall-clock read",
+    "datetime.datetime.utcnow": "wall-clock read",
+    "datetime.datetime.today": "wall-clock read",
+    "datetime.date.today": "wall-clock read",
+    "os.urandom": "OS entropy read",
+    "uuid.uuid1": "clock/MAC-derived identifier",
+    "uuid.uuid4": "OS entropy read",
+    "random.SystemRandom": "OS entropy source",
+}
+
+#: numpy.random attributes that are *constructors of seeded streams* and
+#: therefore fine; every other ``numpy.random.*`` call hits the global
+#: unseeded singleton.
+NUMPY_ALLOWED = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "BitGenerator",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
+}
+
+#: Environment reads: deep-only sources (configuration reads are fine in
+#: scripts; they become hazards only when a cache key depends on them).
+_ENV_READS = {
+    "os.getenv": "environment read",
+    "os.environ.get": "environment read",
+}
+
+
+def classify_entropy_call(target: str) -> Optional[str]:
+    """Why a resolved dotted call target is an entropy source, or None."""
+    reason = BANNED_CALLS.get(target)
+    if reason is not None:
+        return reason
+    if target.startswith("random.") and target != "random.Random":
+        return "module-level stdlib RNG (unseeded shared state)"
+    if target.startswith("numpy.random."):
+        attribute = target.rsplit(".", 1)[-1]
+        if attribute not in NUMPY_ALLOWED:
+            return "global numpy RNG singleton (unseeded shared state)"
+    return None
+
+
+def is_entropy_draw(effect: Effect) -> bool:
+    """Whether *effect* is a catalog RNG call: a site whose function's
+    ``reads-entropy`` fact already carries it to DET003."""
+    return (
+        effect.kind == "consumes-rng"
+        and classify_entropy_call(effect.root) is not None
+    )
+
+
+def is_set_expression(node: ast.expr) -> bool:
+    """Whether *node* evaluates to a set (literal, comprehension, or
+    ``set()``/``frozenset()`` call)."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("set", "frozenset")
+    return False
+
+
+def _resolved_target(node: ast.AST, module: ModuleInfo) -> Optional[str]:
+    """Absolute dotted target of a Name/Attribute chain, through the
+    module's import table."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    parts.reverse()
+    target = module.imports.get(parts[0])
+    if target is None:
+        return None
+    return ".".join([target] + parts[1:])
+
+
+#: Nodes that iterate: loops and comprehensions.
+_ITERATIONS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _set_iteration_sites(node: ast.AST) -> List[ast.expr]:
+    """The iterables of an :data:`_ITERATIONS` node that are literally
+    sets."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        iterated = [node.iter]
+    else:
+        iterated = [generator.iter for generator in node.generators]
+    return [site for site in iterated if is_set_expression(site)]
+
+
+def sink_reason(func: FunctionInfo) -> Optional[str]:
+    """Why a function is a determinism sink, or None.
+
+    Sinks are where nondeterminism becomes *permanent*: content-
+    addressed cache keys, canonical fingerprints, and the summary
+    objects those fingerprints are computed over.
+    """
+    name = func.name
+    module_parts = func.module.split(".")
+    if "cache_key" in name or "fingerprint" in name:
+        return "cache-key construction"
+    if "runtime" in module_parts and name == "key":
+        return "cache-key construction"
+    if module_parts[-1] == "canonical" and name in (
+        "canonicalize",
+        "canonical_digest",
+    ):
+        return "canonical fingerprint"
+    if func.class_name == "RunSummary" and name == "__init__":
+        return "RunSummary assembly (cached measurement surface)"
+    return None
+
+
 class _FunctionScanner:
     """One function's local effect extraction state."""
 
@@ -359,6 +514,49 @@ class _FunctionScanner:
                 )
         found.sort(key=lambda e: (e.line, e.column, e.kind, e.detail))
         return found
+
+    def entropy_source(self) -> Optional[Effect]:
+        """The function's earliest nondeterminism source by ``(line,
+        detail)`` as a ``reads-entropy`` effect, or None.  Nested defs
+        count (closures run on behalf of their enclosing function), and
+        the sampler sanction of RNG draws does not apply."""
+        sites: List[Tuple[int, str, str, int]] = []
+        for node in self.module.source.walk(self.func.node):
+            if isinstance(node, ast.Call):
+                dotted = _resolved_target(node.func, self.module)
+                if dotted is None:
+                    continue
+                reason = classify_entropy_call(dotted) or _ENV_READS.get(dotted)
+                if reason is not None:
+                    sites.append(
+                        (node.lineno, f"call to {dotted}", reason, node.col_offset)
+                    )
+            elif isinstance(node, ast.Attribute):
+                dotted = _resolved_target(node, self.module)
+                if dotted is not None and dotted.startswith("os.environ"):
+                    sites.append(
+                        (node.lineno, dotted, "environment read", node.col_offset)
+                    )
+            elif isinstance(node, _ITERATIONS):
+                for site in _set_iteration_sites(node):
+                    sites.append(
+                        (
+                            site.lineno,
+                            "iteration over a set",
+                            "set-order-dependent iteration",
+                            site.col_offset,
+                        )
+                    )
+        if not sites:
+            return None
+        line, detail, reason, column = min(sites, key=lambda site: site[:2])
+        return Effect(
+            kind=READS_ENTROPY,
+            detail=f"{detail} ({reason})",
+            relpath=self.func.relpath,
+            line=line,
+            column=column,
+        )
 
     def _mutation_effect(
         self, target: ast.expr, *, receiver: bool = False
@@ -557,14 +755,17 @@ def function_effects(
 class EffectAnalysis(DataflowAnalysis):
     """Effect sets over the shared fixpoint framework.
 
-    Facts are keyed by effect site; ``lift`` prepends one call step and
+    Effect facts are keyed by effect site, the ``reads-entropy`` fact by
+    its source function's fq; ``lift`` prepends one call step and
     absorbs ``raises`` (a local property -- exception propagation is
     not this analysis's business); ``prefer`` keeps the shorter witness
-    chain.
+    chain, ties to the incumbent, which with the framework's sorted
+    first-edge-per-callee order yields breadth-first shortest chains.
     """
 
     name = "effects"
-    version = "1"
+    #: v2: summaries carry the ``reads-entropy`` facts DET003 reads.
+    version = "2"
 
     def __init__(self) -> None:
         self._observer_cache: Optional[Tuple[int, FrozenSet[str]]] = None
@@ -577,11 +778,17 @@ class EffectAnalysis(DataflowAnalysis):
     def local_facts(
         self, func: FunctionInfo, module: ModuleInfo, model: ProjectModel
     ) -> Dict[str, object]:
-        observers = self._observer_classes(model)
-        return {
+        scanner = _FunctionScanner(func, module, self._observer_classes(model))
+        facts = {
             effect.key: EffectFact(steps=(), effect=effect)
-            for effect in function_effects(func, module, observers)
+            for effect in scanner.effects()
         }
+        source = scanner.entropy_source()
+        if source is not None:
+            facts[f"{READS_ENTROPY}@{func.fq}"] = EffectFact(
+                steps=(), effect=source
+            )
+        return facts
 
     def lift(
         self,
@@ -611,6 +818,15 @@ class EffectAnalysis(DataflowAnalysis):
             steps=tuple(CallStep(**step) for step in data["steps"]),
             effect=Effect(**data["effect"]),
         )
+
+
+def entropy_facts(summary: Dict[str, object]) -> List[EffectFact]:
+    """The ``reads-entropy`` facts of one summary, by source-function fq."""
+    return [
+        summary[key]
+        for key in sorted(summary)
+        if summary[key].effect.kind == READS_ENTROPY
+    ]
 
 
 def engine_facts(summary: Dict[str, object]) -> List[EffectFact]:

@@ -118,7 +118,7 @@ class AnalysisContext:
     #: Consumer-only sources (the program's users: examples, benchmarks,
     #: bench): they feed the project model's usage index so dead-export
     #: detection knows its audience, but no rule reports findings against
-    #: them and the call-graph/taint/unit passes do not analyze them.
+    #: them and the call-graph/effect/unit passes do not analyze them.
     reference_sources: Tuple[SourceFile, ...] = ()
 
     #: On-disk :class:`~repro.analysis.dataflow.SummaryCache` shared by

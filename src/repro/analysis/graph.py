@@ -11,8 +11,7 @@ call site becomes one of three things, never silently dropped:
   ``config.device.submit(...)`` resolves through ``config:
   OffloadConfig`` and ``device: AcceleratorDevice``);
 * an **external call** when the chain resolves outside the project
-  (``time.time``, ``hashlib.sha256``, builtins) -- the taint pass
-  classifies these;
+  (``time.time``, ``hashlib.sha256``, builtins);
 * an **unresolved** entry when static resolution genuinely cannot finish
   (unknown receiver types, dynamic dispatch), recorded with the call
   text so coverage is auditable.

@@ -121,7 +121,7 @@ class ModuleInfo:
     all_line: int = 0
 
     #: Reference-only modules feed the usage index (dead-export
-    #: detection) but are excluded from the call graph and the taint and
+    #: detection) but are excluded from the call graph and the effect and
     #: unit-flow passes -- they are consumers, not analyzed code.
     reference_only: bool = False
 

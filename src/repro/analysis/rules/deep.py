@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+from ..effects import EffectAnalysis, entropy_facts, hops_phrase, sink_reason
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ..taint import TaintAnalysis, find_taint_paths
 from ..unitflow import UnitFlowAnalyzer, UnitSignatureAnalysis
 
 
@@ -24,6 +24,7 @@ class InterproceduralTaint(Rule):
 
     name = "DET003"
     severity = Severity.ERROR
+    cache_version = "2"
     description = (
         "no entropy source (wall clock, unseeded RNG, env read, set "
         "iteration) reachable from cache-key/fingerprint/summary code "
@@ -39,33 +40,35 @@ class InterproceduralTaint(Rule):
     deep = True
 
     def check_project(self, context) -> Iterator[Finding]:
-        model = context.project_model()
-        graph = context.call_graph()
-        summaries = context.summaries(TaintAnalysis())
-        for path in find_taint_paths(model, graph, summaries):
-            hops = len(path.steps)
-            via = (
-                f" through {hops} call{'s' if hops != 1 else ''}"
-                if hops
-                else " directly"
-            )
-            yield Finding(
-                rule=self.name,
-                path=path.sink_relpath,
-                line=path.sink_line,
-                column=0,
-                message=(
-                    f"{path.sink} ({path.sink_reason}) reaches "
-                    f"{path.source.detail} ({path.source.reason}){via}"
-                ),
-                hint=(
-                    "break the chain: thread the value through the "
-                    "RunSpec (or a seeded generator) instead of reading "
-                    "it ambiently; see the trace for the full call path"
-                ),
-                severity=self.severity,
-                trace=tuple(path.chain()),
-            )
+        """One finding per (sink, source function): the ``reads-entropy``
+        facts of each sink's effect summary, sinks in file order."""
+        summaries = context.summaries(EffectAnalysis())
+        functions = sorted(
+            context.project_model().functions(),
+            key=lambda func: (func.relpath, func.line, func.fq),
+        )
+        for func in functions:
+            reason = sink_reason(func)
+            if reason is None:
+                continue
+            for fact in entropy_facts(summaries.get(func.fq, {})):
+                yield Finding(
+                    rule=self.name,
+                    path=func.relpath,
+                    line=func.line,
+                    column=0,
+                    message=(
+                        f"{func.fq} ({reason}) reaches "
+                        f"{fact.effect.detail}{hops_phrase(fact)}"
+                    ),
+                    hint=(
+                        "break the chain: thread the value through the "
+                        "RunSpec (or a seeded generator) instead of reading "
+                        "it ambiently; see the trace for the full call path"
+                    ),
+                    severity=self.severity,
+                    trace=tuple(fact.chain(f"{func.fq} [{reason}]")),
+                )
 
 
 @register_rule

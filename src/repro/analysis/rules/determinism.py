@@ -17,13 +17,14 @@ from typing import Iterator
 
 from ..effects import (
     SANCTIONED_RNG_CLASSES,
+    classify_entropy_call,
+    is_set_expression,
     local_aliases,
     rng_receiver,
     sanctioned_nodes,
 )
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ..taint import classify_entropy_call, is_set_expression
 from ._ast_util import import_map, resolve_target
 
 #: Directories whose code runs inside (or feeds) simulated execution.

@@ -11,7 +11,8 @@ proving the contracts the simulator's correctness argument leans on:
 * EFF003 -- *frozen-spec write protection*: specs are immutable after
   construction, ``object.__setattr__`` escapes included.
 * EFF004 -- *cache-input effect closure*: computing a cache key or
-  canonical fingerprint must be effect-free.
+  canonical fingerprint must be effect-free.  A catalog RNG call on the
+  chain is DET003's (one defect, one finding).
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from ..effects import (
     find_frozen_writes,
     find_gate_violations,
     hops_phrase,
+    is_entropy_draw,
     observer_class_names,
+    sink_reason,
 )
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ..taint import sink_reason
 
 
 @register_rule
@@ -37,7 +39,7 @@ class ZeroObserverPurity(Rule):
 
     name = "EFF001"
     severity = Severity.ERROR
-    cache_version = "2"
+    cache_version = "3"
     description = (
         "observability hooks reach no engine-state mutation, RNG draw, "
         "or event schedule through any call chain; every tracer-gated "
@@ -152,6 +154,7 @@ class CacheInputEffectClosure(Rule):
 
     name = "EFF004"
     severity = Severity.ERROR
+    cache_version = "2"
     description = (
         "functions feeding RunSpec.key/canonical digests (the DET003 "
         "sink set) reach no mutation, RNG draw, event schedule, or IO "
@@ -184,7 +187,9 @@ class CacheInputEffectClosure(Rule):
             summary = summaries.get(func.fq, {})
             for key in sorted(summary):
                 fact = summary[key]
-                if fact.effect.kind not in self._SINK_KINDS:
+                if fact.effect.kind not in self._SINK_KINDS or (
+                    is_entropy_draw(fact.effect)
+                ):
                     continue
                 yield Finding(
                     rule=self.name,

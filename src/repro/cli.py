@@ -871,7 +871,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         attribute_requests,
         attribution_totals,
         metrics_payload,
-        windowed_series,
         write_folded_stacks,
         write_otlp_spans,
         write_windowed_metrics,
@@ -891,6 +890,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     horizon = summary.config.window_cycles
     window = horizon / args.windows
+    payload = metrics_payload(summary.metrics, window, horizon, trace=trace)
 
     written = [
         export_chrome_trace(
@@ -898,18 +898,16 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         ),
         write_otlp_spans(trace, out / f"{args.service}-spans.json"),
         write_windowed_metrics(
-            metrics_payload(summary.metrics, window, horizon, trace=trace),
-            out / f"{args.service}-metrics.json",
+            payload, out / f"{args.service}-metrics.json"
         ),
         write_folded_stacks(trace, out / f"{args.service}-profile.folded"),
     ]
-    series = windowed_series(summary.metrics, window, horizon, trace=trace)
+    # The SVG plots the artifact's own windows: one bucketing pass.
     svg_path = out / f"{args.service}-windows.svg"
     svg_path.write_text(timeline_chart(
         {
-            "arrivals": series.series("arrivals"),
-            "completions": series.series("completions"),
-            "goodput": series.series("goodput"),
+            name: [point[name] for point in payload["windows"]]
+            for name in ("arrivals", "completions", "goodput")
         },
         title=f"{args.service}: requests per window",
         y_label="requests/window",

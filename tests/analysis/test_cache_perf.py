@@ -15,8 +15,13 @@ import pytest
 
 from repro.analysis import analyze_paths, analyze_sources
 from repro.analysis.cli import REFERENCE_PATHS
-from repro.analysis.dataflow import CACHE_SCHEMA, SummaryCache
-from repro.analysis.engine import load_sources
+from repro.analysis.dataflow import (
+    CACHE_SCHEMA,
+    SummaryCache,
+    compute_summaries,
+)
+from repro.analysis.effects import READS_ENTROPY, EffectAnalysis
+from repro.analysis.engine import AnalysisContext, load_sources
 from repro.analysis.source import SourceFile, walk_nodes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -236,7 +241,7 @@ def _lint_key_source(cache_dir):
 def test_slots_are_the_c_encoders_bytes_and_round_trip(tmp_path):
     _lint_key_source(tmp_path)
     slots = sorted(tmp_path.glob("*.json"))
-    assert len(slots) == 3  # file findings, project findings, taint
+    assert len(slots) == 3  # file findings, project findings, effects
     for slot in slots:
         text = slot.read_text(encoding="utf-8")
         record = json.loads(text)
@@ -246,10 +251,46 @@ def test_slots_are_the_c_encoders_bytes_and_round_trip(tmp_path):
         )
 
 
+def test_effect_slot_without_entropy_facts_is_a_miss(tmp_path):
+    # An effects slot written before the summaries carried entropy facts
+    # (version 1) must read as a miss: replaying it would drop DET003.
+    class EffectsOnly(EffectAnalysis):
+        version = "1"
+
+        def local_facts(self, func, module, model):
+            facts = super().local_facts(func, module, model)
+            return {
+                key: fact
+                for key, fact in facts.items()
+                if fact.effect.kind != READS_ENTROPY
+            }
+
+    context = AnalysisContext(sources=[KEY_SOURCE], root=Path("."))
+    stale = compute_summaries(
+        context.project_model(),
+        context.call_graph(),
+        EffectsOnly(),
+        cache=SummaryCache(tmp_path),
+    )
+    assert not any(
+        fact.effect.kind == READS_ENTROPY
+        for summary in stale.values()
+        for fact in summary.values()
+    )
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        "summaries-effects.json"
+    ]
+
+    result = analyze_sources(
+        [KEY_SOURCE], deep=True, rules=["DET003"], cache_dir=tmp_path
+    )
+    assert [f.rule for f in result.findings] == ["DET003"]
+
+
 @pytest.mark.parametrize("slot, junk", [
     ("file-findings", [{"rule": "DET001"}]),
     ("project-findings", ["junk"]),
-    ("summaries-taint", {"pkg.runtime.key.make_cache_key": "junk"}),
+    ("summaries-effects", {"pkg.runtime.key.make_cache_key": "junk"}),
 ])
 def test_corrupt_payload_is_a_miss_and_is_rewritten(tmp_path, slot, junk):
     # A slot with the right schema and key but a malformed payload must

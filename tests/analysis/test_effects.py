@@ -17,11 +17,16 @@ import pytest
 
 from repro.analysis import Finding, analyze_sources
 from repro.analysis.effects import (
+    READS_ENTROPY,
     EffectAnalysis,
+    classify_entropy_call,
+    entropy_facts,
     find_frozen_writes,
     frozen_class_names,
     function_effects,
+    is_set_expression,
     observer_class_names,
+    sink_reason,
 )
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.source import SourceFile
@@ -108,6 +113,37 @@ def test_eff004_connects_key_to_remote_mutation():
     assert "cache-key construction" in finding.message
     assert "mutates-global" in finding.message
     assert "through 1 call" in finding.message
+
+
+def test_catalog_rng_under_a_cache_key_is_one_det003_finding():
+    # The draw is an entropy source and a consumes-rng effect; one
+    # defect yields one finding, and the finding is DET003's.
+    sources = load_deep_sources("rngkey_fires")
+    result = analyze_sources(sources, deep=True)
+    assert not result.internal
+    [finding] = result.findings
+    assert finding.rule == "DET003"
+    assert finding.path == "src/repro/runtime/key.py"
+    assert (
+        "reaches call to random.random (module-level stdlib RNG "
+        "(unseeded shared state)) through 1 call" in finding.message
+    )
+    assert finding.trace[-1].startswith("** call to random.random")
+
+    # EFF004 stepping aside costs no coverage: an observability hook
+    # drawing from the same RNG is still EFF001's.
+    hook = SourceFile.from_text(
+        "import random\n"
+        "def on_span_end(span):\n"
+        "    return random.random()\n",
+        relpath="src/repro/observability/hooks.py",
+    )
+    result = analyze_sources(sources + [hook], deep=True)
+    assert not result.internal
+    assert sorted(f.rule for f in result.findings) == ["DET003", "EFF001"]
+    [eff001] = [f for f in result.findings if f.rule == "EFF001"]
+    assert eff001.path == "src/repro/observability/hooks.py"
+    assert "call to random.random (consumes-rng) directly" in eff001.message
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +241,225 @@ def test_rng_receiver_draw_is_an_effect():
 
 
 def test_wall_clock_reads_are_not_effects():
-    # Wall clocks are DET003's business; making them effects would
-    # change which rules fire on the taint corpora.
-    model = _model_for(
+    # Wall clocks are DET003's business: a clock read yields no effect
+    # and no summary fact of any kind an EFF rule reports, even where
+    # an observability hook and a cache key both reach it.
+    from repro.analysis.engine import AnalysisContext
+
+    sources = [
+        SourceFile.from_text(
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n",
+            relpath="src/repro/util/clock.py",
+        ),
+        SourceFile.from_text(
+            "from ..util.clock import stamp\n"
+            "def on_span_end(span):\n"
+            "    return stamp()\n",
+            relpath="src/repro/observability/hooks.py",
+        ),
+        SourceFile.from_text(
+            "from ..util.clock import stamp\n"
+            "def make_cache_key(x):\n"
+            "    return str(x) + str(stamp())\n",
+            relpath="src/repro/runtime/key.py",
+        ),
+    ]
+    context = AnalysisContext(sources=sources, root=Path("."))
+    assert _effects_of(context.project_model(), "stamp") == []
+    summaries = context.summaries(EffectAnalysis())
+    assert sorted(summaries) == [
+        "repro.observability.hooks.on_span_end",
+        "repro.runtime.key.make_cache_key",
+        "repro.util.clock.stamp",
+    ]
+    assert {
+        fact.effect.kind
+        for summary in summaries.values()
+        for fact in summary.values()
+    } == {READS_ENTROPY}
+    result = analyze_sources(sources, deep=True, rules=EFF_RULES + ["DET003"])
+    assert not result.internal
+    assert [f.rule for f in result.findings] == ["DET003"]
+
+
+# ---------------------------------------------------------------------------
+# The entropy catalog, the determinism sinks, and the one reads-entropy
+# fact per source function that DET003 reads from the effect summaries.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("time.time", "wall-clock read"),
+    ("time.perf_counter_ns", "wall-clock read"),
+    ("datetime.datetime.now", "wall-clock read"),
+    ("os.urandom", "OS entropy read"),
+    ("uuid.uuid1", "clock/MAC-derived identifier"),
+    ("random.random", "module-level stdlib RNG (unseeded shared state)"),
+    ("random.Random", None),
+    ("numpy.random.rand", "global numpy RNG singleton (unseeded shared state)"),
+    ("numpy.random.default_rng", None),
+    ("numpy.random.SeedSequence", None),
+    ("math.sqrt", None),
+])
+def test_classify_entropy_call(target, reason):
+    assert classify_entropy_call(target) == reason
+
+
+@pytest.mark.parametrize("expr, is_set", [
+    ("{1, 2}", True),
+    ("{x for x in y}", True),
+    ("set(y)", True),
+    ("frozenset(y)", True),
+    ("sorted(set(y))", False),
+    ("[1, 2]", False),
+    ("{1: 2}", False),
+])
+def test_is_set_expression(expr, is_set):
+    assert is_set_expression(ast.parse(expr, mode="eval").body) is is_set
+
+
+def _function(model, fq_suffix):
+    [func] = [f for f in model.functions() if f.fq.endswith(fq_suffix)]
+    return func
+
+
+@pytest.mark.parametrize("text, relpath, fq_suffix, reason", [
+    ("def make_cache_key(x):\n    return x\n",
+     "pkg/util/keys.py", "make_cache_key", "cache-key construction"),
+    ("def spec_fingerprint(x):\n    return x\n",
+     "pkg/util/keys.py", "spec_fingerprint", "cache-key construction"),
+    ("class RunSpec:\n    def key(self):\n        return 1\n",
+     "pkg/runtime/spec.py", "RunSpec.key", "cache-key construction"),
+    ("def canonical_digest(x):\n    return x\n",
+     "pkg/util/canonical.py", "canonical_digest", "canonical fingerprint"),
+    ("class RunSummary:\n    def __init__(self):\n        self.n = 0\n",
+     "pkg/simulator/metrics.py", "RunSummary.__init__",
+     "RunSummary assembly (cached measurement surface)"),
+    ("class Table:\n    def key(self):\n        return 1\n",
+     "pkg/util/table.py", "Table.key", None),
+    ("def canonical_digest(x):\n    return x\n",
+     "pkg/util/digests.py", "canonical_digest", None),
+])
+def test_sink_reason(text, relpath, fq_suffix, reason):
+    model = _model_for(text, relpath=relpath)
+    assert sink_reason(_function(model, fq_suffix)) == reason
+
+
+def _entropy_facts_of(text, fq_suffix, relpath="pkg/simulator/mod.py"):
+    model = _model_for(text, relpath=relpath)
+    func = _function(model, fq_suffix)
+    facts = EffectAnalysis().local_facts(func, model.modules[func.module], model)
+    return {
+        key: fact for key, fact in facts.items()
+        if fact.effect.kind == READS_ENTROPY
+    }
+
+
+def test_entropy_fact_is_one_per_function_at_its_earliest_site():
+    # Three sources in one function make one fact, keyed by the
+    # function's fq and holding the earliest site.
+    facts = _entropy_facts_of(
+        "import os\n"
         "import time\n"
-        "def stamp():\n"
-        "    return time.time()\n"
+        "def stamp(xs):\n"
+        "    a = os.getenv('HOME')\n"
+        "    b = time.time()\n"
+        "    for x in {1, 2}:\n"
+        "        pass\n"
+        "    return a, b\n",
+        "stamp",
     )
-    assert _effects_of(model, "stamp") == []
+    [(key, fact)] = facts.items()
+    assert key == "reads-entropy@pkg.simulator.mod.stamp"
+    assert fact.steps == ()
+    assert fact.effect.detail == "call to os.getenv (environment read)"
+    assert fact.effect.line == 4
+
+
+def test_entropy_fact_ties_on_a_line_go_to_the_lesser_detail():
+    [fact] = _entropy_facts_of(
+        "import time\n"
+        "import os\n"
+        "def stamp():\n"
+        "    return time.time(), os.urandom(4)\n",
+        "stamp",
+    ).values()
+    assert fact.effect.detail == "call to os.urandom (OS entropy read)"
+
+
+@pytest.mark.parametrize("body, detail", [
+    ("    return os.environ['HOME']\n", "os.environ (environment read)"),
+    ("    return os.environ.get('HOME')\n",
+     "call to os.environ.get (environment read)"),
+    ("    return [x for x in set(xs)]\n",
+     "iteration over a set (set-order-dependent iteration)"),
+    ("    def inner():\n        return time.monotonic()\n    return inner\n",
+     "call to time.monotonic (wall-clock read)"),
+    ("    return BlockSampler(lambda n: random.random())\n",
+     "call to random.random (module-level stdlib RNG (unseeded shared "
+     "state))"),
+])
+def test_entropy_source_kinds(body, detail):
+    # Env reads, set iteration and closures are sources; the sampler
+    # sanction that exempts an RNG draw from consumes-rng does not make
+    # it deterministic.
+    [fact] = _entropy_facts_of(
+        "import os\n"
+        "import random\n"
+        "import time\n"
+        "def source(xs):\n" + body,
+        "source",
+    ).values()
+    assert fact.effect.detail == detail
+
+
+def test_no_entropy_fact_without_a_source():
+    assert _entropy_facts_of(
+        "import random\n"
+        "def draw(seed, xs):\n"
+        "    rng = random.Random(seed)\n"
+        "    return rng.random(), sorted(set(xs))\n",
+        "draw",
+    ) == {}
+
+
+def test_entropy_fact_lifts_along_the_shortest_chain():
+    # Two routes reach one source function: the summary keeps one fact
+    # for it, with the one-call witness.
+    sources = [
+        SourceFile.from_text(
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+            "def relay():\n"
+            "    return stamp()\n",
+            relpath="src/repro/util/clock.py",
+        ),
+        SourceFile.from_text(
+            "from ..util.clock import relay, stamp\n"
+            "def make_cache_key(x):\n"
+            "    return str(x) + str(relay()) + str(stamp())\n",
+            relpath="src/repro/runtime/key.py",
+        ),
+    ]
+    from repro.analysis.engine import AnalysisContext
+
+    context = AnalysisContext(sources=sources, root=Path("."))
+    summaries = context.summaries(EffectAnalysis())
+    [fact] = entropy_facts(summaries["repro.runtime.key.make_cache_key"])
+    assert [step.callee for step in fact.steps] == ["repro.util.clock.stamp"]
+
+    result = analyze_sources(sources, deep=True, rules=["DET003"])
+    [finding] = result.findings
+    assert finding.message.endswith("(wall-clock read) through 1 call")
+    assert finding.trace == (
+        "repro.runtime.key.make_cache_key [cache-key construction]",
+        "-> calls repro.util.clock.stamp (at "
+        "repro.runtime.key.make_cache_key:3)",
+        "** call to time.time (wall-clock read) at src/repro/util/clock.py:3",
+    )
 
 
 def test_frozen_class_inventory_includes_decorated_and_named():
