@@ -145,7 +145,7 @@ DEGRADATION = DegradationSchedule((
 ))
 
 
-def degraded_trace(tracer):
+def degraded_run(tracer):
     """Sync offload with drops, retries and backoff to a device that
     degrades and then goes dark: the trace carries a degradation track."""
     factory, _ = synthetic_request(0.3)
@@ -165,11 +165,15 @@ def degraded_trace(tracer):
         )}
         return Microservice(engine, cpu, metrics, offloads=offloads), factory
 
-    result = run_simulation(
+    return run_simulation(
         build, SimulationConfig(num_cores=2, window_cycles=2.0e6),
         tracer=tracer,
     )
-    return result.trace
+
+
+def degraded_trace(tracer):
+    """The finished trace of :func:`degraded_run`."""
+    return degraded_run(tracer).trace
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,7 @@ class _Color(enum.Enum):
     RED = "red"
 
 
-def faulted_batched_trace() -> TraceData:
+def faulted_batched_run():
     """A traced async run that rings one doorbell per four calls, with
     drops, latency spikes, backoff gaps and whole-batch CPU fallbacks."""
     factory, _ = synthetic_request(0.3)
@@ -87,11 +87,15 @@ def faulted_batched_trace() -> TraceData:
         )}
         return Microservice(engine, cpu, metrics, offloads=offloads), factory
 
-    result = run_simulation(
+    return run_simulation(
         build, SimulationConfig(num_cores=2, window_cycles=2.0e6),
         tracer=SpanTracer(label="faulted-batched"),
     )
-    return result.trace
+
+
+def faulted_batched_trace() -> TraceData:
+    """The finished trace of :func:`faulted_batched_run`."""
+    return faulted_batched_run().trace
 
 
 def runtime_telemetry_trace() -> TraceData:
