@@ -388,15 +388,15 @@ def _resolved_target(node: ast.AST, module: ModuleInfo) -> Optional[str]:
     return ".".join([target] + parts[1:])
 
 
-#: Nodes that iterate: loops and comprehensions.
-_ITERATIONS = (
+#: Node types that iterate: loops and comprehensions.
+_ITERATIONS = frozenset({
     ast.For,
     ast.AsyncFor,
     ast.ListComp,
     ast.SetComp,
     ast.DictComp,
     ast.GeneratorExp,
-)
+})
 
 
 def _set_iteration_sites(node: ast.AST) -> List[ast.expr]:
@@ -521,8 +521,11 @@ class _FunctionScanner:
         count (closures run on behalf of their enclosing function), and
         the sampler sanction of RNG draws does not apply."""
         sites: List[Tuple[int, str, str, int]] = []
+        imports = self.module.imports
+        # Exact type tests: parsed trees hold no subclasses of ast nodes.
         for node in self.module.source.walk(self.func.node):
-            if isinstance(node, ast.Call):
+            kind = type(node)
+            if kind is ast.Call:
                 dotted = _resolved_target(node.func, self.module)
                 if dotted is None:
                     continue
@@ -531,13 +534,19 @@ class _FunctionScanner:
                     sites.append(
                         (node.lineno, f"call to {dotted}", reason, node.col_offset)
                     )
-            elif isinstance(node, ast.Attribute):
-                dotted = _resolved_target(node, self.module)
-                if dotted is not None and dotted.startswith("os.environ"):
+            elif kind is ast.Attribute and type(node.value) is ast.Name:
+                # Only a chain's innermost attribute is resolved: an outer
+                # one (``os.environ.get``) starts on the same line and
+                # extends its text, so it never sorts first.
+                target = imports.get(node.value.id)
+                if target is None:
+                    continue
+                dotted = f"{target}.{node.attr}"
+                if dotted.startswith("os.environ"):
                     sites.append(
                         (node.lineno, dotted, "environment read", node.col_offset)
                     )
-            elif isinstance(node, _ITERATIONS):
+            elif kind in _ITERATIONS:
                 for site in _set_iteration_sites(node):
                     sites.append(
                         (

@@ -33,6 +33,7 @@ from ..simulator import (
     AcceleratorDevice,
     InterfaceModel,
     OffloadConfig,
+    ResponseHandler,
     RunSummary,
 )
 from ..validation.abtest import ABTestResult, ab_batch
@@ -131,7 +132,9 @@ def run_resilience_accelerated(
 ) -> RunSummary:
     """A cell's accelerated run (the ``resilience_accelerated`` runner):
     the synthetic service offloading to a device behind a fault injector
-    seeded with *seed*."""
+    seeded with *seed*.  The async-distinct-thread design's response
+    handler switches threads for free (``o1 = 0``), as the model side
+    of :func:`run_resilience_point` assumes."""
 
     def offload(engine, cpu):
         return OffloadConfig(
@@ -139,6 +142,11 @@ def run_resilience_accelerated(
             interface=InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=30.0),
             design=design,
             faults=FaultInjector(policy, seed=seed),
+            response_handler=(
+                ResponseHandler(cpu, 0.0)
+                if design is ThreadingDesign.ASYNC_DISTINCT_THREAD
+                else None
+            ),
         )
 
     return run_synthetic(

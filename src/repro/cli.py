@@ -98,10 +98,9 @@ def _print_batch_report(report, store) -> None:
 def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
     if telemetry is None:
         return
-    from .observability import write_runtime_telemetry
+    from .observability import write_json_artifact
 
-    path = write_runtime_telemetry(telemetry, args.telemetry_out)
-    _print(f"wrote {path}")
+    _print(f"wrote {write_json_artifact(telemetry.payload(), args.telemetry_out)}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +526,12 @@ def _cmd_characterize(args: argparse.Namespace) -> None:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
     from .observability import (
         chrome_payload,
         load_runtime_telemetry,
         summarize_runtime_telemetry,
         trace_data_from_payload,
+        write_json_artifact,
         write_otlp_spans,
     )
 
@@ -545,11 +542,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> None:
         if args.otlp_out:
             _print(f"wrote {write_otlp_spans(trace, args.otlp_out)}")
         if args.chrome_out:
-            path = Path(args.chrome_out)
-            path.write_text(
-                json.dumps(chrome_payload(trace), sort_keys=True, indent=1)
-                + "\n"
-            )
+            path = write_json_artifact(chrome_payload(trace), args.chrome_out)
             _print(f"wrote {path}")
 
 
@@ -672,11 +665,11 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
     from .application.resilience import traced_resilience_run
     from .observability import (
         attribute_requests,
+        export_chrome_trace,
         fault_cost_cycles,
         metrics_payload,
-        write_windowed_metrics,
+        write_json_artifact,
     )
-    from .simulator.trace_export import export_chrome_trace
 
     summary = traced_resilience_run(
         design=design,
@@ -686,17 +679,14 @@ def _export_traced_cell(args: argparse.Namespace, policy, design) -> None:
         **dataclasses.asdict(policy),
     )
     if args.trace_out:
-        path = export_chrome_trace(
-            summary.metrics, args.trace_out, trace=summary.trace
-        )
+        path = export_chrome_trace(summary.metrics, args.trace_out, summary.trace)
         _print(f"wrote {path}")
     if args.metrics_out:
         horizon = summary.config.window_cycles
         payload = metrics_payload(
             summary.metrics, horizon / 20.0, horizon, trace=summary.trace
         )
-        path = write_windowed_metrics(payload, args.metrics_out)
-        _print(f"wrote {path}")
+        _print(f"wrote {write_json_artifact(payload, args.metrics_out)}")
     attributions = attribute_requests(summary.trace)
     fault_cycles = sum(fault_cost_cycles(a) for a in attributions)
     total_latency = sum(a.latency for a in attributions)
@@ -870,12 +860,12 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     from .observability import (
         attribute_requests,
         attribution_totals,
+        export_chrome_trace,
         metrics_payload,
         write_folded_stacks,
+        write_json_artifact,
         write_otlp_spans,
-        write_windowed_metrics,
     )
-    from .simulator.trace_export import export_chrome_trace
     from .viz import timeline_chart
 
     if args.windows < 1:
@@ -894,12 +884,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
     written = [
         export_chrome_trace(
-            summary.metrics, out / f"{args.service}-trace.json", trace=trace
+            summary.metrics, out / f"{args.service}-trace.json", trace
         ),
         write_otlp_spans(trace, out / f"{args.service}-spans.json"),
-        write_windowed_metrics(
-            payload, out / f"{args.service}-metrics.json"
-        ),
+        write_json_artifact(payload, out / f"{args.service}-metrics.json"),
         write_folded_stacks(trace, out / f"{args.service}-profile.folded"),
     ]
     # The SVG plots the artifact's own windows: one bucketing pass.

@@ -10,9 +10,10 @@ The production-observability substrate over the DES, in four pieces:
   counters and fixed-bucket histograms over simulated time.
 * :mod:`~repro.observability.critical_path` -- per-request latency
   attribution whose components sum to measured latency.
-* :mod:`~repro.observability.export` -- OTLP span JSON and folded
-  flamegraph stacks (the Chrome/Perfetto exporter lives with the
-  simulator in :mod:`repro.simulator.trace_export`).
+* :mod:`~repro.observability.export` -- every file a finished run is
+  written to: OTLP span JSON, folded flamegraph stacks, the simulator
+  and runtime Chrome/Perfetto traces, and the one sorted-JSON writer of
+  the windowed-metrics and runtime-telemetry artifacts.
 * :mod:`~repro.observability.telemetry` -- runtime *self*-telemetry:
   the same span/window vocabulary pointed at the batch executor, worker
   pool, and result cache that run the model, with a structural/timing
@@ -27,8 +28,11 @@ from .critical_path import (
     fault_cost_cycles,
 )
 from .export import (
+    chrome_payload,
+    export_chrome_trace,
     folded_stack_samples,
     write_folded_stacks,
+    write_json_artifact,
     write_otlp_spans,
 )
 from .spans import (
@@ -46,11 +50,9 @@ from .telemetry import (
     CacheTelemetry,
     MonotonicClock,
     RuntimeTelemetry,
-    chrome_payload,
     load_runtime_telemetry,
     summarize_runtime_telemetry,
     trace_data_from_payload,
-    write_runtime_telemetry,
 )
 from .tracer import SpanTracer, TraceContext
 from .windows import (
@@ -60,7 +62,6 @@ from .windows import (
     fixed_bucket_histogram,
     metrics_payload,
     windowed_series,
-    write_windowed_metrics,
 )
 
 __all__ = [
@@ -84,6 +85,7 @@ __all__ = [
     "attribute_timeline",
     "attribution_totals",
     "chrome_payload",
+    "export_chrome_trace",
     "fault_cost_cycles",
     "fixed_bucket_histogram",
     "folded_stack_samples",
@@ -95,7 +97,6 @@ __all__ = [
     "trace_id_from_request",
     "windowed_series",
     "write_folded_stacks",
+    "write_json_artifact",
     "write_otlp_spans",
-    "write_runtime_telemetry",
-    "write_windowed_metrics",
 ]

@@ -1,6 +1,7 @@
-"""Exporters: OTLP-shaped span JSON and folded flamegraph stacks.
+"""Exporters: every file a finished run is written to.
 
-Two standard interchange formats on top of :class:`TraceData`:
+One module turns a finished run into interchange formats, on top of
+:class:`TraceData` and the simulator's :class:`MetricSink`:
 
 * :func:`otlp_json` -- the OpenTelemetry OTLP/JSON trace shape
   (``resourceSpans`` > ``scopeSpans`` > ``spans``), one simulated cycle
@@ -9,15 +10,25 @@ Two standard interchange formats on top of :class:`TraceData`:
   ``service;functionality;leaf``-style stacks through the existing
   :mod:`repro.profiling.folded` serializer, so latency flamegraphs come
   from the same pipeline as the Strobelight-style cycle flamegraphs.
+* :func:`export_chrome_trace` -- a simulated run as Chrome trace-event
+  JSON for ``chrome://tracing`` / Perfetto: request and per-kernel
+  offload tracks from the sink's records, plus flow arrows binding each
+  dispatch to its device-side completion, per-kernel fault tracks and
+  the injected degradation/outage windows from the trace.
+* :func:`chrome_payload` -- the runtime self-telemetry span tree as a
+  Chrome ``traceEvents`` document.
+* :func:`write_json_artifact` -- the one writer of the sorted, indent-1
+  JSON layout (windowed metrics, runtime telemetry, runtime Chrome).
 
-Both outputs are byte-deterministic: same trace, same bytes.
+Every output is byte-deterministic: same run, same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -163,3 +174,224 @@ def write_folded_stacks(
     path = Path(path)
     path.write_text(to_folded_text(folded_stack_samples(trace), scale))
     return path
+
+
+def write_json_artifact(payload: object, path: Union[str, Path]) -> Path:
+    """Write *payload* to *path* as sorted, indent-1 JSON plus a newline:
+    the byte-deterministic layout of every JSON artifact except the
+    simulator Chrome trace."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    return path
+
+
+#: Simulated cycles per Chrome trace microsecond (trace timestamps are "us").
+CYCLES_PER_US = 2_000.0
+
+
+def _ts(cycles: float) -> float:
+    return cycles / CYCLES_PER_US
+
+
+def trace_events(metrics, trace: TraceData) -> List[Dict]:
+    """The Chrome trace-event list of one simulated run.
+
+    The request and per-kernel offload tracks come from the
+    :class:`~repro.simulator.metrics.MetricSink`'s records; the
+    span-derived tracks that follow them come from *trace*.
+    """
+    events: List[Dict] = [
+        {"name": "process_name", "ph": "M", "pid": 1,
+         "args": {"name": "repro-simulator"}},
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+         "args": {"name": "requests"}},
+    ]
+    for record in metrics.requests:
+        if record.completed_at is None:
+            continue
+        events.append({
+            "name": f"request-{record.request_id}",
+            "cat": "request",
+            "ph": "X",
+            "pid": 1,
+            "tid": 1,
+            "ts": _ts(record.started_at),
+            "dur": max(_ts(record.completed_at) - _ts(record.started_at), 0.001),
+        })
+
+    kernel_tracks: Dict[str, int] = {}
+    next_tid = 2
+    for index, offload in enumerate(metrics.offloads):
+        if offload.kernel not in kernel_tracks:
+            kernel_tracks[offload.kernel] = next_tid
+            events.append({
+                "name": "thread_name", "ph": "M", "pid": 1, "tid": next_tid,
+                "args": {"name": f"offloads:{offload.kernel}"},
+            })
+            next_tid += 1
+        tid = kernel_tracks[offload.kernel]
+        end = (
+            offload.completed_at
+            if offload.completed_at is not None
+            else offload.dispatched_at + offload.queued_cycles
+            + offload.service_cycles
+        )
+        events.append({
+            "name": f"{offload.kernel}[{index}]",
+            "cat": "offload",
+            "ph": "X",
+            "pid": 1,
+            "tid": tid,
+            "ts": _ts(offload.dispatched_at),
+            "dur": max(_ts(end) - _ts(offload.dispatched_at), 0.001),
+            "args": {
+                "granularity_bytes": offload.granularity,
+                "queued_cycles": offload.queued_cycles,
+                "service_cycles": offload.service_cycles,
+            },
+        })
+    events.extend(_span_events(trace, kernel_tracks, next_tid))
+    return events
+
+
+def _span_events(
+    trace: TraceData, kernel_tracks: Dict[str, int], next_tid: int
+) -> List[Dict]:
+    """Span-derived tracks: flow arrows, fault events, outage windows.
+
+    Track ids continue after the per-kernel offload tracks; allocation
+    follows span emission order, which is itself deterministic, so two
+    exports of the same trace are byte-identical.
+    """
+    events: List[Dict] = []
+
+    # Flow arrows: dispatch on the request track -> device completion on
+    # the kernel's offload track.  The flow id is the span id (a per-run
+    # sequence number), so arrows stay stable across exports.
+    for span in trace.spans_of_kind(SpanKind.OFFLOAD):
+        attrs = dict(span.attrs)
+        kernel = attrs["kernel"]
+        tid = kernel_tracks.get(kernel)
+        if tid is None or span.end is None:
+            continue
+        flow_id = int(span.span_id, 16)
+        events.append({
+            "name": span.name, "cat": "offload-flow", "ph": "s",
+            "id": flow_id, "pid": 1, "tid": 1, "ts": _ts(span.start),
+        })
+        events.append({
+            "name": span.name, "cat": "offload-flow", "ph": "f", "bp": "e",
+            "id": flow_id, "pid": 1, "tid": tid, "ts": _ts(span.end),
+        })
+
+    # Per-kernel fault tracks, allocated at first fault appearance.
+    fault_tracks: Dict[str, int] = {}
+
+    def fault_tid(kernel: str) -> int:
+        nonlocal next_tid
+        if kernel not in fault_tracks:
+            fault_tracks[kernel] = next_tid
+            events.append({
+                "name": "thread_name", "ph": "M", "pid": 1, "tid": next_tid,
+                "args": {"name": f"faults:{kernel}"},
+            })
+            next_tid += 1
+        return fault_tracks[kernel]
+
+    for span in trace.spans:
+        attrs = dict(span.attrs)
+        if span.kind is SpanKind.ATTEMPT:
+            tid = fault_tid(attrs["kernel"])
+            outcome = attrs["outcome"]
+            if outcome == "drop":
+                events.append({
+                    "name": f"drop/{attrs['kernel']}", "cat": "fault",
+                    "ph": "X", "pid": 1, "tid": tid, "ts": _ts(span.start),
+                    "dur": max(_ts(span.end) - _ts(span.start), 0.001),
+                    "args": {"retry_index": attrs["retry_index"]},
+                })
+            else:
+                instant = {
+                    "name": f"attempt-{outcome}/{attrs['kernel']}",
+                    "cat": "fault", "ph": "i", "s": "t",
+                    "pid": 1, "tid": tid, "ts": _ts(span.start),
+                }
+                if "spike_cycles" in attrs:
+                    instant["args"] = {"spike_cycles": attrs["spike_cycles"]}
+                events.append(instant)
+        elif span.kind is SpanKind.BACKOFF:
+            tid = fault_tid(attrs["kernel"])
+            events.append({
+                "name": f"backoff/{attrs['kernel']}", "cat": "fault",
+                "ph": "X", "pid": 1, "tid": tid, "ts": _ts(span.start),
+                "dur": max(_ts(span.end) - _ts(span.start), 0.001),
+            })
+        elif span.kind is SpanKind.FALLBACK:
+            tid = fault_tid(attrs["kernel"])
+            events.append({
+                "name": f"fallback/{attrs['kernel']}", "cat": "fault",
+                "ph": "X", "pid": 1, "tid": tid, "ts": _ts(span.start),
+                "dur": max(_ts(span.end) - _ts(span.start), 0.001),
+                "args": {"to_cpu": attrs["to_cpu"]},
+            })
+
+    # Injected degradation windows, one track per kernel (already sorted
+    # by kernel in TraceData).  Infinite multipliers (full outages) are
+    # encoded as null: "Infinity" is not valid JSON.
+    for track in trace.degradations:
+        events.append({
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": next_tid,
+            "args": {"name": f"degraded:{track.kernel}"},
+        })
+        for start, end, multiplier in track.windows:
+            outage = math.isinf(multiplier)
+            events.append({
+                "name": "outage" if outage else "degraded", "cat": "degradation",
+                "ph": "X", "pid": 1, "tid": next_tid, "ts": _ts(start),
+                "dur": max(_ts(end) - _ts(start), 0.001),
+                "args": {
+                    "service_multiplier": None if outage else multiplier,
+                },
+            })
+        next_tid += 1
+    return events
+
+
+def export_chrome_trace(
+    metrics, path: Union[str, Path], trace: TraceData
+) -> Path:
+    """Write one simulated run to *path* as Chrome trace-event JSON.
+
+    The file is compact ``json.dumps`` output, not the indent-1 layout
+    of :func:`write_json_artifact`.
+    """
+    path = Path(path)
+    payload = {
+        "traceEvents": trace_events(metrics, trace),
+        "displayTimeUnit": "ms",
+    }
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def chrome_payload(trace: TraceData) -> Dict[str, object]:
+    """Runtime spans as a Chrome ``traceEvents`` document.
+
+    One complete ("X") event per span; nanosecond span stamps map to the
+    microseconds Chrome expects.  Tracks: one row per batch/task/stage
+    level via the span's kind.
+    """
+    events = []
+    for span in trace.spans:
+        end = span.start if span.end is None else span.end
+        events.append({
+            "name": span.name,
+            "cat": span.kind.value,
+            "ph": "X",
+            "ts": span.start / 1e3,
+            "dur": (end - span.start) / 1e3,
+            "pid": trace.label,
+            "tid": span.trace_id[-8:],
+            "args": {key: value for key, value in span.attrs},
+        })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -746,46 +746,9 @@ def trace_data_from_payload(payload: Dict[str, object]) -> TraceData:
     return _build_trace(str(structural.get("label", "runtime")), batches, 0.0)
 
 
-def chrome_payload(trace: TraceData) -> Dict[str, object]:
-    """Runtime spans as a Chrome ``traceEvents`` document.
-
-    One complete ("X") event per span; nanosecond span stamps map to the
-    microseconds Chrome expects.  Tracks: one row per batch/task/stage
-    level via the span's kind.
-    """
-    events = []
-    for span in trace.spans:
-        end = span.start if span.end is None else span.end
-        events.append({
-            "name": span.name,
-            "cat": span.kind.value,
-            "ph": "X",
-            "ts": span.start / 1e3,
-            "dur": (end - span.start) / 1e3,
-            "pid": trace.label,
-            "tid": span.trace_id[-8:],
-            "args": {key: value for key, value in span.attrs},
-        })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
 # ---------------------------------------------------------------------------
 # Artifact I/O and the summary renderer.
 # ---------------------------------------------------------------------------
-
-
-def write_runtime_telemetry(
-    telemetry: Union[RuntimeTelemetry, Dict[str, object]],
-    path: Union[str, Path],
-) -> Path:
-    """Write the split structural/timing artifact as sorted JSON."""
-    payload = (
-        telemetry.payload()
-        if isinstance(telemetry, RuntimeTelemetry) else telemetry
-    )
-    path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    return path
 
 
 def load_runtime_telemetry(path: Union[str, Path]) -> Dict[str, object]:

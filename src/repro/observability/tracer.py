@@ -15,8 +15,8 @@ stores per call, no object construction) and :meth:`SpanTracer.finish`
 decodes the columns into a :class:`~repro.observability.TraceData`,
 whose every field is pinned by the golden digests in
 ``tests/fixtures/trace_digests.json``.
-Downstream consumers (``critical_path``, ``windows``, ``export``,
-``trace_export``) never see the ring.  When the compiled hot core is
+Downstream consumers (``critical_path``, ``windows``, ``export``)
+never see the ring.  When the compiled hot core is
 importable (see :mod:`repro.simulator.hotcore`), the interval columns
 live in C and the compiled engine appends to them without re-entering
 the interpreter.

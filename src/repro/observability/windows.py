@@ -16,10 +16,8 @@ any completed run, traced or not.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParameterError
 from .spans import SpanKind, TraceData
@@ -267,11 +265,3 @@ def metrics_payload(
         ).to_payload(),
     }
 
-
-def write_windowed_metrics(
-    payload: Dict[str, object], path: Union[str, Path]
-) -> Path:
-    """Write a windowed-metrics artifact as byte-deterministic JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    return path

@@ -51,7 +51,6 @@ from .service import (
     ResponseHandler,
     SegmentWork,
 )
-from .trace_export import export_chrome_trace, trace_events
 from .workload import BlockSampler, request_stream
 
 __all__ = [
@@ -85,10 +84,8 @@ __all__ = [
     "TenantStats",
     "ThreadState",
     "require_positive_window",
-    "export_chrome_trace",
     "measured_latency_reduction",
     "measured_speedup",
-    "trace_events",
     "request_stream",
     "run_simulation",
 ]

@@ -30,6 +30,16 @@ class TestGridAcceptance:
         assert grid.mean_error_pct <= 1.0
         assert grid.worst_point().error_pct == grid.max_error_pct
 
+    def test_async_distinct_thread_grid_matches_closed_form(self):
+        """The design's response handler switches threads for free, as
+        the model side assumes (o1 = 0)."""
+        grid = resilience_grid(
+            seed=0, design=ThreadingDesign.ASYNC_DISTINCT_THREAD
+        )
+        assert len(grid.points) == 9
+        assert grid.max_error_pct <= 2.0
+        assert all(point.retries > 0 for point in grid.points)
+
     def test_grid_covers_the_cartesian_product(self):
         grid = resilience_grid(
             drop_probabilities=(0.05, 0.2), timeout_cycles=(1_000.0,),

@@ -29,8 +29,7 @@ import tempfile
 import pytest
 
 from repro.cli import main
-from repro.observability import SpanTracer
-from repro.simulator.trace_export import export_chrome_trace
+from repro.observability import SpanTracer, export_chrome_trace
 
 try:
     from .conftest import (

@@ -1,9 +1,11 @@
-"""Exporters: OTLP span JSON, folded stacks, span-annotated Chrome trace."""
+"""Exporters: OTLP span JSON, folded stacks, the Chrome trace and the
+JSON artifact writer."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +18,17 @@ from repro.observability import (
     write_folded_stacks,
     write_otlp_spans,
 )
-from repro.observability.export import OTLP_SCOPE, otlp_json, otlp_payload
+from repro.observability.export import (
+    CYCLES_PER_US,
+    OTLP_SCOPE,
+    export_chrome_trace,
+    otlp_json,
+    otlp_payload,
+    trace_events,
+    write_json_artifact,
+)
 from repro.simulator import MetricSink
-from repro.simulator.trace_export import export_chrome_trace, trace_events
+from repro.simulator.metrics import OffloadRecord
 
 from .conftest import DESIGNS
 
@@ -129,10 +139,96 @@ class TestFoldedStacks:
             assert int(count) >= 0
 
 
+#: A trace with no spans: the Chrome export holds the sink's tracks only.
+EMPTY = TraceData(label="empty", spans=(), timelines=())
+
+
+def populated_sink():
+    sink = MetricSink()
+    request = sink.open_request(1, now=1_000.0)
+    request.completed_at = 5_000.0
+    sink.open_request(2, now=2_000.0)  # incomplete: skipped
+    sink.record_offload(OffloadRecord(
+        kernel="compression", granularity=512.0, dispatched_at=1_200.0,
+        queued_cycles=100.0, service_cycles=400.0, completed_at=1_700.0,
+    ))
+    sink.record_offload(OffloadRecord(
+        kernel="encryption", granularity=64.0, dispatched_at=2_000.0,
+        queued_cycles=0.0, service_cycles=50.0,
+    ))
+    return sink
+
+
+class TestChromeSinkTracks:
+    def test_request_events_duration(self):
+        events = trace_events(populated_sink(), EMPTY)
+        request_events = [e for e in events if e.get("cat") == "request"]
+        assert len(request_events) == 1
+        assert request_events[0]["ts"] == pytest.approx(1_000.0 / CYCLES_PER_US)
+        assert request_events[0]["dur"] == pytest.approx(4_000.0 / CYCLES_PER_US)
+
+    def test_offloads_get_per_kernel_tracks(self):
+        events = trace_events(populated_sink(), EMPTY)
+        names = {
+            e["args"]["name"]
+            for e in events
+            if e["name"] == "thread_name"
+        }
+        assert "offloads:compression" in names
+        assert "offloads:encryption" in names
+
+    def test_incomplete_offload_uses_estimated_end(self):
+        events = trace_events(populated_sink(), EMPTY)
+        encryption = [e for e in events if e["name"].startswith("encryption")]
+        assert encryption[0]["dur"] == pytest.approx(50.0 / CYCLES_PER_US)
+
+    def test_offload_args_carry_measurements(self):
+        events = trace_events(populated_sink(), EMPTY)
+        compression = [
+            e for e in events if e["name"].startswith("compression")
+        ][0]
+        assert compression["args"]["granularity_bytes"] == 512.0
+        assert compression["args"]["queued_cycles"] == 100.0
+
+    def test_writes_valid_json(self, tmp_path):
+        path = export_chrome_trace(
+            populated_sink(), tmp_path / "trace.json", EMPTY
+        )
+        payload = json.loads(path.read_text())
+        assert "traceEvents" in payload
+        assert payload["displayTimeUnit"] == "ms"
+
+    def test_export_of_real_simulation(self, tmp_path):
+        import numpy as np
+
+        from repro.simulator import (
+            Microservice,
+            SimulationConfig,
+            run_simulation,
+        )
+        from repro.workloads import build_workload
+
+        workload = build_workload("cache1")
+        rng = np.random.default_rng(0)
+
+        def build(engine, cpu, metrics):
+            return (
+                Microservice(engine, cpu, metrics, name="cache1"),
+                workload.request_factory(rng),
+            )
+
+        result = run_simulation(
+            build, SimulationConfig(num_cores=1, window_cycles=1.2e6)
+        )
+        path = export_chrome_trace(result.metrics, tmp_path / "sim.json", EMPTY)
+        payload = json.loads(path.read_text())
+        assert len(payload["traceEvents"]) > 20
+
+
 class TestChromeTrace:
     def test_flow_arrows_bind_request_to_kernel_track(self, faulted_results):
         result = faulted_results[DESIGNS[0]]
-        events = trace_events(result.metrics, trace=result.trace)
+        events = trace_events(result.metrics, result.trace)
         starts = [e for e in events if e["ph"] == "s"]
         finishes = [e for e in events if e["ph"] == "f"]
         assert starts and finishes
@@ -141,17 +237,16 @@ class TestChromeTrace:
         assert all(e["tid"] == 1 for e in starts)
         assert all(e["tid"] != 1 for e in finishes)
 
-    def test_untraced_export_is_unchanged(self, faulted_results):
+    def test_span_tracks_strictly_extend_the_sink_tracks(self, faulted_results):
         result = faulted_results[DESIGNS[0]]
-        with_trace = trace_events(result.metrics, trace=result.trace)
-        without = trace_events(result.metrics)
-        # The traced export strictly extends the untraced one.
-        assert with_trace[: len(without)] == without
-        assert len(with_trace) > len(without)
+        with_spans = trace_events(result.metrics, result.trace)
+        sink_only = trace_events(result.metrics, EMPTY)
+        assert with_spans[: len(sink_only)] == sink_only
+        assert len(with_spans) > len(sink_only)
 
     def test_fault_events_render_on_fault_tracks(self, faulted_results):
         result = faulted_results[DESIGNS[0]]
-        events = trace_events(result.metrics, trace=result.trace)
+        events = trace_events(result.metrics, result.trace)
         track_names = {
             e["args"]["name"]
             for e in events
@@ -208,3 +303,13 @@ class TestChromeTrace:
         payload = json.loads(path.read_text())
         phases = {e["ph"] for e in payload["traceEvents"]}
         assert {"M", "X", "s", "f", "i"} <= phases
+
+
+class TestJsonArtifact:
+    def test_layout_is_sorted_indent_one_with_a_newline(self, tmp_path):
+        path = write_json_artifact({"b": [1, 2], "a": {"d": 1, "c": None}},
+                                   tmp_path / "artifact.json")
+        assert path.read_text() == (
+            '{\n "a": {\n  "c": null,\n  "d": 1\n },\n'
+            ' "b": [\n  1,\n  2\n ]\n}\n'
+        )

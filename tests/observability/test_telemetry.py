@@ -24,8 +24,8 @@ from repro.observability import (
     load_runtime_telemetry,
     summarize_runtime_telemetry,
     trace_data_from_payload,
+    write_json_artifact,
     write_otlp_spans,
-    write_runtime_telemetry,
 )
 from repro.runtime import ResultCache, RunSpec, execute_batch
 from repro.runtime.runners import register_runner
@@ -167,7 +167,7 @@ def test_critical_path_names_the_bounding_chain():
 
 def test_artifact_roundtrip_and_summary(tmp_path):
     telemetry = _run(workers=2)
-    path = write_runtime_telemetry(telemetry, tmp_path / "telemetry.json")
+    path = write_json_artifact(telemetry.payload(), tmp_path / "telemetry.json")
     payload = load_runtime_telemetry(path)
     assert payload["schema"] == TELEMETRY_SCHEMA
     text = summarize_runtime_telemetry(payload)

@@ -9,7 +9,7 @@ from repro.observability import (
     fixed_bucket_histogram,
     metrics_payload,
     windowed_series,
-    write_windowed_metrics,
+    write_json_artifact,
 )
 from repro.observability.windows import METRICS_SCHEMA
 
@@ -111,6 +111,6 @@ class TestValidationAndPayload:
         payload = metrics_payload(
             simulation.metrics, horizon / 10, horizon, trace=simulation.trace
         )
-        first = write_windowed_metrics(payload, tmp_path / "a.json")
-        second = write_windowed_metrics(payload, tmp_path / "b.json")
+        first = write_json_artifact(payload, tmp_path / "a.json")
+        second = write_json_artifact(payload, tmp_path / "b.json")
         assert first.read_bytes() == second.read_bytes()

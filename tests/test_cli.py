@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.strategies import ThreadingDesign
 
 
 class TestParser:
@@ -166,6 +167,23 @@ class TestSimulationCommands:
         output = capsys.readouterr().out
         assert "aes-ni" in output
         assert "inference" in output
+
+
+class TestEveryOffloadDesign:
+    """simulate and resilience run every threading design they offer
+    (their --design choices are these values)."""
+
+    DESIGNS = [design.value for design in ThreadingDesign]
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_simulate(self, capsys, design):
+        assert main(["simulate", "--design", design, "--seed", "2020"]) == 0
+        assert f"design:            {design}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_resilience(self, capsys, design):
+        assert main(["resilience", "--no-cache", "--design", design]) == 0
+        assert "over 9 cells" in capsys.readouterr().out
 
 
 class TestSharedDeviceCommands:

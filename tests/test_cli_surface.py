@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.core.strategies import ThreadingDesign
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cli_help.json"
 NOT_JSON = FIXTURE.parent / "telemetry_not_json.json"
@@ -62,6 +63,10 @@ TEST_CLI_ARGVS = [
     ["simulate", "--drop", "0.3", "--design", "async", "--no-fallback"],
     ["simulate", "--drop", "0.3", "--design", "async",
      "--spike", "0.3", "--spike-cycles", "5000"],
+    *(argv
+      for design in ThreadingDesign
+      for argv in (["simulate", "--design", design.value, "--seed", "2020"],
+                   ["resilience", "--no-cache", "--design", design.value])),
 ]
 
 #: The operations of the six end-to-end benchmark workloads (seed 2020).
